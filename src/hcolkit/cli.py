@@ -18,9 +18,8 @@ import math
 import os
 import random
 import sys
-from math import comb
 
-from .config import Ceilings, ceilings_from_env
+from .config import Ceilings, ceilings_from_env, env_int
 from .errors import CeilingError, InvariantViolation
 from .gf import FieldSpec, field_make, is_prime
 from .graphs import Graph, make_random, read_graph, write_graph
@@ -30,6 +29,7 @@ from .kernels import (
     combinatorial_kernel,
     read_instance,
     serializable_stats,
+    size_bounds,
     verify_kernel_equivalence,
     write_instance,
     write_kernel_result,
@@ -63,21 +63,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get("HCOL_" + name)
-    return int(raw) if raw is not None else default
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hcol", description=__doc__)
-    parser.add_argument("--seed", type=int, default=_env_int("SEED", 0))
+    parser.add_argument("--seed", type=int, default=env_int("SEED", 0))
     parser.add_argument(
         "--format", choices=("text", "json"), default=os.environ.get("HCOL_FORMAT", "text")
     )
     parser.add_argument(
         "--threads",
         type=int,
-        default=_env_int("THREADS", os.cpu_count() or 1),
+        default=env_int("THREADS", os.cpu_count() or 1),
         help="reserved for inner parallelism; execution is deterministic either way",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -332,7 +327,7 @@ def _cmd_sweep(args, ceilings: Ceilings) -> int:
                 rng = random.Random(_sample_seed(args.seed, k, trial))
                 inst = _random_growth_instance(rng, k, args.q)
                 result = combinatorial_kernel(inst, args.q, ceilings=ceilings)
-                bound = k + sum(comb(k, i) for i in range(1, args.q + 1))
+                bound = size_bounds("combinatorial", k, args.q, result.graph.n)["vertex_bound"]
                 ratio = result.graph.n / bound if bound else 0.0
                 if result.graph.n > bound:
                     raise InvariantViolation("kernel exceeded its closed-form bound")
@@ -366,10 +361,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    ceilings = ceilings_from_env()
     try:
+        # the parser's defaults and the ceilings read HCOL_* settings
+        args = _build_parser().parse_args(argv)
+        ceilings = ceilings_from_env()
         try:
             return _COMMANDS[args.command](args, ceilings)
         except FileNotFoundError as exc:

@@ -9,7 +9,7 @@ up front instead of hanging.  All values can be overridden through
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 
 @dataclass(frozen=True)
@@ -46,19 +46,23 @@ class Ceilings:
 ENV_PREFIX = "HCOL_"
 
 
+def env_int(name: str, default: int) -> int:
+    """The integer in HCOL_<NAME>, or `default` when it is unset."""
+    raw = os.environ.get(ENV_PREFIX + name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_PREFIX}{name} must be an integer, got {raw!r}") from None
+
+
 def ceilings_from_env(base: Ceilings | None = None) -> Ceilings:
     """Return `base` with any HCOL_<NAME> environment overrides applied."""
     base = base or Ceilings()
-    overrides = {}
-    for f in fields(Ceilings):
-        raw = os.environ.get(ENV_PREFIX + f.name.upper())
-        if raw is not None:
-            overrides[f.name] = int(raw)
-    if not overrides:
-        return base
-    values = {f.name: getattr(base, f.name) for f in fields(Ceilings)}
-    values.update(overrides)
-    return Ceilings(**values)
+    return replace(
+        base, **{f.name: env_int(f.name.upper(), getattr(base, f.name)) for f in fields(Ceilings)}
+    )
 
 
 @dataclass(frozen=True)

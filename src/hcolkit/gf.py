@@ -12,6 +12,16 @@ inside the extension (trivial for prime base fields).
 
 Everything here is desk scale: degrees up to 8, orders up to ~10^5 for
 root scans, dense Gaussian elimination.
+
+Hot loops can skip the element objects: :func:`int_field` gives, per
+spec, add/sub/neg/mul/inv on plain ints in the :meth:`FieldElement.to_index`
+encoding (0 is zero, 1 is one).  Prime fields compute ``% p`` directly.
+Extension fields of order at most ``_ROOT_SCAN_LIMIT`` look products up
+in exp/log tables over a primitive element g and sums in a Zech table
+(``zech[e]`` is the log of 1 + g^e); the tables are filled by
+``FieldElement`` arithmetic, built on first use and cached with the
+spec.  Larger extension fields build no tables: their int operations
+round-trip through ``FieldElement``.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError
@@ -352,6 +362,118 @@ def field_extension_above(
         if acc.is_zero():
             return ext, FieldEmbedding(base, ext, cand)
     raise AssertionError("base modulus must split in a degree-multiple extension")
+
+
+# ---------------------------------------------------------------------------
+# Int-encoded arithmetic
+# ---------------------------------------------------------------------------
+
+class IntField(NamedTuple):
+    """Arithmetic of one field on ``to_index`` integers; see :func:`int_field`."""
+
+    spec: FieldSpec
+    add: Callable[[int, int], int]
+    sub: Callable[[int, int], int]
+    neg: Callable[[int], int]
+    mul: Callable[[int, int], int]
+    inv: Callable[[int], int]
+
+
+@lru_cache(maxsize=None)
+def int_field(spec: FieldSpec) -> IntField:
+    """Int-encoded arithmetic of `spec`, built on first use and cached."""
+    if spec.m == 1:
+        return _prime_int_field(spec)
+    if spec.order <= _ROOT_SCAN_LIMIT:
+        return _table_int_field(spec)
+    return _element_int_field(spec)
+
+
+def _prime_int_field(spec: FieldSpec) -> IntField:
+    p = spec.p
+
+    def inv(a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return pow(a, -1, p)
+
+    return IntField(
+        spec,
+        add=lambda a, b: (a + b) % p,
+        sub=lambda a, b: (a - b) % p,
+        neg=lambda a: -a % p,
+        mul=lambda a, b: a * b % p,
+        inv=inv,
+    )
+
+
+def _table_int_field(spec: FieldSpec) -> IntField:
+    n = spec.order - 1
+    one = spec.one
+    # powers of the first element, by index, whose powers reach every nonzero element
+    for index in range(2, spec.order):
+        g = spec.from_index(index)
+        powers, power = [1], g  # g^0 = one has index 1
+        while power != one:
+            powers.append(power.to_index())
+            power = power * g
+        if len(powers) == n:
+            break
+    exp = powers + powers  # doubled, so that log a + log b indexes it unreduced
+    log = [0] * spec.order
+    for e, index in enumerate(powers):
+        log[index] = e
+    # zech[e] = log(1 + g^e), None where 1 + g^e = 0
+    zech: list[int | None] = []
+    for index in powers:
+        total = one + spec.from_index(index)
+        zech.append(None if total.is_zero() else log[total.to_index()])
+    minus_one = log[(-one).to_index()]
+
+    def add(a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        z = zech[(log[b] - la) % n]
+        return 0 if z is None else exp[la + z]
+
+    def sub(a: int, b: int) -> int:
+        if not b:
+            return a
+        lb = log[b] + minus_one  # log of -b
+        if not a:
+            return exp[lb]
+        la = log[a]
+        z = zech[(lb - la) % n]
+        return 0 if z is None else exp[la + z]
+
+    def inv(a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return exp[n - log[a]]
+
+    return IntField(
+        spec,
+        add=add,
+        sub=sub,
+        neg=lambda a: exp[log[a] + minus_one] if a else 0,
+        mul=lambda a, b: exp[log[a] + log[b]] if a and b else 0,
+        inv=inv,
+    )
+
+
+def _element_int_field(spec: FieldSpec) -> IntField:
+    elt = spec.from_index
+    return IntField(
+        spec,
+        add=lambda a, b: (elt(a) + elt(b)).to_index(),
+        sub=lambda a, b: (elt(a) - elt(b)).to_index(),
+        neg=lambda a: (-elt(a)).to_index(),
+        mul=lambda a, b: (elt(a) * elt(b)).to_index(),
+        inv=lambda a: elt(a).inverse().to_index(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,28 @@ def _subset_budget(k: int, q: int) -> int:
     return sum(comb(k, i) for i in range(1, min(q, k) + 1))
 
 
+def size_bounds(mode: str, k: int, exponent: int, vertices: int) -> dict:
+    """Closed-form size bounds of a kernel on a size-k cover.
+
+    `exponent` is q for the combinatorial kernel and d for the algebraic
+    one; `vertices` is the kernel's vertex count, which the algebraic
+    bit-size estimate charges per added vertex.  Returns vertex_bound and
+    bit_size_estimate, plus span_bound (the dimension of the degree-(d-1)
+    polynomial space) in algebraic mode.
+    """
+    if mode == "combinatorial":
+        # the encoding reserves one bit per candidate subset, whether realized or not
+        subsets = _subset_budget(k, exponent)
+        return {"vertex_bound": k + subsets, "bit_size_estimate": comb(k, 2) + subsets}
+    span_bound = comb(k * (exponent - 1), exponent - 1)
+    bits_per_set = exponent * max(1, (k - 1).bit_length())
+    return {
+        "vertex_bound": k + _subset_budget(k, exponent - 1) + span_bound,
+        "bit_size_estimate": comb(k, 2) + (vertices - k) * bits_per_set,
+        "span_bound": span_bound,
+    }
+
+
 def combinatorial_kernel(
     inst: VertexCoverInstance,
     q: int,
@@ -137,15 +159,14 @@ def combinatorial_kernel(
         edges.extend((vid, u) for u in trace)
     out = Graph(k + len(ordered), edges)
 
-    vertex_bound = k + _subset_budget(k, q)
+    bounds = size_bounds("combinatorial", k, q, out.n)
     stats = {
         "mode": "combinatorial",
         "q": q,
         "k": k,
         "vertices": out.n,
         "edges": out.m,
-        "vertex_bound": vertex_bound,
-        "bit_size_estimate": comb(k, 2) + _full_subset_count(k, q),
+        **bounds,
         "elapsed": time.perf_counter() - started,
     }
     result = KernelResult(
@@ -156,14 +177,9 @@ def combinatorial_kernel(
         stats=stats,
     )
     result.validate()
-    if out.n > vertex_bound:
+    if out.n > bounds["vertex_bound"]:
         raise InvariantViolation("vertex bound violated by construction")
     return result
-
-
-def _full_subset_count(k: int, q: int) -> int:
-    # the encoding reserves one bit per candidate subset, whether realized or not
-    return sum(comb(k, i) for i in range(1, q + 1))
 
 
 def algebraic_kernel(
@@ -226,20 +242,16 @@ def algebraic_kernel(
         edges.extend((vid, u) for u in trace)
     out = Graph(k + len(keep_order), edges)
 
-    span_bound = comb(k * (d - 1), d - 1)
-    vertex_bound = k + sum(comb(k, i) for i in range(1, d)) + span_bound
-    bits_per_set = d * max(1, (k - 1).bit_length() if k > 1 else 1)
+    bounds = size_bounds("algebraic", k, d, out.n)
     stats = {
         "mode": "algebraic",
         "d": d,
         "k": k,
         "vertices": out.n,
         "edges": out.m,
-        "vertex_bound": vertex_bound,
-        "bit_size_estimate": comb(k, 2) + (out.n - k) * bits_per_set,
+        **bounds,
         "basis_kept": len(selection.kept),
         "basis_dropped": len(selection.certificates),
-        "span_bound": span_bound,
         "field_order": spec.order,
         "field": {"p": spec.p, "m": spec.m, "irreducible": list(spec.irreducible)},
         "elapsed": time.perf_counter() - started,
@@ -254,9 +266,9 @@ def algebraic_kernel(
         polys=polys,
     )
     result.validate()
-    if len(selection.kept) > span_bound:
+    if len(selection.kept) > bounds["span_bound"]:
         raise InvariantViolation("basis larger than the ambient polynomial space")
-    if out.n > vertex_bound:
+    if out.n > bounds["vertex_bound"]:
         raise InvariantViolation("vertex bound violated by construction")
     return result
 
@@ -287,15 +299,9 @@ def kernel_size_report(result: KernelResult, k: int, exponent: int) -> dict:
     vertices/bound ratio is at most 1.
     """
     mode = result.stats["mode"]
-    if mode == "combinatorial":
-        vertex_bound = k + sum(comb(k, i) for i in range(1, exponent + 1))
-        bit_size = comb(k, 2) + _full_subset_count(k, exponent)
-    else:
-        span_bound = comb(k * (exponent - 1), exponent - 1)
-        vertex_bound = k + sum(comb(k, i) for i in range(1, exponent)) + span_bound
-        bits_per_set = exponent * max(1, (k - 1).bit_length() if k > 1 else 1)
-        bit_size = comb(k, 2) + (result.graph.n - k) * bits_per_set
     vertices = result.graph.n
+    bounds = size_bounds(mode, k, exponent, vertices)
+    vertex_bound = bounds["vertex_bound"]
     ratio = vertices / vertex_bound if vertex_bound else 0.0
     if vertices > vertex_bound:
         raise InvariantViolation(
@@ -308,7 +314,7 @@ def kernel_size_report(result: KernelResult, k: int, exponent: int) -> dict:
         "vertices": vertices,
         "edges": result.graph.m,
         "vertex_bound": vertex_bound,
-        "bit_size_estimate": bit_size,
+        "bit_size_estimate": bounds["bit_size_estimate"],
         "ratio": ratio,
         "within_bound": True,
     }

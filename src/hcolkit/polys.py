@@ -18,10 +18,11 @@ and returns exact reconstruction certificates for everything dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
-from .gf import FieldElement, FieldSpec
+from .gf import FieldElement, FieldSpec, int_field
 
 MonomialKey = tuple[tuple[int, int], ...]  # sorted ((vertex, coordinate), ...)
 
@@ -111,6 +112,29 @@ class SparsePoly:
         return "SparsePoly(" + " + ".join(bits) + ")"
 
 
+@lru_cache(maxsize=None)
+def _det_pattern(d: int) -> tuple[tuple[int, MonomialKey], ...]:
+    """The terms of `det_poly` for columns 0..d-1: (sign, ((column, coordinate), ...)).
+
+    Cofactor expansion along the unit row, then the permutations of each
+    minor; every term is a distinct monomial, so none cancel.
+    """
+    terms: dict[MonomialKey, int] = {}
+    for j in range(d):
+        minor_cols = [c for c in range(d) if c != j]
+        for perm in permutations(range(d - 1)):
+            inversions = sum(
+                1
+                for a in range(d - 1)
+                for b in range(a + 1, d - 1)
+                if perm[a] > perm[b]
+            )
+            # row i (coordinate i+2) takes the variable of column perm[i]
+            key = tuple(sorted((minor_cols[perm[i]], i + 2) for i in range(d - 1)))
+            terms[key] = (-1) ** (j + inversions)
+    return tuple((sign, key) for key, sign in terms.items())
+
+
 def det_poly(vertices: Sequence[int], d: int, spec: FieldSpec) -> SparsePoly:
     """Symbolic determinant of the unit-first-row matrix on d vertex columns.
 
@@ -121,28 +145,15 @@ def det_poly(vertices: Sequence[int], d: int, spec: FieldSpec) -> SparsePoly:
     cols = sorted(vertices)
     if len(cols) != d or len(set(cols)) != d:
         raise ValueError(f"need {d} distinct vertex ids, got {vertices!r}")
-    one = spec.one
-    terms: dict[MonomialKey, FieldElement] = {}
-    for j in range(d):
-        cofactor_sign = one if j % 2 == 0 else -one
-        minor_cols = cols[:j] + cols[j + 1 :]
-        for perm in permutations(range(d - 1)):
-            inversions = sum(
-                1
-                for a in range(d - 1)
-                for b in range(a + 1, d - 1)
-                if perm[a] > perm[b]
-            )
-            sign = cofactor_sign if inversions % 2 == 0 else -cofactor_sign
-            # row i (coordinate i+2) takes the variable of column perm[i]
-            key = tuple(sorted((minor_cols[perm[i]], i + 2) for i in range(d - 1)))
-            acc = terms.get(key)
-            s = sign if acc is None else acc + sign
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-    return SparsePoly(spec, terms)
+    signs = {1: spec.one, -1: -spec.one}
+    # columns are ascending, so relabelling keeps each key sorted
+    return SparsePoly(
+        spec,
+        {
+            tuple((cols[c], coord) for c, coord in key): signs[sign]
+            for sign, key in _det_pattern(d)
+        },
+    )
 
 
 @dataclass
@@ -182,41 +193,49 @@ def poly_basis_select(polys: Sequence[SparsePoly]) -> BasisSelection:
     if len({p.degree for p in polys if not p.is_zero()}) > 1:
         raise ValueError("polynomials of mixed degree")
 
+    ops = int_field(spec)
+    add, sub, neg, mul = ops.add, ops.sub, ops.neg, ops.mul
     kept: list[int] = []
-    # echelon rows: (pivot key, monic reduced poly, expression over kept input indices)
-    echelon: list[tuple[MonomialKey, dict[MonomialKey, FieldElement], dict[int, FieldElement]]] = []
-    certificates: dict[int, dict[int, FieldElement]] = {}
+    # echelon rows: (pivot key, monic reduced poly, expression over kept input
+    # indices), with coefficients as to_index ints
+    echelon: list[tuple[MonomialKey, dict[MonomialKey, int], dict[int, int]]] = []
+    combos: dict[int, dict[int, int]] = {}
 
     for index, poly in enumerate(polys):
-        rem = dict(poly.terms)
-        combo: dict[int, FieldElement] = {}
+        rem = {key: coeff.to_index() for key, coeff in poly.terms.items()}
+        combo: dict[int, int] = {}
         for pivot, row, expr in echelon:
             coeff = rem.get(pivot)
-            if coeff is None or coeff.is_zero():
+            if not coeff:
                 continue
             for key, val in row.items():
-                acc = rem.get(key, spec.zero) - coeff * val
-                if acc.is_zero():
-                    rem.pop(key, None)
-                else:
+                acc = sub(rem.get(key, 0), mul(coeff, val))
+                if acc:
                     rem[key] = acc
-            for k_idx, val in expr.items():
-                acc = combo.get(k_idx, spec.zero) + coeff * val
-                if acc.is_zero():
-                    combo.pop(k_idx, None)
                 else:
+                    rem.pop(key, None)
+            for k_idx, val in expr.items():
+                acc = add(combo.get(k_idx, 0), mul(coeff, val))
+                if acc:
                     combo[k_idx] = acc
+                else:
+                    combo.pop(k_idx, None)
         if not rem:
-            certificates[index] = combo
+            combos[index] = combo
             continue
         kept.append(index)
         pivot = min(rem)
-        lead_inv = rem[pivot].inverse()
-        row = {k: v * lead_inv for k, v in rem.items()}
+        lead_inv = ops.inv(rem[pivot])
+        row = {k: mul(v, lead_inv) for k, v in rem.items()}
         # reduced row = (poly - sum combo*kept) / lead, expressed over kept
         expr = {index: lead_inv}
         for k_idx, val in combo.items():
-            expr[k_idx] = -(val * lead_inv)
+            expr[k_idx] = neg(mul(val, lead_inv))
         echelon.append((pivot, row, expr))
 
+    element = lru_cache(maxsize=None)(spec.from_index)
+    certificates = {
+        index: {k_idx: element(val) for k_idx, val in combo.items()}
+        for index, combo in combos.items()
+    }
     return BasisSelection(kept=tuple(kept), certificates=certificates)

@@ -317,3 +317,18 @@ def test_reduce_gadget_search_exhaustion(files, capsys, tmp_path, monkeypatch):
         "--target", c6_path,
     )
     assert code == 2 and "inconclusive" in err
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("HCOL_SEED", "x", "HCOL_SEED must be an integer"),
+        ("HCOL_ORACLE_VERTICES", "0", "oracle_vertices must be positive"),
+    ],
+)
+def test_bad_env_setting_is_one_line(files, capsys, monkeypatch, name, value, message):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "witness", files["k4.g"])
+    assert code == 2 and out == ""
+    assert err.startswith("hcol: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.gf import (
+    _ROOT_SCAN_LIMIT,
     Matrix,
     determinant,
     field_extension_above,
     field_make,
+    int_field,
     is_prime,
     matrix_rank,
     row_reduce,
@@ -169,3 +171,35 @@ def test_powers_and_division():
 def test_is_prime():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0)
+
+
+def _check_int_ops(spec, pairs):
+    ops = int_field(spec)
+    elt = spec.from_index
+    for a, b in pairs:
+        x, y = elt(a), elt(b)
+        assert ops.add(a, b) == (x + y).to_index()
+        assert ops.sub(a, b) == (x - y).to_index()
+        assert ops.mul(a, b) == (x * y).to_index()
+    for a in sorted({a for pair in pairs for a in pair}):
+        assert ops.neg(a) == (-elt(a)).to_index()
+        if a:
+            assert ops.inv(a) == elt(a).inverse().to_index()
+    with pytest.raises(ZeroDivisionError):
+        ops.inv(0)
+
+
+@pytest.mark.parametrize("args", [(7, 1), (163, 1), (2, 3), (3, 2), (2, 8)], ids=str)
+def test_int_field_matches_field_element(args):
+    spec = field_make(*args)
+    elements = range(spec.order)
+    _check_int_ops(spec, [(a, b) for a in elements for b in elements])
+    assert int_field(spec) is int_field(field_make(*args))
+
+
+def test_int_field_above_table_cap():
+    spec = field_make(331, 2)
+    assert spec.order > _ROOT_SCAN_LIMIT
+    rng = random.Random(5)
+    pairs = [(rng.randrange(spec.order), rng.randrange(spec.order)) for _ in range(300)]
+    _check_int_ops(spec, pairs + [(0, 1), (1, 0)])

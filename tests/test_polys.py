@@ -3,8 +3,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcolkit.gf import Matrix, determinant, field_make
+from hcolkit.gf import Matrix, determinant, field_make, vectors_rank
 from hcolkit.polys import SparsePoly, det_poly, poly_basis_select
 
 GF7 = field_make(7, 1)
@@ -111,3 +113,43 @@ def test_mixed_inputs_rejected():
         poly_basis_select([det_poly([0, 1], 2, GF7), det_poly([0, 1, 2], 3, GF7)])
     with pytest.raises(ValueError):
         poly_basis_select([det_poly([0, 1], 2, GF7), det_poly([0, 1], 2, GF8)])
+
+
+# every valid degree-2 monomial on vertices 0..3 and coordinates 2..3
+MONOMIALS = sorted(
+    tuple(sorted(zip(verts, coords)))
+    for verts in combinations(range(4), 2)
+    for coords in ((2, 3), (3, 2))
+)
+
+
+@pytest.mark.parametrize("spec", [GF7, GF8, field_make(3, 2)], ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_basis_select_is_greedy_span_membership(spec, data):
+    coeff = st.integers(0, spec.order - 1).map(spec.from_index)
+    sparse = st.one_of(st.just(spec.zero), coeff)
+    vectors: list[list] = []
+    for _ in range(data.draw(st.integers(0, 14))):
+        if vectors and data.draw(st.booleans()):
+            # a combination of earlier rows, so that dependent inputs are common
+            vec = [spec.zero] * len(MONOMIALS)
+            for row in vectors:
+                c = data.draw(sparse)
+                vec = [a + c * b for a, b in zip(vec, row)]
+        else:
+            vec = data.draw(st.lists(sparse, min_size=len(MONOMIALS), max_size=len(MONOMIALS)))
+        vectors.append(vec)
+    polys = [
+        SparsePoly(spec, {key: c for key, c in zip(MONOMIALS, vec) if not c.is_zero()})
+        for vec in vectors
+    ]
+    sel = poly_basis_select(polys)
+    greedy: list[int] = []
+    for i, vec in enumerate(vectors):
+        if vectors_rank(spec, [vectors[j] for j in greedy] + [vec]) > len(greedy):
+            greedy.append(i)
+    assert sel.kept == tuple(greedy)
+    assert len(sel.kept) + len(sel.certificates) == len(polys)
+    for dropped in sel.certificates:
+        assert sel.reconstruct(polys, dropped) == polys[dropped]
