@@ -10,7 +10,7 @@ vector representations (`reps`), the two kernelization algorithms
 `hcol` console script fronts all of it.
 """
 
-from .config import Ceilings, RunConfig, ceilings_from_env
+from .config import Ceilings, ceilings_from_env
 from .errors import CeilingError, HcolError, InvariantViolation
 from .graphs import (
     Graph,

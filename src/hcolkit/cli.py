@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 
-from .config import Ceilings, ceilings_from_env, env_int
+from .config import Ceilings, ceilings_from_env, env_choice, env_int
 from .errors import CeilingError, InvariantViolation
 from .gf import FieldSpec, field_make, is_prime
 from .graphs import Graph, make_random, read_graph, write_graph
@@ -66,15 +65,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hcol", description=__doc__)
     parser.add_argument("--seed", type=int, default=env_int("SEED", 0))
-    parser.add_argument(
-        "--format", choices=("text", "json"), default=os.environ.get("HCOL_FORMAT", "text")
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=env_int("THREADS", os.cpu_count() or 1),
-        help="reserved for inner parallelism; execution is deterministic either way",
-    )
+    formats = ("text", "json")
+    parser.add_argument("--format", choices=formats, default=env_choice("FORMAT", "text", formats))
     sub = parser.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("witness", help="exact non-adjacency witness number")

@@ -9,7 +9,7 @@ up front instead of hanging.  All values can be overridden through
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -57,29 +57,21 @@ def env_int(name: str, default: int) -> int:
         raise ValueError(f"{ENV_PREFIX}{name} must be an integer, got {raw!r}") from None
 
 
+def env_choice(name: str, default: str, choices: tuple[str, ...]) -> str:
+    """The value of HCOL_<NAME>, which must be one of `choices`, or `default`
+    when it is unset."""
+    raw = os.environ.get(ENV_PREFIX + name, default)
+    if raw not in choices:
+        raise ValueError(f"{ENV_PREFIX}{name} must be one of {', '.join(choices)}, got {raw!r}")
+    return raw
+
+
 def ceilings_from_env(base: Ceilings | None = None) -> Ceilings:
     """Return `base` with any HCOL_<NAME> environment overrides applied."""
     base = base or Ceilings()
     return replace(
         base, **{f.name: env_int(f.name.upper(), getattr(base, f.name)) for f in fields(Ceilings)}
     )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Configuration for one CLI invocation."""
-
-    seed: int = 0
-    ceilings: Ceilings = field(default_factory=Ceilings)
-    output: str | None = None  # path, or None for stdout
-    format: str = "text"  # "text" | "json"
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.format not in ("text", "json"):
-            raise ValueError(f"unknown output format {self.format!r}")
-        if self.threads <= 0:
-            raise ValueError("threads must be positive")
 
 
 DEFAULT_CEILINGS = Ceilings()

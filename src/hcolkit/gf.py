@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p^m) and dense linear algebra over it.
+"""Exact arithmetic in GF(p^m) and linear algebra over it.
 
 A field is described by a :class:`FieldSpec` (characteristic, extension
 degree, irreducible modulus); elements are coefficient vectors over
@@ -11,7 +11,7 @@ computed by sending the base generator to a root of the base modulus
 inside the extension (trivial for prime base fields).
 
 Everything here is desk scale: degrees up to 8, orders up to ~10^5 for
-root scans, dense Gaussian elimination.
+root scans and exp/log tables.
 
 Hot loops can skip the element objects: :func:`int_field` gives, per
 spec, add/sub/neg/mul/inv on plain ints in the :meth:`FieldElement.to_index`
@@ -22,6 +22,17 @@ in exp/log tables over a primitive element g and sums in a Zech table
 ``FieldElement`` arithmetic, built on first use and cached with the
 spec.  Larger extension fields build no tables: their int operations
 round-trip through ``FieldElement``.
+
+All linear algebra runs on one routine, :class:`Elimination`: greedy
+incremental elimination of sparse int-encoded rows, pivoting on each
+kept row's least key.  It records the labels of the kept (independent)
+rows in input order with their pivots and leads, and returns for every
+dropped row a certificate: its coordinates over the kept rows.
+``row_reduce`` and ``matrix_rank`` insert the columns (kept columns are
+the pivots, and the certificates are the RREF entries),
+``determinant`` inserts the rows, ``SpanBasis`` inserts or only
+reduces vectors, and ``polys.poly_basis_select`` inserts polynomials
+keyed by monomial.
 """
 
 from __future__ import annotations
@@ -477,6 +488,96 @@ def _element_int_field(spec: FieldSpec) -> IntField:
 
 
 # ---------------------------------------------------------------------------
+# Elimination
+# ---------------------------------------------------------------------------
+
+class Elimination:
+    """Greedy incremental Gaussian elimination on sparse int-encoded rows.
+
+    A row is a dict from sortable keys (column indices, monomials) to
+    nonzero ``to_index`` ints.  :meth:`insert` keeps a row exactly when it
+    lies outside the span of the rows kept before it.  A kept row is
+    reduced against the earlier ones, pivots on its least key and is
+    stored monic with its expression over the kept inputs, so every
+    dropped row gets a certificate: its coordinates over the kept rows.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        self.ops = int_field(spec)
+        self.kept: list = []  # labels of the kept rows, in insertion order
+        self.pivots: list = []  # pivot key of each kept row
+        self.leads: list[int] = []  # its entry at the pivot before scaling
+        # per kept row: the monic reduced row and its expression over kept labels
+        self._rows: list[tuple[dict, dict]] = []
+
+    def reduce(self, row: dict) -> tuple[dict, dict]:
+        """Clear every pivot of `row` with the kept rows.
+
+        Returns the remainder and the combination (kept label ->
+        coefficient) taken away: `row` equals the remainder plus that
+        combination of the kept rows.
+        """
+        add, sub, mul = self.ops.add, self.ops.sub, self.ops.mul
+        rem = dict(row)
+        combo: dict = {}
+        for pivot, (reduced, expr) in zip(self.pivots, self._rows):
+            coeff = rem.get(pivot)
+            if not coeff:
+                continue
+            for key, val in reduced.items():
+                acc = sub(rem.get(key, 0), mul(coeff, val))
+                if acc:
+                    rem[key] = acc
+                else:
+                    rem.pop(key, None)
+            for label, val in expr.items():
+                acc = add(combo.get(label, 0), mul(coeff, val))
+                if acc:
+                    combo[label] = acc
+                else:
+                    combo.pop(label, None)
+        return rem, combo
+
+    def insert(self, row: dict, label) -> dict | None:
+        """Keep `row` under `label` and return None when it is outside the
+        span of the kept rows; otherwise return its certificate over them."""
+        rem, combo = self.reduce(row)
+        if not rem:
+            return combo
+        ops = self.ops
+        pivot = min(rem)
+        lead_inv = ops.inv(rem[pivot])
+        # reduced row = (row - sum combo * kept) / lead, expressed over kept labels
+        expr = {label: lead_inv}
+        for k, val in combo.items():
+            expr[k] = ops.neg(ops.mul(val, lead_inv))
+        self.kept.append(label)
+        self.pivots.append(pivot)
+        self.leads.append(rem[pivot])
+        self._rows.append(({k: ops.mul(v, lead_inv) for k, v in rem.items()}, expr))
+        return None
+
+
+def int_vector(vec: Sequence[FieldElement]) -> dict[int, int]:
+    """`vec` as an :class:`Elimination` row: position -> nonzero ``to_index``."""
+    return {j: i for j, x in enumerate(vec) if (i := x.to_index())}
+
+
+def column_basis(
+    spec: FieldSpec, columns: Iterable[Sequence[FieldElement]]
+) -> tuple[list[int], dict[int, dict[int, int]]]:
+    """Greedy basis of `columns`: the indices kept, in order, and for every
+    other column its int-encoded coordinates over the kept ones."""
+    elim = Elimination(spec)
+    certificates = {}
+    for c, column in enumerate(columns):
+        cert = elim.insert(int_vector(column), c)
+        if cert is not None:
+            certificates[c] = cert
+    return elim.kept, certificates
+
+
+# ---------------------------------------------------------------------------
 # Dense matrices
 # ---------------------------------------------------------------------------
 
@@ -533,98 +634,63 @@ class Matrix:
 
 
 def row_reduce(matrix: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form, rank, and pivot columns (ascending)."""
+    """Reduced row echelon form, rank, and pivot columns (ascending).
+
+    The pivots are the columns outside the span of the columns before
+    them; row i of the form holds each other column's coordinate on
+    pivot i.
+    """
     spec = matrix.spec
-    rows = [list(r) for r in matrix.data]
-    n_rows, n_cols = matrix.rows, matrix.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if not rows[i][c].is_zero()), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and not rows[i][c].is_zero():
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return Matrix(spec, rows), r, pivots
+    pivots, certificates = column_basis(spec, zip(*matrix.data))
+    rows = [
+        [
+            spec.from_index(1 if c == p else certificates.get(c, {}).get(p, 0))
+            for c in range(matrix.cols)
+        ]
+        for p in pivots
+    ]
+    rows += [[spec.zero] * matrix.cols] * (matrix.rows - len(pivots))
+    return Matrix(spec, rows), len(pivots), pivots
 
 
 def matrix_rank(matrix: Matrix) -> int:
-    return row_reduce(matrix)[1]
+    return len(column_basis(matrix.spec, zip(*matrix.data))[0])
 
 
 def determinant(matrix: Matrix) -> FieldElement:
-    """Exact determinant via elimination with row-swap sign tracking."""
+    """Exact determinant: the rows reduced in order are triangular in the
+    order of their pivots, so it is the sign of that permutation times
+    the product of the leads, or zero once a row is dependent."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant needs a square matrix")
     spec = matrix.spec
-    n = matrix.rows
-    if n == 0:
-        return spec.one
-    rows = [list(r) for r in matrix.data]
-    det = spec.one
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-        if pivot_row is None:
+    elim = Elimination(spec)
+    for i, row in enumerate(matrix.data):
+        if elim.insert(int_vector(row), i) is not None:
             return spec.zero
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                factor = rows[i][c] * inv
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
-def vectors_rank(spec: FieldSpec, vectors: Sequence[Sequence[FieldElement]]) -> int:
-    if not vectors:
-        return 0
-    return matrix_rank(Matrix(spec, vectors))
+    ops, pivots = elim.ops, elim.pivots
+    det = 1
+    for lead in elim.leads:
+        det = ops.mul(det, lead)
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
+    return spec.from_index(ops.neg(det) if inversions % 2 else det)
 
 
 class SpanBasis:
-    """Incremental row-space membership tester (online Gaussian elimination)."""
+    """Incremental row-space membership tester over one :class:`Elimination`."""
 
     def __init__(self, spec: FieldSpec, dim: int):
         self.spec = spec
         self.dim = dim
-        self.rows: list[list[FieldElement]] = []
-        self.pivots: list[int] = []
-
-    def _reduce(self, vec: Sequence[FieldElement]) -> list[FieldElement]:
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            if not v[piv].is_zero():
-                factor = v[piv]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return v
+        self._elim = Elimination(spec)
 
     def contains(self, vec: Sequence[FieldElement]) -> bool:
-        return all(x.is_zero() for x in self._reduce(vec))
+        return not self._elim.reduce(int_vector(vec))[0]
 
     def add(self, vec: Sequence[FieldElement]) -> bool:
         """Insert vec; returns False when it was already in the span."""
-        v = self._reduce(vec)
-        piv = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-        if piv is None:
-            return False
-        inv = v[piv].inverse()
-        v = [x * inv for x in v]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
+        return self._elim.insert(int_vector(vec), self.rank) is None
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._elim.kept)

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
-from .gf import FieldElement, FieldSpec, int_field
+from .gf import Elimination, FieldElement, FieldSpec
 
 MonomialKey = tuple[tuple[int, int], ...]  # sorted ((vertex, coordinate), ...)
 
@@ -193,49 +193,12 @@ def poly_basis_select(polys: Sequence[SparsePoly]) -> BasisSelection:
     if len({p.degree for p in polys if not p.is_zero()}) > 1:
         raise ValueError("polynomials of mixed degree")
 
-    ops = int_field(spec)
-    add, sub, neg, mul = ops.add, ops.sub, ops.neg, ops.mul
-    kept: list[int] = []
-    # echelon rows: (pivot key, monic reduced poly, expression over kept input
-    # indices), with coefficients as to_index ints
-    echelon: list[tuple[MonomialKey, dict[MonomialKey, int], dict[int, int]]] = []
-    combos: dict[int, dict[int, int]] = {}
-
-    for index, poly in enumerate(polys):
-        rem = {key: coeff.to_index() for key, coeff in poly.terms.items()}
-        combo: dict[int, int] = {}
-        for pivot, row, expr in echelon:
-            coeff = rem.get(pivot)
-            if not coeff:
-                continue
-            for key, val in row.items():
-                acc = sub(rem.get(key, 0), mul(coeff, val))
-                if acc:
-                    rem[key] = acc
-                else:
-                    rem.pop(key, None)
-            for k_idx, val in expr.items():
-                acc = add(combo.get(k_idx, 0), mul(coeff, val))
-                if acc:
-                    combo[k_idx] = acc
-                else:
-                    combo.pop(k_idx, None)
-        if not rem:
-            combos[index] = combo
-            continue
-        kept.append(index)
-        pivot = min(rem)
-        lead_inv = ops.inv(rem[pivot])
-        row = {k: mul(v, lead_inv) for k, v in rem.items()}
-        # reduced row = (poly - sum combo*kept) / lead, expressed over kept
-        expr = {index: lead_inv}
-        for k_idx, val in combo.items():
-            expr[k_idx] = neg(mul(val, lead_inv))
-        echelon.append((pivot, row, expr))
-
+    elim = Elimination(spec)
     element = lru_cache(maxsize=None)(spec.from_index)
-    certificates = {
-        index: {k_idx: element(val) for k_idx, val in combo.items()}
-        for index, combo in combos.items()
-    }
-    return BasisSelection(kept=tuple(kept), certificates=certificates)
+    certificates: dict[int, dict[int, FieldElement]] = {}
+    for index, poly in enumerate(polys):
+        row = {key: coeff.to_index() for key, coeff in poly.terms.items()}
+        cert = elim.insert(row, index)
+        if cert is not None:
+            certificates[index] = {k_idx: element(val) for k_idx, val in cert.items()}
+    return BasisSelection(kept=tuple(elim.kept), certificates=certificates)

@@ -41,6 +41,7 @@ from .gf import (
     FieldSpec,
     Matrix,
     SpanBasis,
+    column_basis,
     field_extension_above,
     matrix_rank,
 )
@@ -282,14 +283,11 @@ def kneser_system(m: int, r: int, spec: FieldSpec) -> KneserSystem:
     vectors = []
     for subset in subsets:
         cols = [c - 1 for c in subset]  # elements are 1-based
-        # solve the (r-1) x r system on the support with first unknown = 1
-        sub = [[rows[i][c] for c in cols] for i in range(r - 1)]
-        rhs = [-sub[i][0] for i in range(r - 1)]
-        coeff = Matrix(spec, [row[1:] for row in sub]) if r > 1 else None
-        if r == 1:
-            solution = [spec.one]
-        else:
-            solution = [spec.one] + _solve_square(coeff, rhs)
+        # first unknown = 1; the others are minus the coordinates of the
+        # first support column over the remaining r - 1, which are independent
+        columns = [[row[c] for row in rows] for c in cols[1:] + cols[:1]]
+        coords = column_basis(spec, columns)[1].get(r - 1, {})
+        solution = [spec.one] + [-spec.from_index(coords.get(j, 0)) for j in range(r - 1)]
         if any(x.is_zero() for x in solution):
             raise InvariantViolation("support vector acquired a zero entry")
         full = [spec.zero] * m
@@ -301,23 +299,6 @@ def kneser_system(m: int, r: int, spec: FieldSpec) -> KneserSystem:
         neighbor_vecs = [vectors[c] for c in graph.neighbors(b)]
         dims.append(matrix_rank(Matrix(spec, neighbor_vecs)) if neighbor_vecs else 0)
     return KneserSystem(graph, m, r, spec, tuple(vectors), tuple(dims))
-
-
-def _solve_square(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement]:
-    """Solve a square nonsingular system by elimination on [A | b]."""
-    spec = matrix.spec
-    n = matrix.rows
-    aug = [list(matrix.data[i]) + [rhs[i]] for i in range(n)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if not aug[i][c].is_zero())
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
 
 
 def kneser_rep(
@@ -568,21 +549,16 @@ def adjacency_rank_matrix(
 def _nullspace_basis(
     spec: FieldSpec, rows: list[Vector], d: int
 ) -> list[list[FieldElement]]:
-    """Basis of the right nullspace of the given row vectors in F^d."""
-    if not rows:
-        return [
-            [spec.one if j == i else spec.zero for j in range(d)] for i in range(d)
-        ]
-    from .gf import row_reduce
-
-    reduced, rank, pivots = row_reduce(Matrix(spec, rows))
-    free = [c for c in range(d) if c not in pivots]
+    """Basis of the right nullspace of the given row vectors in F^d: e_f
+    minus the coordinates of column f over the pivot columns, for each
+    non-pivot f."""
+    _, certificates = column_basis(spec, ([row[f] for row in rows] for f in range(d)))
     basis = []
-    for f in free:
+    for f, coords in certificates.items():
         vec = [spec.zero] * d
         vec[f] = spec.one
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i, f]
+        for p, c in coords.items():
+            vec[p] = -spec.from_index(c)
         basis.append(vec)
     return basis
 

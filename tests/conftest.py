@@ -8,10 +8,11 @@ or compilation, so agreement is meaningful.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
+from hcolkit.gf import Matrix
 from hcolkit.graphs import Graph, common_neighbors
 from hcolkit.kernels import VertexCoverInstance
 
@@ -45,6 +46,45 @@ def brute_witness_q(g: Graph) -> int:
             if all(common_neighbors(g, s) for s in combinations(t, size - 1)):
                 best = max(best, size)
     return best
+
+
+def reference_row_reduce(matrix: Matrix) -> tuple[list[list], int, list[int]]:
+    """Textbook Gauss-Jordan on field elements: RREF rows, rank, pivot columns."""
+    rows = [list(r) for r in matrix.data]
+    pivots: list[int] = []
+    r = 0
+    for c in range(matrix.cols):
+        pivot_row = next((i for i in range(r, matrix.rows) if not rows[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(matrix.rows):
+            if i != r and not rows[i][c].is_zero():
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, r, pivots
+
+
+def reference_rank(spec, vectors) -> int:
+    return reference_row_reduce(Matrix(spec, vectors))[1] if vectors else 0
+
+
+def leibniz_determinant(matrix: Matrix):
+    """Sum over all permutations of signed products; only for tiny matrices."""
+    n = matrix.rows
+    assert n == matrix.cols and n <= 6
+    total = matrix.spec.zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = matrix.spec.one
+        for i in range(n):
+            term = term * matrix[i, perm[i]]
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def random_cover_instance(

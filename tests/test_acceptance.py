@@ -9,7 +9,7 @@ import random
 import time
 from math import comb, log2
 
-from conftest import random_cover_instance
+from conftest import leibniz_determinant, random_cover_instance
 from hcolkit.cli import main as cli_main
 from hcolkit.gf import field_make, is_prime
 from hcolkit.graphs import (
@@ -33,7 +33,7 @@ from hcolkit.kernels import (
     write_instance,
 )
 from hcolkit.polys import det_poly
-from hcolkit.gf import Matrix, determinant
+from hcolkit.gf import Matrix
 from hcolkit.reductions import (
     CnfFormula,
     find_edge_gadget,
@@ -230,7 +230,7 @@ def test_criterion_06_det_poly_evaluation_oracle():
                 for u in vertices
             }
             matrix = Matrix(spec, [[vectors[u][i] for u in vertices] for i in range(d)])
-            assert poly.evaluate(vectors) == determinant(matrix)
+            assert poly.evaluate(vectors) == leibniz_determinant(matrix)
     _report(6, "determinant polynomials match numeric determinants, 20 points per d in {2,3,4}")
 
 

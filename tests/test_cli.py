@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -148,6 +149,31 @@ def test_represent_vandermonde_and_ortho(files, capsys):
     assert code == 0 and json.loads(out)["d"] == 3
     code, out, _ = run(capsys, "represent", "--family", "ortho", "--d", "3", "--field", "2")
     assert code == 0 and json.loads(out)["n"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--family", "kneser", "--m", "5", "--r", "2"),
+            "9ec953cc17ad2132d644cbb6652158d5bce014edb02f61c9f7507d362f4253e2",
+        ),
+        (
+            ("--family", "kneser", "--m", "5", "--r", "2", "--field", "2^8"),
+            "e78d075cd8f2cda3f63b23d98d05c3894008919bdf11de74745d546386d20332",
+        ),
+        (
+            ("--family", "vandermonde", "--graph", "c5.g", "--field", "7"),
+            "c5a6ed421b682886792e2d20d006d92805b419b05272a09e593c2c8510b48840",
+        ),
+    ],
+    ids=("kneser-5-2", "kneser-5-2-gf256", "vandermonde-c5-gf7"),
+)
+def test_represent_output_is_pinned(files, capsys, argv, digest):
+    # representation JSON is part of the output contract: seeded and byte-stable
+    code, out, _ = run(capsys, "represent", *(files.get(a, a) for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_represent_graph_out_feeds_kernelize(files, capsys, tmp_path):
@@ -324,6 +350,7 @@ def test_reduce_gadget_search_exhaustion(files, capsys, tmp_path, monkeypatch):
     [
         ("HCOL_SEED", "x", "HCOL_SEED must be an integer"),
         ("HCOL_ORACLE_VERTICES", "0", "oracle_vertices must be positive"),
+        ("HCOL_FORMAT", "xml", "HCOL_FORMAT must be one of text, json, got 'xml'"),
     ],
 )
 def test_bad_env_setting_is_one_line(files, capsys, monkeypatch, name, value, message):

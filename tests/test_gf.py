@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import leibniz_determinant, reference_rank, reference_row_reduce
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.gf import (
     _ROOT_SCAN_LIMIT,
     Matrix,
+    SpanBasis,
     determinant,
     field_extension_above,
     field_make,
@@ -17,6 +19,7 @@ from hcolkit.gf import (
     matrix_rank,
     row_reduce,
 )
+from hcolkit.reps import _nullspace_basis
 
 FIELDS = [
     field_make(2, 1),
@@ -26,6 +29,9 @@ FIELDS = [
     field_make(2, 3),
     field_make(3, 2),
 ]
+
+# the table path (2^8) and the field above the table cap (331^2) as well
+MATRIX_FIELDS = FIELDS + [field_make(2, 8), field_make(331, 2)]
 
 
 def test_field_make_basics():
@@ -137,19 +143,60 @@ def test_determinant_examples():
         determinant(Matrix.from_ints(gf5, [[1, 2, 3]]))
 
 
+def _random_matrix(rng, spec, n_rows, n_cols) -> Matrix:
+    """Sparse random entries, and some rows combinations of earlier ones, so
+    that rank-deficient matrices are common over every field."""
+    def entry():
+        return spec.zero if rng.random() < 0.3 else spec.from_index(rng.randrange(spec.order))
+
+    rows = []
+    for _ in range(n_rows):
+        if rows and rng.random() < 0.4:
+            row = [spec.zero] * n_cols
+            for prev in rows:
+                c = entry()
+                row = [a + c * b for a, b in zip(row, prev)]
+        else:
+            row = [entry() for _ in range(n_cols)]
+        rows.append(row)
+    return Matrix(spec, rows)
+
+
 def test_determinant_matches_rank_on_random_squares():
     rng = random.Random(11)
-    for spec in FIELDS:
+    for spec in MATRIX_FIELDS:
         for _ in range(25):
             n = rng.randrange(1, 5)
-            m = Matrix(
-                spec,
-                [
-                    [spec.from_index(rng.randrange(spec.order)) for _ in range(n)]
-                    for _ in range(n)
-                ],
-            )
+            m = _random_matrix(rng, spec, n, n)
+            assert determinant(m) == leibniz_determinant(m)
+            assert matrix_rank(m) == reference_row_reduce(m)[1]
             assert determinant(m).is_zero() == (matrix_rank(m) < n)
+
+
+@pytest.mark.parametrize("spec", MATRIX_FIELDS, ids=str)
+def test_elimination_matches_reference_on_random_matrices(spec):
+    rng = random.Random(spec.order)
+    assert _nullspace_basis(spec, [], 2) == [[spec.one, spec.zero], [spec.zero, spec.one]]
+    for _ in range(20):
+        m = _random_matrix(rng, spec, rng.randrange(1, 6), rng.randrange(1, 6))
+        rows = list(m.data)
+        ref_rows, ref_rank, ref_pivots = reference_row_reduce(m)
+        reduced, rank, pivots = row_reduce(m)
+        assert (rank, pivots) == (ref_rank, ref_pivots)
+        assert [list(r) for r in reduced.data] == ref_rows
+        null = _nullspace_basis(spec, rows, m.cols)
+        assert len(null) == m.cols - rank
+        assert reference_rank(spec, null) == len(null)
+        for vec in null:
+            assert all(x.is_zero() for x in m.matvec(vec))
+        basis = SpanBasis(spec, m.cols)
+        for i, row in enumerate(rows):
+            grows = reference_rank(spec, rows[: i + 1]) > reference_rank(spec, rows[:i])
+            assert basis.contains(row) != grows
+            assert basis.add(row) == grows
+        assert basis.rank == rank
+        probe = _random_matrix(rng, spec, 1, m.cols).data[0]
+        assert basis.contains(probe) == (reference_rank(spec, rows + [probe]) == rank)
 
 
 def test_powers_and_division():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcolkit.gf import Matrix, determinant, field_make, vectors_rank
+from conftest import leibniz_determinant, reference_rank
+from hcolkit.gf import Matrix, field_make
 from hcolkit.polys import SparsePoly, det_poly, poly_basis_select
 
 GF7 = field_make(7, 1)
@@ -40,7 +41,7 @@ def test_duplicate_vertices_rejected():
 @pytest.mark.parametrize("spec", [GF7, GF8], ids=str)
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_evaluation_matches_numeric_determinant(spec, d):
-    # the independent oracle: instantiate the matrix and eliminate numerically
+    # the independent oracle: instantiate the matrix and expand it by Leibniz
     rng = random.Random(d * 101 + spec.order)
     vertices = sorted(rng.sample(range(12), d))
     poly = det_poly(vertices, d, spec)
@@ -51,7 +52,7 @@ def test_evaluation_matches_numeric_determinant(spec, d):
             for u in vertices
         }
         matrix = Matrix(spec, [[vectors[u][i] for u in vertices] for i in range(d)])
-        assert poly.evaluate(vectors) == determinant(matrix)
+        assert poly.evaluate(vectors) == leibniz_determinant(matrix)
 
 
 def test_sign_convention_only_affects_sign():
@@ -147,7 +148,7 @@ def test_basis_select_is_greedy_span_membership(spec, data):
     sel = poly_basis_select(polys)
     greedy: list[int] = []
     for i, vec in enumerate(vectors):
-        if vectors_rank(spec, [vectors[j] for j in greedy] + [vec]) > len(greedy):
+        if reference_rank(spec, [vectors[j] for j in greedy] + [vec]) > len(greedy):
             greedy.append(i)
     assert sel.kept == tuple(greedy)
     assert len(sel.kept) + len(sel.certificates) == len(polys)
