@@ -17,7 +17,8 @@ class Ceilings:
     """Feasibility ceilings for the exponential searches.
 
     oracle_vertices:  largest graph fed to the homomorphism oracle.
-    witness_vertices: largest graph for exact witness-number search.
+    witness_vertices: largest graph for exact witness-number search; a size
+                      check, not a time bound (no node budget yet).
     gadget_vertices:  largest candidate gadget in the enumeration phase.
     field_degree:     largest extension degree m for GF(p^m).
     core_vertices:    largest graph for core computation.

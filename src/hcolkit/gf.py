@@ -421,24 +421,28 @@ def _prime_int_field(spec: FieldSpec) -> IntField:
 def _table_int_field(spec: FieldSpec) -> IntField:
     n = spec.order - 1
     one = spec.one
-    # powers of the first element, by index, whose powers reach every nonzero element
+    # the first element, by index, whose powers reach every nonzero element:
+    # g is primitive iff g^(n/r) != 1 for every prime r dividing n
+    primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
     for index in range(2, spec.order):
         g = spec.from_index(index)
-        powers, power = [1], g  # g^0 = one has index 1
-        while power != one:
-            powers.append(power.to_index())
-            power = power * g
-        if len(powers) == n:
+        if all(g ** (n // r) != one for r in primes):
             break
+    powers, power = [1], g  # g^0 = one has index 1
+    while power != one:
+        powers.append(power.to_index())
+        power = power * g
     exp = powers + powers  # doubled, so that log a + log b indexes it unreduced
     log = [0] * spec.order
     for e, index in enumerate(powers):
         log[index] = e
-    # zech[e] = log(1 + g^e), None where 1 + g^e = 0
+    # zech[e] = log(1 + g^e), None where 1 + g^e = 0; adding one moves only
+    # the constant coefficient, which is the lowest base-p digit of the index
     zech: list[int | None] = []
     for index in powers:
-        total = one + spec.from_index(index)
-        zech.append(None if total.is_zero() else log[total.to_index()])
+        c = index % spec.p
+        total = index - c + (c + 1) % spec.p
+        zech.append(log[total] if total else None)
     minus_one = log[(-one).to_index()]
 
     def add(a: int, b: int) -> int:
@@ -612,9 +616,6 @@ class Matrix:
     def __getitem__(self, idx: tuple[int, int]) -> FieldElement:
         return self.data[idx[0]][idx[1]]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.spec, list(zip(*self.data))) if self.data else self
-
     def matvec(self, vec: Sequence[FieldElement]) -> list[FieldElement]:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
@@ -679,9 +680,7 @@ def determinant(matrix: Matrix) -> FieldElement:
 class SpanBasis:
     """Incremental row-space membership tester over one :class:`Elimination`."""
 
-    def __init__(self, spec: FieldSpec, dim: int):
-        self.spec = spec
-        self.dim = dim
+    def __init__(self, spec: FieldSpec):
         self._elim = Elimination(spec)
 
     def contains(self, vec: Sequence[FieldElement]) -> bool:

@@ -117,7 +117,7 @@ def check_faithful(rep: Representation) -> FaithfulnessReport:
                     return FaithfulnessReport(False, (u, v, g.has_edge(u, v)))
         return FaithfulnessReport(True)
     for v in range(g.n):
-        basis = SpanBasis(rep.spec, rep.d)
+        basis = SpanBasis(rep.spec)
         for w in g.neighbors(v):
             basis.add(rep.vectors[w])
         for u in range(g.n):
@@ -166,7 +166,7 @@ def _complete_to_invertible(spec: FieldSpec, first_row: Vector, d: int) -> Matri
     """Invertible d x d matrix with the given first row, completed greedily
     by standard basis vectors."""
     rows = [list(first_row)]
-    basis = SpanBasis(spec, d)
+    basis = SpanBasis(spec)
     if not basis.add(first_row):
         raise ValueError("first row must be nonzero")
     for i in range(d):

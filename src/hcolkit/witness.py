@@ -6,14 +6,27 @@ Equivalently (and this is what the search uses), q(G) is the maximum
 size of a *critical* set: a set T with empty common neighborhood all of
 whose (|T|-1)-subsets have a nonempty one.  Critical sets coincide with
 the inclusion-minimal empty-common-neighborhood sets, and a maximum
-clique is always one of them, which seeds the branch-and-bound with a
-strong lower bound.
+clique is always one of them.
 
-The search is exact.  Its pruning relies on one structural fact: if a
-critical superset T* of the current partial set T adds the vertices Z,
-then every z in Z has a "private witness" v in CN(T) non-adjacent to z
-with Z - {z} contained in N(v).  Hence |Z| <= 1 + max over v in CN(T)
-of |N(v) ∩ candidates|, and every z must have a non-neighbor in CN(T).
+The search is exact and runs once: a depth-first branch-and-bound over
+sorted vertex tuples that returns the lexicographically first critical
+set of maximum size, so the size is q(G) and the set is its certificate.
+Its pruning relies on one structural fact: if a critical superset T* of
+the current partial set T adds the vertices Z, then every z in Z has a
+"private witness" v in CN(T) non-adjacent to z with Z - {z} contained
+in N(v).  Hence |Z| <= 1 + max over v in CN(T) of |N(v) ∩ candidates|
+(read from a per-graph table of neighbor counts above each vertex), and
+every z must have a non-neighbor in CN(T).
+
+Why the certificate is the lexicographically first set of size q: the
+DFS visits sorted tuples in lexicographic order, and the best size
+starts at omega - 1, one below the size of a maximum clique, which is
+itself critical.  While the best size recorded is below q, no branch holding a
+critical set of size q is pruned, because the cap bound, the
+non-neighbor-in-CN filter and the filter on empty proper subsets hold
+for every critical superset.  So the first set of size q the search
+records is the lexicographically first one, and later ones of that
+size never replace it.
 
 Also here: the B(m, l) obstruction patterns whose absence certifies
 q(G) <= m-1, and the degeneracy / clique-number / max-degree bounds.
@@ -133,86 +146,58 @@ def max_clique(g: Graph) -> tuple[int, ...]:
 # Exact witness number
 # ---------------------------------------------------------------------------
 
-def _max_critical_size(g: Graph, seed_best: int) -> int:
-    """Largest size of an inclusion-minimal empty-common-neighborhood set."""
+def _lex_first_max_critical_set(g: Graph, omega: int) -> tuple[int, ...]:
+    """Lexicographically first critical set of maximum size."""
     n = g.n
     rows = g.rows
-    full = (1 << n) - 1
-    best = seed_best
+    # after[z][v] = |N(v) ∩ {z+1, ..., n-1}|, the cap bound's term for v
+    after = [[(row >> (z + 1)).bit_count() for row in rows] for z in range(n)]
+    # a maximum clique is critical, so seeding one below it records a set
+    best = omega - 1
+    cert: tuple[int, ...] = ()
+    path: list[int] = []
 
     # dc[i] = common neighborhood of T minus its i-th element; a leaf is
     # critical iff CN(T) = 0 while every dc entry is nonzero.
     def extend(t_last: int, cn: int, dcs: list[int], depth: int) -> None:
-        nonlocal best
-        future = full >> (t_last + 1) << (t_last + 1)
-        while future:
-            low = future & -future
-            z = low.bit_length() - 1
-            future ^= low
+        nonlocal best, cert
+        for z in range(t_last + 1, n):
+            row = rows[z]
             # z must have a non-neighbor inside CN(T) to earn a private
             # witness later (z itself counts, z not being its own neighbor)
-            if not (cn & ~rows[z]):
+            if not (cn & ~row):
                 continue
-            new_cn = cn & rows[z]
+            new_cn = cn & row
             if new_cn == 0:
-                if depth + 1 > best and all(dc & rows[z] for dc in dcs) and cn:
+                if depth + 1 > best and all(dc & row for dc in dcs):
                     best = depth + 1
+                    cert = (*path, z)
                 continue
             # upper bound: all but one future addition must fit inside the
-            # neighborhood of one common neighbor of the extended set
-            remaining = full >> (z + 1) << (z + 1)
-            cap = 0
+            # neighborhood of one common neighbor of the extended set; the
+            # branch survives once one common neighbor leaves room
+            slack = best - depth - 2
+            counts = after[z]
             scan = new_cn
             while scan:
-                lo = scan & -scan
-                v = lo.bit_length() - 1
-                scan ^= lo
-                c = (rows[v] & remaining).bit_count()
-                if c > cap:
-                    cap = c
-            if depth + 2 + cap <= best:
+                low = scan & -scan
+                if counts[low.bit_length() - 1] > slack:
+                    break
+                scan ^= low
+            else:
                 continue
-            new_dcs = [dc & rows[z] for dc in dcs]
-            if any(dc == 0 for dc in new_dcs):
+            new_dcs = [dc & row for dc in dcs]
+            if not all(new_dcs):
                 # some proper subset already has an empty common
                 # neighborhood; no superset through here is minimal
                 continue
             new_dcs.append(cn)
+            path.append(z)
             extend(z, new_cn, new_dcs, depth + 1)
+            path.pop()
 
-    extend(-1, full, [], 0)
-    return best
-
-
-def _first_critical_of_size(g: Graph, q: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically first critical set of size exactly q."""
-    n = g.n
-    rows = g.rows
-    full = (1 << n) - 1
-
-    def rec(start: int, chosen: list[int], cn: int, dcs: list[int]) -> Optional[tuple[int, ...]]:
-        if len(chosen) == q:
-            if cn == 0 and all(dcs):
-                return tuple(chosen)
-            return None
-        if n - start < q - len(chosen):
-            return None
-        for z in range(start, n):
-            new_cn = cn & rows[z]
-            if len(chosen) + 1 < q and new_cn == 0:
-                continue  # a proper subset of the target would be empty
-            new_dcs = [dc & rows[z] for dc in dcs]
-            if any(dc == 0 for dc in new_dcs):
-                continue
-            new_dcs.append(cn)
-            chosen.append(z)
-            hit = rec(z + 1, chosen, new_cn, new_dcs)
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    return rec(0, [], full, [])
+    extend(-1, (1 << n) - 1, [], 0)
+    return cert
 
 
 def witness_number(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> WitnessCertificate:
@@ -224,12 +209,10 @@ def witness_number(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> Witnes
             f"witness-number search limited to {ceilings.witness_vertices} vertices (got {g.n})"
         )
     checked_up_to = min(g.n, g.max_degree() + 1)
-    omega = len(max_clique(g))
-    q = _max_critical_size(g, omega)
-    cert = _first_critical_of_size(g, q)
-    if cert is None:
-        raise InvariantViolation(f"no critical set of the computed size {q}")
-    result = WitnessCertificate(q=q, witness_set=cert, checked_up_to=checked_up_to)
+    cert = _lex_first_max_critical_set(g, len(max_clique(g)))
+    if not cert:
+        raise InvariantViolation("the search recorded no critical set")
+    result = WitnessCertificate(q=len(cert), witness_set=cert, checked_up_to=checked_up_to)
     if not result.validate(g):
         raise InvariantViolation("witness certificate failed validation")
     return result

@@ -48,6 +48,19 @@ def brute_witness_q(g: Graph) -> int:
     return best
 
 
+def brute_first_critical(g: Graph) -> tuple[int, ...]:
+    """First maximum-size inclusion-minimal empty-common-neighborhood set,
+    in `itertools.combinations` order."""
+    assert 1 <= g.n <= 10
+    for size in range(g.n, 0, -1):
+        for t in combinations(range(g.n), size):
+            if common_neighbors(g, t):
+                continue
+            if all(common_neighbors(g, s) for s in combinations(t, size - 1)):
+                return t
+    raise AssertionError("every graph with a vertex has a critical set")
+
+
 def reference_row_reduce(matrix: Matrix) -> tuple[list[list], int, list[int]]:
     """Textbook Gauss-Jordan on field elements: RREF rows, rank, pivot columns."""
     rows = [list(r) for r in matrix.data]

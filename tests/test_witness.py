@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_witness_q
+from conftest import brute_first_critical, brute_witness_q
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import (
@@ -75,6 +75,18 @@ def test_certificate_is_lexicographically_first():
     assert witness_number(make_complete(4)).witness_set == (0, 1, 2, 3)
     # C_6: alternating triples {0,2,4} and {1,3,5}; lex-first wins
     assert witness_number(make_cycle(6)).witness_set == (0, 2, 4)
+
+
+def test_certificate_is_lexicographically_first_on_random_graphs():
+    rng = random.Random(41)
+    gaps = set()
+    for trial in range(100):
+        g = make_random(rng.randrange(1, 11), rng.randrange(10**6))
+        cert = witness_number(g)
+        assert cert.witness_set == brute_first_critical(g)
+        gaps.add(cert.q > clique_number(g))
+    # the sample holds graphs with q == omega and with q > omega
+    assert gaps == {False, True}
 
 
 def test_sandwich_bounds():
