@@ -359,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         ceilings = ceilings_from_env()
         try:
             return _COMMANDS[args.command](args, ceilings)
-        except FileNotFoundError as exc:
+        except OSError as exc:
             print(f"hcol: cannot read {exc.filename}", file=sys.stderr)
             return 1
     except InvariantViolation as exc:

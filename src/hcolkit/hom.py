@@ -4,8 +4,19 @@
 package: a complete backtracking search over vertex images with
 forward checking, so a ``None`` answer is a proof of non-existence.
 
-Two sound preprocessing steps keep the search tractable on the
-structured instances produced by the kernelization and reduction
+One engine, ``_fc_search``, does every search in this module.  It
+assigns vertices in a given order, tries target vertices in ascending
+id order, forward-checks binary constraint tables and yields each
+solution, so solutions come in ascending lexicographic order of the
+images read in assignment order.  It has two uses:
+
+* first: ``find_homomorphism``, the cluster feasibility tables and the
+  re-expansion of compiled clusters take its first solution;
+* all: ``enumerate_homomorphisms`` (and through it ``is_core``)
+  iterates it to the end.
+
+Two sound preprocessing steps keep ``find_homomorphism`` tractable on
+the structured instances produced by the kernelization and reduction
 modules, without affecting exactness:
 
 * the input graph is split into connected components, solved
@@ -16,17 +27,17 @@ modules, without affecting exactness:
   vertices and re-expanded after the main search.  Gadget interiors and
   kernel pendant vertices disappear from the search this way.
 
-The residual search assigns vertices in a fixed order (descending
-total constraint tightness, which is plain descending degree on
-uncompiled graphs; ties by id) and tries target vertices in ascending
-id order, so the returned witness is deterministic.
+The residual search orders vertices by descending total constraint
+tightness, which is plain descending degree on uncompiled graphs;
+enumeration and cluster searches use descending degree.  Ties go by
+id, so every witness and every enumeration is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError, InvariantViolation
@@ -87,43 +98,75 @@ def _domains_from_lists(
     return doms
 
 
-def _solve_small(
-    vertices: list[int],
-    rows: dict[int, int],
-    dom: dict[int, int],
-    h_rows: tuple[int, ...],
-) -> Optional[dict[int, int]]:
-    """Plain forward-checking search on a tiny constraint graph."""
-    order = sorted(vertices, key=lambda v: (-rows[v].bit_count(), v))
-    assign: dict[int, int] = {}
+def _edge_constraints(
+    rows: Sequence[int], h_rows: tuple[int, ...]
+) -> tuple[list[int], list[list[tuple[int, tuple[int, ...]]]]]:
+    """Degree order (descending, ties by id) and plain edge constraints
+    of the graph on 0..len(rows)-1 with adjacency bitmasks ``rows``."""
+    order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
+    return order, [[(u, h_rows) for u in _bits(row)] for row in rows]
 
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
+
+def _fc_search(
+    order: list[int],
+    dom: list[int] | dict[int, int],
+    cons: Sequence[list] | Mapping[int, list],
+) -> Iterator[dict[int, int]]:
+    """Forward-checking search; yields the live assignment at every solution.
+
+    Vertices are assigned in ``order`` and values tried in ascending
+    order, so solutions come in ascending lexicographic order of
+    ``tuple(assign[v] for v in order)``.  ``cons[v]`` lists
+    ``(partner, table)`` pairs, ``table[a]`` being the mask of partner
+    values compatible with ``v -> a``; each assignment narrows the
+    partners' entries of ``dom`` (a vertex -> value-mask mapping), and a
+    per-level trail restores them on backtracking.  The yielded dict is
+    mutated as the search resumes: copy it to keep it.
+    """
+    n = len(order)
+    assign: dict[int, int] = {}
+    if not n:
+        yield assign
+        return
+    cand = [0] * n
+    trail: list[list] = [[] for _ in range(n)]
+    cand[0] = dom[order[0]]
+    i = 0
+    while True:
         v = order[i]
-        for a in _bits(dom[v]):
-            changed = []
-            ok = True
-            for u in _bits(rows[v]):
+        t = trail[i]
+        if cand[i]:
+            low = cand[i] & -cand[i]
+            cand[i] ^= low
+            a = low.bit_length() - 1
+            assign[v] = a
+            for u, table in cons[v]:
                 if u in assign:
                     continue
-                new = dom[u] & h_rows[a]
-                if new != dom[u]:
-                    changed.append((u, dom[u]))
+                old = dom[u]
+                new = old & table[a]
+                if new != old:
+                    t.append((u, old))
                     dom[u] = new
                     if not new:
-                        ok = False
                         break
-            if ok:
-                assign[v] = a
-                if rec(i + 1):
-                    return True
-                del assign[v]
-            for u, old in changed:
-                dom[u] = old
-        return False
-
-    return dict(assign) if rec(0) else None
+            else:
+                if i + 1 < n:
+                    i += 1
+                    cand[i] = dom[order[i]]
+                    continue
+                yield assign
+        elif i:
+            # exhausted: undo the choice one level up
+            i -= 1
+            v = order[i]
+            t = trail[i]
+        else:
+            return
+        for u, old in t:
+            dom[u] = old
+        t.clear()
+        del assign[v]
 
 
 class _ComponentSolver:
@@ -199,19 +242,17 @@ class _ComponentSolver:
         if hit is not None:
             return hit
 
-        locs = list(range(len(members)))
-        rows_map = {i: local_rows[i] for i in locs}
+        order, cons = _edge_constraints(local_rows, h.rows)
 
         def feasible(images: tuple[int, ...]) -> bool:
-            dom = {}
-            for i in locs:
-                d = sig[0][i]
+            dom = []
+            for i, d in enumerate(sig[0]):
                 for b in attach[i]:
                     d &= h.rows[images[b]]
                 if not d:
                     return False
-                dom[i] = d
-            return _solve_small(locs, rows_map, dom, h.rows) is not None
+                dom.append(d)
+            return next(_fc_search(order, dom, cons), None) is not None
 
         if len(boundary) == 0:
             result = feasible(())
@@ -295,14 +336,14 @@ class _ComponentSolver:
             return total
 
         order = sorted(self.residual, key=lambda v: (-weight(v), v))
-        assign = self._search(order, cons)
+        assign = next(_fc_search(order, self.dom, cons), None)
         if assign is None:
             return None
         # re-expand the compiled clusters
         for members, boundary in self.clusters:
             index = {v: i for i, v in enumerate(members)}
-            rows_map = {}
-            dom = {}
+            rows = []
+            dom = []
             for v in members:
                 row = 0
                 d = self.dom[v]
@@ -311,64 +352,15 @@ class _ComponentSolver:
                         row |= 1 << index[u]
                     elif u in assign:
                         d &= h.rows[assign[u]]
-                rows_map[index[v]] = row
-                dom[index[v]] = d
-            sub = _solve_small(list(rows_map), rows_map, dom, h.rows)
+                rows.append(row)
+                dom.append(d)
+            order, cons = _edge_constraints(rows, h.rows)
+            sub = next(_fc_search(order, dom, cons), None)
             if sub is None:
                 raise InvariantViolation("compiled cluster lost its witness")
-            for v in members:
-                assign[v] = sub[index[v]]
+            for i, v in enumerate(members):
+                assign[v] = sub[i]
         return assign
-
-    def _search(self, order: list[int], cons: dict[int, list]) -> Optional[dict[int, int]]:
-        if not order:
-            return {}
-        dom = self.dom
-        n = len(order)
-        assign: dict[int, int] = {}
-        cand = [0] * n
-        trail: list[list] = [[] for _ in range(n)]
-        cand[0] = dom[order[0]]
-        i = 0
-        while True:
-            if i == n:
-                return assign
-            v = order[i]
-            if cand[i]:
-                low = cand[i] & -cand[i]
-                a = low.bit_length() - 1
-                cand[i] ^= low
-                t = trail[i]
-                assign[v] = a
-                ok = True
-                for u, table in cons[v]:
-                    if u in assign:
-                        continue
-                    old = dom[u]
-                    new = old & table[a]
-                    if new != old:
-                        t.append((u, old))
-                        dom[u] = new
-                        if not new:
-                            ok = False
-                            break
-                if ok:
-                    i += 1
-                    if i < n:
-                        cand[i] = dom[order[i]]
-                    continue
-                for u, old in t:
-                    dom[u] = old
-                t.clear()
-                del assign[v]
-            else:
-                i -= 1
-                if i < 0:
-                    return None
-                for u, old in trail[i]:
-                    dom[u] = old
-                trail[i].clear()
-                del assign[order[i]]
 
 
 def find_homomorphism(
@@ -424,35 +416,8 @@ def enumerate_homomorphisms(
         return
     if h.n == 0 or 0 in doms:
         return
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    assign: dict[int, int] = {}
-
-    def rec(i: int) -> Iterator[None]:
-        if i == g.n:
-            yield None
-            return
-        v = order[i]
-        for a in _bits(doms[v]):
-            changed = []
-            ok = True
-            for u in _bits(g.rows[v]):
-                if u in assign:
-                    continue
-                new = doms[u] & h.rows[a]
-                if new != doms[u]:
-                    changed.append((u, doms[u]))
-                    doms[u] = new
-                    if not new:
-                        ok = False
-                        break
-            if ok:
-                assign[v] = a
-                yield from rec(i + 1)
-                del assign[v]
-            for u, old in changed:
-                doms[u] = old
-
-    for _ in rec(0):
+    order, cons = _edge_constraints(g.rows, h.rows)
+    for assign in _fc_search(order, doms, cons):
         yield Homomorphism(g, h, tuple(assign[v] for v in range(g.n)))
 
 

@@ -17,22 +17,20 @@ from hcolkit.graphs import Graph, common_neighbors
 from hcolkit.kernels import VertexCoverInstance
 
 
-def brute_hom_exists(g: Graph, h: Graph, lists=None) -> bool:
-    """Try all |V_H|^|V_G| assignments; only for tiny sources."""
-    assert g.n <= 6, "brute-force oracle is for tiny graphs"
-    if g.n == 0:
-        return True
-    if h.n == 0:
-        return False
-    domains = []
-    for v in range(g.n):
-        allowed = list(lists.get(v, range(h.n))) if lists else list(range(h.n))
-        domains.append(allowed)
+def brute_homomorphisms(g: Graph, h: Graph, lists=None):
+    """Yield every list-respecting assignment that keeps all edges of g,
+    trying all of them in `itertools.product` order."""
+    domains = [tuple(lists.get(v, range(h.n))) if lists else range(h.n) for v in range(g.n)]
     edges = list(g.edges())
     for assignment in product(*domains):
         if all(h.has_edge(assignment[u], assignment[v]) for u, v in edges):
-            return True
-    return False
+            yield assignment
+
+
+def brute_hom_exists(g: Graph, h: Graph, lists=None) -> bool:
+    """Try all |V_H|^|V_G| assignments; only for tiny sources."""
+    assert g.n <= 6, "brute-force oracle is for tiny graphs"
+    return next(brute_homomorphisms(g, h, lists), None) is not None
 
 
 def brute_witness_q(g: Graph) -> int:

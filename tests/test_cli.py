@@ -313,6 +313,14 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 1
 
 
+def test_unreadable_path_is_usage_error(capsys, tmp_path):
+    # a directory is not a graph file: one message line, no traceback
+    code, out, err = run(capsys, "witness", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"hcol: cannot read {tmp_path}\n"
+
+
 def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import brute_hom_exists
+from conftest import brute_hom_exists, brute_homomorphisms
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import Graph, make_complete, make_cycle, make_empty, make_petersen, make_random
@@ -119,6 +119,32 @@ def test_enumerate_homomorphisms_counts():
     # K_3 endomorphisms: the 6 permutations
     k3 = make_complete(3)
     assert len(list(enumerate_homomorphisms(k3, k3))) == 6
+
+
+def test_enumeration_order_matches_brute_force():
+    # all homomorphisms, ascending in the images read in descending-degree
+    # order; the oracle's witness is the first of them when no cluster is
+    # compiled (connected, every degree below the pin threshold)
+    rng = random.Random(53)
+    targets = [make_cycle(5), make_complete(3), make_petersen()]
+    first_checked = 0
+    for trial in range(120):
+        h = targets[trial % len(targets)]
+        g = make_random(rng.randrange(1, 8 if h.n <= 5 else 5), rng.randrange(10**6))
+        lists = None
+        if trial % 2:
+            lists = {
+                v: tuple(sorted(rng.sample(range(h.n), rng.randrange(1, h.n + 1))))
+                for v in rng.sample(range(g.n), rng.randrange(1, g.n + 1))
+            }
+        order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        expect = sorted(brute_homomorphisms(g, h, lists), key=lambda a: [a[v] for v in order])
+        assert [f.assignment for f in enumerate_homomorphisms(g, h, lists)] == expect
+        connected = len(g.connected_components()) == 1
+        if expect and connected and max(map(g.degree, range(g.n))) < 5:
+            assert find_homomorphism(g, h, lists).assignment == expect[0]
+            first_checked += 1
+    assert first_checked >= 40
 
 
 def test_cores():
