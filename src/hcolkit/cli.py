@@ -26,9 +26,9 @@ from .kernels import (
     VertexCoverInstance,
     algebraic_kernel,
     combinatorial_kernel,
+    kernel_size_report,
     read_instance,
     serializable_stats,
-    size_bounds,
     verify_kernel_equivalence,
     write_instance,
     write_kernel_result,
@@ -112,10 +112,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+class _WriteError(Exception):
+    """Writing an output file failed; the message is its path."""
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _WriteError(path) from exc
     else:
         sys.stdout.write(text)
 
@@ -319,11 +326,11 @@ def _cmd_sweep(args, ceilings: Ceilings) -> int:
                 rng = random.Random(_sample_seed(args.seed, k, trial))
                 inst = _random_growth_instance(rng, k, args.q)
                 result = combinatorial_kernel(inst, args.q, ceilings=ceilings)
-                bound = size_bounds("combinatorial", k, args.q, result.graph.n)["vertex_bound"]
-                ratio = result.graph.n / bound if bound else 0.0
-                if result.graph.n > bound:
-                    raise InvariantViolation("kernel exceeded its closed-form bound")
-                rows.append(f"{k},{trial},{result.graph.n},{bound},{ratio:.4f}")
+                report = kernel_size_report(result, k, args.q)
+                rows.append(
+                    f"{k},{trial},{report['vertices']},{report['vertex_bound']},"
+                    f"{report['ratio']:.4f}"
+                )
     _emit(header + "\n" + "".join(r + "\n" for r in rows), args.out)
     return 0
 
@@ -359,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
         ceilings = ceilings_from_env()
         try:
             return _COMMANDS[args.command](args, ceilings)
+        except _WriteError as exc:
+            print(f"hcol: cannot write {exc}", file=sys.stderr)
+            return 1
         except OSError as exc:
             print(f"hcol: cannot read {exc.filename}", file=sys.stderr)
             return 1

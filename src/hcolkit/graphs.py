@@ -85,9 +85,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.rows[v]))
 
@@ -184,10 +181,6 @@ def vertex_mask(vertices: Iterable[int], n: int) -> int:
             raise ValueError(f"vertex {v} not within [0, {n})")
         mask |= 1 << v
     return mask
-
-
-def mask_to_vertices(mask: int) -> tuple[int, ...]:
-    return tuple(_bits(mask))
 
 
 def common_neighbors(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:

@@ -11,7 +11,11 @@ solution, so solutions come in ascending lexicographic order of the
 images read in assignment order.  It has two uses:
 
 * first: ``find_homomorphism``, the cluster feasibility tables and the
-  re-expansion of compiled clusters take its first solution;
+  re-expansion of compiled clusters take its first solution, and so do
+  two searches outside this module: ``witness.find_b_ml_copy`` (an
+  injective homomorphism from a B(m, l) pattern) and
+  ``reductions.verify_edge_gadget`` (one pinned search per ordered pair
+  of target vertices);
 * all: ``enumerate_homomorphisms`` (and through it ``is_core``)
   iterates it to the end.
 
@@ -363,6 +367,15 @@ class _ComponentSolver:
         return assign
 
 
+def _check_oracle_size(g: Graph, h: Graph, ceilings: Ceilings) -> None:
+    """Refuse a homomorphism search between graphs above ``oracle_vertices``."""
+    if g.n > ceilings.oracle_vertices or h.n > ceilings.oracle_vertices:
+        raise CeilingError(
+            f"homomorphism oracle limited to {ceilings.oracle_vertices} vertices "
+            f"(got {g.n} -> {h.n})"
+        )
+
+
 def find_homomorphism(
     g: Graph,
     h: Graph,
@@ -375,11 +388,7 @@ def find_homomorphism(
     Absent lists mean the full target vertex set for every vertex.  The
     search is exhaustive, so a ``None`` return proves non-existence.
     """
-    if g.n > ceilings.oracle_vertices or h.n > ceilings.oracle_vertices:
-        raise CeilingError(
-            f"homomorphism oracle limited to {ceilings.oracle_vertices} vertices "
-            f"(got {g.n} -> {h.n})"
-        )
+    _check_oracle_size(g, h, ceilings)
     doms = _domains_from_lists(g, h, lists)
     if g.n == 0:
         return Homomorphism(g, h, ())

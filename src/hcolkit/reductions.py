@@ -28,7 +28,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError
 from .graphs import Graph, make_complete, make_path, parse_graph_lines, write_graph
-from .hom import find_homomorphism
+from .graphs import common_neighbors
+from .hom import _check_oracle_size, _domains_from_lists, _edge_constraints, _fc_search
+from .hom import find_homomorphism  # unused here; perfbench/tracing.py patches it by name
 from .kernels import VertexCoverInstance
 from .witness import witness_number
 
@@ -72,15 +74,17 @@ def verify_edge_gadget(
     *,
     ceilings: Ceilings = DEFAULT_CEILINGS,
 ) -> bool:
-    """Exhaustively check the disequality behaviour over all ordered pins."""
+    """Exhaustively check the disequality behaviour over all ordered pins:
+    one engine search per pair (u, v), a pinned to u and b to v."""
     if a == b:
         raise ValueError("marked vertices must differ")
+    _check_oracle_size(gadget, target, ceilings)
+    order, cons = _edge_constraints(gadget.rows, target.rows)
     for u in range(target.n):
         for v in range(target.n):
-            hom = find_homomorphism(
-                gadget, target, lists={a: (u,), b: (v,)}, ceilings=ceilings
-            )
-            if (hom is not None) != (u != v):
+            # a fresh domain list each time: a taken solution leaves it narrowed
+            dom = _domains_from_lists(gadget, target, {a: (u,), b: (v,)})
+            if (next(_fc_search(order, dom, cons), None) is not None) != (u != v):
                 return False
     return True
 
@@ -189,6 +193,21 @@ def find_tight_witness_set(
 # List removal
 # ---------------------------------------------------------------------------
 
+def _glue(rows: list[int], gadget: EdgeGadget, u: int, v: int) -> None:
+    """Add a gadget copy to the graph with adjacency bitmasks ``rows``,
+    its marked vertices identified with u and v and its interior
+    appended as new vertices in ascending gadget order."""
+    f = gadget.gadget
+    ids = {gadget.a: u, gadget.b: v}
+    for w in range(f.n):
+        if w not in ids:
+            ids[w] = len(rows)
+            rows.append(0)
+    for p, q in f.edges():
+        rows[ids[p]] |= 1 << ids[q]
+        rows[ids[q]] |= 1 << ids[p]
+
+
 def reduce_list_to_plain(
     g: Graph,
     lists: Mapping[int, Iterable[int]],
@@ -210,27 +229,9 @@ def reduce_list_to_plain(
         normalized[v] = allowed
 
     rows = list(g.rows) + [r << g.n for r in target.rows]
-    n_total = g.n + target.n
-
-    def add_vertex() -> int:
-        nonlocal n_total
-        rows.append(0)
-        n_total += 1
-        return n_total - 1
-
-    def add_edge(u: int, v: int) -> None:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-
-    f = gadget.gadget
     for v in range(g.n):
         for h in sorted(full - normalized[v]):
-            mapping: dict[int, int] = {gadget.a: v, gadget.b: g.n + h}
-            for w in range(f.n):
-                if w not in (gadget.a, gadget.b):
-                    mapping[w] = add_vertex()
-            for p, q in f.edges():
-                add_edge(mapping[p], mapping[q])
+            _glue(rows, gadget, v, g.n + h)
     return Graph.from_rows(rows)
 
 
@@ -311,8 +312,6 @@ def reduce_naesat_to_hcol(
     formula.require_width(q)
     anchors = tuple(sorted(tight_set))
     # tightness re-check: no common neighbor overall, every drop-one has one
-    from .graphs import common_neighbors
-
     if common_neighbors(target, anchors):
         raise ValueError("tight set has a common neighbor")
     for drop in combinations(anchors, q - 1):
@@ -321,47 +320,23 @@ def reduce_naesat_to_hcol(
     n = formula.n_vars
     h_n = target.n
 
-    rows = [r for r in target.rows]
-
-    def add_vertex() -> int:
-        rows.append(0)
-        return len(rows) - 1
-
-    def add_edge(u: int, v: int) -> None:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-
-    t_id = [[0] * q for _ in range(n)]
-    f_id = [[0] * q for _ in range(n)]
-    for i in range(n):
-        for j in range(q):
-            t_id[i][j] = add_vertex()
-        for j in range(q):
-            f_id[i][j] = add_vertex()
-
-    f = gadget.gadget
+    # anchors t[i][j] and f[i][j] follow the target's vertices, variable by variable
+    rows = list(target.rows) + [0] * (2 * q * n)
+    t_id = [[h_n + 2 * q * i + j for j in range(q)] for i in range(n)]
+    f_id = [[h_n + 2 * q * i + q + j for j in range(q)] for i in range(n)]
     copies = 0
-
-    def add_gadget(u: int, v: int) -> None:
-        nonlocal copies
-        mapping = {gadget.a: u, gadget.b: v}
-        for w in range(f.n):
-            if w not in (gadget.a, gadget.b):
-                mapping[w] = add_vertex()
-        for p, r in f.edges():
-            add_edge(mapping[p], mapping[r])
-        copies += 1
-
     for i in range(n):
         for j in range(q):
-            add_gadget(t_id[i][j], f_id[i][j])
-            add_gadget(t_id[i][j], t_id[i][(j + 1) % q])
+            t, f = t_id[i][j], f_id[i][j]
+            pairs = [(t, f), (t, t_id[i][(j + 1) % q])]
             allowed = {anchors[j], anchors[(j + 1) % q]}
             for h in range(h_n):
                 if h not in allowed:
-                    add_gadget(t_id[i][j], h)
-                    add_gadget(f_id[i][j], h)
-    expected_copies = 2 * q * (h_n - 1) * n
+                    pairs += [(t, h), (f, h)]
+            for u, v in pairs:
+                _glue(rows, gadget, u, v)
+            copies += len(pairs)
+    expected_copies = _naesat_copy_count(formula, target, q)
     if copies != expected_copies:
         raise AssertionError(
             f"built {copies} gadget copies, closed form says {expected_copies}"
@@ -369,15 +344,15 @@ def reduce_naesat_to_hcol(
 
     cover_size = len(rows)
     for clause in formula.clauses:
-        c = add_vertex()
+        c = len(rows)
+        rows.append(0)
         for j, lit in enumerate(clause):
-            i = abs(lit) - 1
-            add_edge(c, t_id[i][j] if lit > 0 else f_id[i][j])
+            anchor = (t_id if lit > 0 else f_id)[abs(lit) - 1][j]
+            rows[c] |= 1 << anchor
+            rows[anchor] |= 1 << c
 
-    graph = Graph.from_rows(rows)
-    cover = tuple(range(cover_size))
-    inst = VertexCoverInstance(graph, cover)
-    expected_cover = h_n + 2 * q * n + expected_copies * gadget.interior_size
+    inst = VertexCoverInstance(Graph.from_rows(rows), tuple(range(cover_size)))
+    expected_cover = naesat_cover_size(formula, target, q, gadget)
     if inst.k != expected_cover:
         raise AssertionError(
             f"cover has {inst.k} vertices, closed form says {expected_cover}"
@@ -385,12 +360,17 @@ def reduce_naesat_to_hcol(
     return inst
 
 
+def _naesat_copy_count(formula: CnfFormula, target: Graph, q: int) -> int:
+    """Closed form 2q(|V_H|-1)n: gadget copies in the NAE-SAT construction."""
+    return 2 * q * (target.n - 1) * formula.n_vars
+
+
 def naesat_cover_size(
     formula: CnfFormula, target: Graph, q: int, gadget: EdgeGadget
 ) -> int:
     """Closed form |X| = |V_H| + 2qn + 2q(|V_H|-1)n(|V_F|-2)."""
-    n = formula.n_vars
-    return target.n + 2 * q * n + 2 * q * (target.n - 1) * n * gadget.interior_size
+    copies = _naesat_copy_count(formula, target, q)
+    return target.n + 2 * q * formula.n_vars + copies * gadget.interior_size
 
 
 # ---------------------------------------------------------------------------

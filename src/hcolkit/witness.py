@@ -41,6 +41,7 @@ from typing import Optional
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError, InvariantViolation
 from .graphs import Graph, _bits, common_neighbors
+from .hom import _edge_constraints, _fc_search
 
 
 @dataclass(frozen=True)
@@ -253,43 +254,35 @@ def find_b_ml_copy(
 ) -> Optional[tuple[int, ...]]:
     """Injective map realizing every edge of B(m, l) inside g, or None.
 
-    Subgraph embedding (not necessarily induced); exact backtracking.
-    Returns images indexed by pattern vertex, pattern ids as in
-    `make_b_pattern`.
+    Subgraph embedding (not necessarily induced): an injective
+    homomorphism from the pattern, found by the oracle's engine
+    ``hom._fc_search``.  Pattern vertices are assigned in descending
+    degree order (ties by id), each over the g-vertices of at least its
+    degree; pattern edges take g's adjacency as their table and every
+    other pair a disequality table (g is loopless, so adjacent images
+    differ already).  The first solution is returned: the one with the
+    smallest images in that order.  Images are indexed by pattern
+    vertex, pattern ids as in `make_b_pattern`.
     """
     if m > ceilings.b_pattern_m:
         raise CeilingError(f"B-pattern search limited to m <= {ceilings.b_pattern_m}")
     pattern = make_b_pattern(m, l)
     if pattern.n > g.n:
         return None
-    p_order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-    images: dict[int, int] = {}
-    used = set()
-
-    def rec(i: int) -> bool:
-        if i == pattern.n:
-            return True
-        pv = p_order[i]
-        need = pattern.degree(pv)
-        for gv in range(g.n):
-            if gv in used or g.degree(gv) < need:
-                continue
-            if any(
-                pattern.has_edge(pv, pu) and not g.has_edge(gv, images[pu])
-                for pu in images
-            ):
-                continue
-            images[pv] = gv
-            used.add(gv)
-            if rec(i + 1):
-                return True
-            del images[pv]
-            used.remove(gv)
-        return False
-
-    if rec(0):
-        return tuple(images[v] for v in range(pattern.n))
-    return None
+    order, cons = _edge_constraints(pattern.rows, g.rows)
+    # injectivity: non-adjacent pattern vertices take distinct images
+    distinct = tuple(((1 << g.n) - 1) ^ (1 << a) for a in range(g.n))
+    p_full = (1 << pattern.n) - 1
+    for pv, row in enumerate(pattern.rows):
+        cons[pv] += [(pu, distinct) for pu in _bits(p_full ^ row ^ (1 << pv))]
+    dom = [
+        sum(1 << a for a in range(g.n) if g.degree(a) >= row.bit_count())
+        for row in pattern.rows
+    ]
+    images = next(_fc_search(order, dom, cons), None)
+    if images is None:
+        return None
+    return tuple(images[v] for v in range(pattern.n))
 
 
 def witness_bound_via_b(g: Graph, q: int, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> bool:

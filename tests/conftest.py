@@ -33,6 +33,19 @@ def brute_hom_exists(g: Graph, h: Graph, lists=None) -> bool:
     return next(brute_homomorphisms(g, h, lists), None) is not None
 
 
+def brute_first_embedding(pattern: Graph, g: Graph):
+    """First injective edge-preserving map of `pattern` into g, images
+    indexed by pattern vertex; pattern vertices read in descending
+    degree order (ties by id), images tried in ascending order."""
+    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+    edges = list(pattern.edges())
+    for images in permutations(range(g.n), pattern.n):
+        image = dict(zip(order, images))
+        if all(g.has_edge(image[u], image[v]) for u, v in edges):
+            return tuple(image[v] for v in range(pattern.n))
+    return None
+
+
 def brute_witness_q(g: Graph) -> int:
     """Maximum size of an inclusion-minimal set with no common neighbor."""
     assert 1 <= g.n <= 8

@@ -321,6 +321,23 @@ def test_unreadable_path_is_usage_error(capsys, tmp_path):
     assert err == f"hcol: cannot read {tmp_path}\n"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--stats", "--graph-out"])
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_unwritable_output_names_the_write(files, capsys, tmp_path, flag, where):
+    bad = str(tmp_path) if where == "a directory" else str(tmp_path / "missing" / "x.txt")
+    if flag == "--out":
+        argv = ["witness", files["petersen.g"], "--out", bad]
+    elif flag == "--stats":
+        argv = ["kernelize", files["inst.g"], "--target", files["c5.g"],
+                "--mode", "combinatorial", "--q", "2", "--stats", bad]
+    else:
+        argv = ["represent", "--family", "kneser", "--m", "4", "--r", "2",
+                "--graph-out", bad]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"hcol: cannot write {bad}\n"
+
+
 def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

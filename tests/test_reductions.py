@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import brute_hom_exists
 from hcolkit.graphs import (
+    Graph,
     make_complete,
     make_cycle,
     make_kneser,
@@ -57,6 +59,24 @@ def test_gadget_verification_matches_brute_force():
         for v in range(5):
             expect = brute_hom_exists(path, c5, {0: (u,), 3: (v,)})
             assert expect == (u != v)
+
+
+@pytest.mark.parametrize("target", [make_complete(3), make_cycle(5)], ids=["K3", "C5"])
+def test_gadget_verdicts_match_brute_force_per_pin_pair(target):
+    # every graph on up to 5 vertices with marked pair (0, 1), connected or not
+    verdicts = set()
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            expect = all(
+                brute_hom_exists(g, target, {0: (u,), 1: (v,)}) == (u != v)
+                for u in range(target.n)
+                for v in range(target.n)
+            )
+            assert verify_edge_gadget(target, g, 0, 1) == expect, (n, mask)
+            verdicts.add(expect)
+    assert verdicts == {True, False}
 
 
 def test_find_gadget_canonical_family():

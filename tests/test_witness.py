@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_first_critical, brute_witness_q
+from conftest import brute_first_critical, brute_first_embedding, brute_witness_q
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import (
@@ -211,6 +211,23 @@ def test_b_freeness_on_planar_samples():
     for g in samples:
         assert witness_bound_via_b(g, 5), "planar graphs contain no B(5, l)"
         assert witness_number(g).q <= 4
+
+
+def test_b_copy_is_first_embedding_on_random_graphs():
+    # pins the exact tuple, not just existence: the first injective map in
+    # descending-degree pattern order with ascending images
+    rng = random.Random(2024)
+    found = missing = 0
+    for _ in range(30):
+        g = make_random(rng.randrange(4, 8), rng.randrange(2**32))
+        for m in range(1, 5):
+            for l in range(m + 1):
+                pattern = make_b_pattern(m, l)
+                expect = brute_first_embedding(pattern, g) if pattern.n <= g.n else None
+                assert find_b_ml_copy(g, m, l) == expect, (g.rows, m, l)
+                found += expect is not None
+                missing += expect is None
+    assert found and missing
 
 
 def test_b_ceiling():
