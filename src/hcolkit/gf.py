@@ -13,15 +13,18 @@ inside the extension (trivial for prime base fields).
 Everything here is desk scale: degrees up to 8, orders up to ~10^5 for
 root scans and exp/log tables.
 
-Hot loops can skip the element objects: :func:`int_field` gives, per
-spec, add/sub/neg/mul/inv on plain ints in the :meth:`FieldElement.to_index`
-encoding (0 is zero, 1 is one).  Prime fields compute ``% p`` directly.
-Extension fields of order at most ``_ROOT_SCAN_LIMIT`` look products up
-in exp/log tables over a primitive element g and sums in a Zech table
-(``zech[e]`` is the log of 1 + g^e); the tables are filled by
-``FieldElement`` arithmetic, built on first use and cached with the
-spec.  Larger extension fields build no tables: their int operations
-round-trip through ``FieldElement``.
+Field arithmetic is implemented once, on plain ints in the ``to_index``
+encoding: the base-p digits of an index are the element's coefficients,
+low first (0 is zero, 1 is one).  :func:`int_field` gives, per spec,
+add/sub/neg/mul/inv on such ints, and a :class:`FieldElement` is a view
+of one of them that calls these operations.  Prime fields compute
+``% p`` directly.  Extension fields of order at most
+``_ROOT_SCAN_LIMIT`` look products up in exp/log tables over a
+primitive element g and sums in a Zech table (``zech[e]`` is the log of
+1 + g^e); the tables are filled by multiplying coefficient lists with
+``_poly_mulmod``, built on first use and cached with the spec.  Larger
+extension fields build no tables: they work on the coefficients an
+index encodes, multiply with ``_poly_mulmod`` and invert as a^(q-2).
 
 All linear algebra runs on one routine, :class:`Elimination`: greedy
 incremental elimination of sparse int-encoded rows, pivoting on each
@@ -38,7 +41,7 @@ keyed by monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -65,42 +68,30 @@ def is_prime(p: int) -> bool:
 
 # -- polynomial helpers over GF(p), coefficients low-to-high ---------------
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _is_digits(coeffs: Sequence[int], p: int) -> bool:
+    """Whether every entry is an int in [0, p), a coefficient over GF(p)."""
+    return all(type(c) is int and 0 <= c < p for c in coeffs)
+
+
+def _poly_mod(a: list[int], mod: Sequence[int], p: int) -> list[int]:
+    """`a` reduced modulo the monic `mod`, as deg(mod) coefficients; `a` is consumed."""
+    deg = len(mod) - 1
+    for i in range(len(a) - 1, deg - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(deg):
+                a[i - deg + j] = (a[i - deg + j] - c * mod[j]) % p
+    a = a[:deg]
+    return a + [0] * (deg - len(a))
 
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    deg = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    # reduce modulo the monic modulus
-    for i in range(len(out) - 1, deg - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(deg):
-                out[i - deg + j] = (out[i - deg + j] - c * mod[j]) % p
-    out = out[:deg]
-    out += [0] * (deg - len(out))
-    return out
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = list(a)
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead % p
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    return _poly_trim(q), _poly_trim(a)
+    return _poly_mod(out, mod, p)
 
 
 def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -112,9 +103,7 @@ def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
         return True
     for d in range(1, deg // 2 + 1):
         for tail in product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            _, rem = _poly_divmod(list(poly), divisor, p)
-            if not rem:
+            if not any(_poly_mod(list(poly), list(tail) + [1], p)):
                 return False
     return True
 
@@ -135,6 +124,23 @@ def _first_irreducible(p: int, m: int) -> tuple[int, ...]:
 # FieldSpec / FieldElement
 # ---------------------------------------------------------------------------
 
+def _digits(index: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of `index`, low first: the coefficients it encodes."""
+    coeffs = []
+    for _ in range(m):
+        index, c = divmod(index, p)
+        coeffs.append(c)
+    return coeffs
+
+
+def _index(coeffs: Sequence[int], p: int) -> int:
+    """Inverse of :func:`_digits`."""
+    index = 0
+    for c in reversed(coeffs):
+        index = index * p + c
+    return index
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """GF(p^m) presented as GF(p)[x] modulo a monic irreducible of degree m."""
@@ -150,6 +156,8 @@ class FieldSpec:
             raise ValueError("extension degree must be >= 1")
         if len(self.irreducible) != self.m + 1 or self.irreducible[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
+        if not _is_digits(self.irreducible, self.p):
+            raise ValueError(f"modulus coefficients must be ints in [0, {self.p})")
         if self.m > 1 and not _poly_is_irreducible(self.irreducible, self.p):
             raise ValueError("modulus is reducible")
 
@@ -157,41 +165,42 @@ class FieldSpec:
     def order(self) -> int:
         return self.p ** self.m
 
+    @cached_property
+    def ops(self) -> "IntField":
+        """:func:`int_field` of this spec, looked up once per spec object."""
+        return int_field(self)
+
     # -- element constructors ------------------------------------------
 
-    def element(self, coeffs: Iterable[int]) -> "FieldElement":
-        c = tuple(x % self.p for x in coeffs)
-        if len(c) != self.m:
-            raise ValueError(f"need {self.m} coefficients")
-        return FieldElement(self, c)
+    def element(self, coeffs: Sequence[int]) -> "FieldElement":
+        """The element with these coefficients over GF(p), low first."""
+        if len(coeffs) != self.m or not _is_digits(coeffs, self.p):
+            raise ValueError(f"need {self.m} coefficients, ints in [0, {self.p})")
+        return FieldElement(self, _index(coeffs, self.p))
 
     def from_int(self, value: int) -> "FieldElement":
         """Constant embedding of an integer (value mod p)."""
-        return self.element([value] + [0] * (self.m - 1))
+        return FieldElement(self, value % self.p)
 
     def from_index(self, index: int) -> "FieldElement":
         """Canonical enumeration: index digits base p, low coefficient first."""
         if not 0 <= index < self.order:
             raise ValueError(f"index {index} out of range for order {self.order}")
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(index % self.p)
-            index //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, index)
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.m)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.m - 1))
+        return FieldElement(self, 1)
 
     def x(self) -> "FieldElement":
         """The class of the variable, a generator of the extension over GF(p)."""
         if self.m == 1:
             raise ValueError("prime field has no extension generator")
-        return FieldElement(self, (0, 1) + (0,) * (self.m - 2))
+        return FieldElement(self, self.p)
 
     def elements(self):
         for i in range(self.order):
@@ -202,104 +211,62 @@ class FieldSpec:
 
 
 class FieldElement:
-    """Immutable element of a FieldSpec; arithmetic is exact."""
+    """Immutable element of a FieldSpec: a view of its ``to_index`` int,
+    with the spec's :func:`int_field` as its arithmetic."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "_index")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, index: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self._index = index
 
-    def _wrap(self, coeffs) -> "FieldElement":
-        return FieldElement(self.spec, tuple(coeffs))
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients over GF(p), low to high."""
+        return tuple(_digits(self._index, self.spec.p, self.spec.m))
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        p = self.spec.p
-        return self._wrap((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
+        return FieldElement(self.spec, self.spec.ops.add(self._index, other._index))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        p = self.spec.p
-        return self._wrap((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
+        return FieldElement(self.spec, self.spec.ops.sub(self._index, other._index))
 
     def __neg__(self) -> "FieldElement":
-        p = self.spec.p
-        return self._wrap(-a % p for a in self.coeffs)
+        return FieldElement(self.spec, self.spec.ops.neg(self._index))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        spec = self.spec
-        if spec.m == 1:
-            return self._wrap(((self.coeffs[0] * other.coeffs[0]) % spec.p,))
-        return self._wrap(
-            _poly_mulmod(self.coeffs, other.coeffs, spec.irreducible, spec.p)
-        )
+        return FieldElement(self.spec, self.spec.ops.mul(self._index, other._index))
 
     def inverse(self) -> "FieldElement":
-        spec = self.spec
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        if spec.m == 1:
-            return self._wrap((pow(self.coeffs[0], -1, spec.p),))
-        # extended Euclid in GF(p)[x]
-        p = spec.p
-        r0, r1 = list(spec.irreducible), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1, p)
-            # s_next = s0 - q * s1
-            prod = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, a in enumerate(q):
-                if a:
-                    for j, b in enumerate(s1):
-                        prod[i + j] = (prod[i + j] + a * b) % p
-            s_next = [0] * max(len(s0), len(prod))
-            for i, a in enumerate(s0):
-                s_next[i] = a
-            for i, a in enumerate(prod):
-                s_next[i] = (s_next[i] - a) % p
-            r0, r1, s0, s1 = r1, r, s1, _poly_trim(s_next)
-        # r1 is a nonzero constant gcd
-        scale = pow(r1[0], -1, p)
-        inv = [a * scale % p for a in s1]
-        inv += [0] * (spec.m - len(inv))
-        return self._wrap(inv[: spec.m])
+        return FieldElement(self.spec, self.spec.ops.inv(self._index))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
 
     def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.spec.one
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        ops = self.spec.ops
+        base = ops.inv(self._index) if exponent < 0 else self._index
+        return FieldElement(self.spec, _int_pow(ops.mul, base, abs(exponent)))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self._index
 
     def to_index(self) -> int:
-        index = 0
-        for c in reversed(self.coeffs):
-            index = index * self.spec.p + c
-        return index
+        return self._index
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)
+            and self._index == other._index
             and self.spec == other.spec
-            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.m, self.coeffs))
+        return hash((self.spec.p, self.spec.m, self._index))
 
     def __repr__(self):
         if self.spec.m == 1:
-            return str(self.coeffs[0])
+            return str(self._index)
         return "(" + ",".join(map(str, self.coeffs)) + ")"
 
 
@@ -310,6 +277,15 @@ def field_make(p: int, m: int, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> Fiel
     if not 1 <= m <= ceilings.field_degree:
         raise CeilingError(f"extension degree must be in [1, {ceilings.field_degree}]")
     return FieldSpec(p, m, _first_irreducible(p, m))
+
+
+def _eval_base_poly(ops: "IntField", coeffs: Sequence[int], point: int) -> int:
+    """Index of sum_i coeffs[i] * point^i, each coefficient read as a
+    constant of the field (the constant c has index c)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = ops.add(ops.mul(acc, point), c)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -323,13 +299,8 @@ class FieldEmbedding:
     def __call__(self, elt: FieldElement) -> FieldElement:
         if elt.spec != self.base:
             raise ValueError("element not from the base field")
-        acc = self.ext.zero
-        power = self.ext.one
-        for c in elt.coeffs:
-            if c:
-                acc = acc + self.ext.from_int(c) * power
-            power = power * self.generator_image
-        return acc
+        image = _eval_base_poly(self.ext.ops, elt.coeffs, self.generator_image.to_index())
+        return FieldElement(self.ext, image)
 
 
 def field_extension_above(
@@ -363,15 +334,8 @@ def field_extension_above(
         )
     # send the base generator to the first root of the base modulus in ext
     for idx in range(ext.order):
-        cand = ext.from_index(idx)
-        acc = ext.zero
-        power = ext.one
-        for c in base.irreducible:
-            if c:
-                acc = acc + ext.from_int(c) * power
-            power = power * cand
-        if acc.is_zero():
-            return ext, FieldEmbedding(base, ext, cand)
+        if not _eval_base_poly(ext.ops, base.irreducible, idx):
+            return ext, FieldEmbedding(base, ext, ext.from_index(idx))
     raise AssertionError("base modulus must split in a degree-multiple extension")
 
 
@@ -397,7 +361,18 @@ def int_field(spec: FieldSpec) -> IntField:
         return _prime_int_field(spec)
     if spec.order <= _ROOT_SCAN_LIMIT:
         return _table_int_field(spec)
-    return _element_int_field(spec)
+    return _poly_int_field(spec)
+
+
+def _int_pow(mul: Callable[[int, int], int], a: int, exponent: int) -> int:
+    """a^exponent for exponent >= 0, by square and multiply."""
+    result = 1
+    while exponent:
+        if exponent & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        exponent >>= 1
+    return result
 
 
 def _prime_int_field(spec: FieldSpec) -> IntField:
@@ -418,20 +393,48 @@ def _prime_int_field(spec: FieldSpec) -> IntField:
     )
 
 
+def _poly_int_field(spec: FieldSpec) -> IntField:
+    """Extension-field arithmetic on the coefficients each index encodes:
+    digit-wise sums, products by :func:`_poly_mulmod`, and the inverse
+    as a^(q-2)."""
+    p, m, modulus = spec.p, spec.m, spec.irreducible
+
+    def combine(a: int, b: int, sign: int) -> int:
+        return _index([(x + sign * y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
+
+    def mul(a: int, b: int) -> int:
+        return _index(_poly_mulmod(_digits(a, p, m), _digits(b, p, m), modulus, p), p)
+
+    def inv(a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return _int_pow(mul, a, spec.order - 2)
+
+    return IntField(
+        spec,
+        add=lambda a, b: combine(a, b, 1),
+        sub=lambda a, b: combine(a, b, -1),
+        neg=lambda a: combine(0, a, -1),
+        mul=mul,
+        inv=inv,
+    )
+
+
 def _table_int_field(spec: FieldSpec) -> IntField:
+    mul = _poly_int_field(spec).mul
     n = spec.order - 1
-    one = spec.one
     # the first element, by index, whose powers reach every nonzero element:
     # g is primitive iff g^(n/r) != 1 for every prime r dividing n
     primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
-    for index in range(2, spec.order):
-        g = spec.from_index(index)
-        if all(g ** (n // r) != one for r in primes):
+    for g in range(2, spec.order):
+        if all(_int_pow(mul, g, n // r) != 1 for r in primes):
             break
-    powers, power = [1], g  # g^0 = one has index 1
-    while power != one:
-        powers.append(power.to_index())
-        power = power * g
+    # walk the powers on coefficient lists, converting each to its index once
+    step = _digits(g, spec.p, spec.m)
+    powers, power = [1], step
+    while (index := _index(power, spec.p)) != 1:
+        powers.append(index)
+        power = _poly_mulmod(power, step, spec.irreducible, spec.p)
     exp = powers + powers  # doubled, so that log a + log b indexes it unreduced
     log = [0] * spec.order
     for e, index in enumerate(powers):
@@ -443,7 +446,7 @@ def _table_int_field(spec: FieldSpec) -> IntField:
         c = index % spec.p
         total = index - c + (c + 1) % spec.p
         zech.append(log[total] if total else None)
-    minus_one = log[(-one).to_index()]
+    minus_one = log[spec.p - 1]  # -1 is the constant p - 1
 
     def add(a: int, b: int) -> int:
         if not a:
@@ -476,18 +479,6 @@ def _table_int_field(spec: FieldSpec) -> IntField:
         neg=lambda a: exp[log[a] + minus_one] if a else 0,
         mul=lambda a, b: exp[log[a] + log[b]] if a and b else 0,
         inv=inv,
-    )
-
-
-def _element_int_field(spec: FieldSpec) -> IntField:
-    elt = spec.from_index
-    return IntField(
-        spec,
-        add=lambda a, b: (elt(a) + elt(b)).to_index(),
-        sub=lambda a, b: (elt(a) - elt(b)).to_index(),
-        neg=lambda a: (-elt(a)).to_index(),
-        mul=lambda a, b: (elt(a) * elt(b)).to_index(),
-        inv=lambda a: elt(a).inverse().to_index(),
     )
 
 

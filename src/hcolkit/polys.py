@@ -194,11 +194,10 @@ def poly_basis_select(polys: Sequence[SparsePoly]) -> BasisSelection:
         raise ValueError("polynomials of mixed degree")
 
     elim = Elimination(spec)
-    element = lru_cache(maxsize=None)(spec.from_index)
     certificates: dict[int, dict[int, FieldElement]] = {}
     for index, poly in enumerate(polys):
         row = {key: coeff.to_index() for key, coeff in poly.terms.items()}
         cert = elim.insert(row, index)
         if cert is not None:
-            certificates[index] = {k_idx: element(val) for k_idx, val in cert.items()}
+            certificates[index] = {k_idx: spec.from_index(val) for k_idx, val in cert.items()}
     return BasisSelection(kept=tuple(elim.kept), certificates=certificates)

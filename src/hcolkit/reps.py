@@ -584,18 +584,27 @@ def rep_to_json(rep: Representation) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _entry(payload, key: str, kind: type):
+    """`payload[key]`, which must be present and of type `kind`."""
+    value = payload.get(key) if type(payload) is dict else None
+    if type(value) is not kind:
+        raise ValueError(f"representation needs an entry {key!r} of type {kind.__name__}")
+    return value
+
+
 def rep_from_json(text: str, graph: Graph) -> Representation:
+    """Inverse of :func:`rep_to_json`; malformed content raises ValueError."""
     payload = json.loads(text)
-    spec = FieldSpec(
-        payload["spec"]["p"],
-        payload["spec"]["m"],
-        tuple(payload["spec"]["irreducible"]),
-    )
-    if payload["n"] != graph.n:
-        raise ValueError(
-            f"representation is for {payload['n']} vertices, graph has {graph.n}"
-        )
-    vectors = tuple(
-        tuple(spec.element(coeffs) for coeffs in vec) for vec in payload["vectors"]
-    )
-    return Representation(graph, spec, payload["d"], vectors, payload["kind"])
+    field = _entry(payload, "spec", dict)
+    modulus = tuple(_entry(field, "irreducible", list))
+    spec = FieldSpec(_entry(field, "p", int), _entry(field, "m", int), modulus)
+    n = _entry(payload, "n", int)
+    if n != graph.n:
+        raise ValueError(f"representation is for {n} vertices, graph has {graph.n}")
+    vectors = []
+    for vec in _entry(payload, "vectors", list):
+        if type(vec) is not list or not all(type(coeffs) is list for coeffs in vec):
+            raise ValueError("representation vectors must be lists of coefficient lists")
+        vectors.append(tuple(spec.element(coeffs) for coeffs in vec))
+    d, kind = _entry(payload, "d", int), _entry(payload, "kind", str)
+    return Representation(graph, spec, d, tuple(vectors), kind)

@@ -8,6 +8,7 @@ or compilation, so agreement is meaningful.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 from itertools import combinations, permutations, product
 
 import pytest
@@ -70,6 +71,70 @@ def brute_first_critical(g: Graph) -> tuple[int, ...]:
             if all(common_neighbors(g, s) for s in combinations(t, size - 1)):
                 return t
     raise AssertionError("every graph with a vertex has a critical set")
+
+
+def reference_field_ops(spec) -> SimpleNamespace:
+    """GF(p^m) arithmetic on ``to_index`` ints, written out on coefficient
+    lists without the library's field code: coordinate-wise sums,
+    schoolbook products reduced by the modulus, and the inverse by the
+    extended Euclidean algorithm in GF(p)[x]."""
+    p, m, modulus = spec.p, spec.m, list(spec.irreducible)
+
+    def coeffs(index):
+        return [index // p**i % p for i in range(m)]
+
+    def index(c):
+        return sum(x * p**i for i, x in enumerate(c))
+
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    def poly_mul(a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    def poly_divmod(a, b):
+        a, q = list(a), [0] * max(0, len(a) - len(b) + 1)
+        inv_lead = pow(b[-1], -1, p)
+        for i in range(len(a) - len(b), -1, -1):
+            c = a[i + len(b) - 1] * inv_lead % p
+            q[i] = c
+            for j, y in enumerate(b):
+                a[i + j] = (a[i + j] - c * y) % p
+        return trim(q), trim(a)
+
+    def mul(a, b):
+        return index(poly_divmod(poly_mul(coeffs(a), coeffs(b)), modulus)[1])
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        # invariant: s_i * a == r_i modulo the modulus
+        r0, r1, s0, s1 = modulus, trim(coeffs(a)), [], [1]
+        while len(r1) > 1:
+            q, r = poly_divmod(r0, r1)
+            prod = poly_mul(q, s1)
+            s_next = [0] * max(len(s0), len(prod))
+            for i, x in enumerate(s0):
+                s_next[i] = x
+            for i, x in enumerate(prod):
+                s_next[i] = (s_next[i] - x) % p
+            r0, r1, s0, s1 = r1, r, s1, trim(s_next)
+        scale = pow(r1[0], -1, p)  # r1 is the nonzero constant gcd
+        return index([x * scale % p for x in s1])
+
+    return SimpleNamespace(
+        add=lambda a, b: index([(x + y) % p for x, y in zip(coeffs(a), coeffs(b))]),
+        sub=lambda a, b: index([(x - y) % p for x, y in zip(coeffs(a), coeffs(b))]),
+        neg=lambda a: index([-x % p for x in coeffs(a)]),
+        mul=mul,
+        inv=inv,
+    )
 
 
 def reference_row_reduce(matrix: Matrix) -> tuple[list[list], int, list[int]]:

@@ -7,7 +7,8 @@ from hcolkit.cli import main
 from hcolkit.graphs import Graph, make_complete, make_cycle, make_empty, make_petersen, write_graph
 from hcolkit.kernels import VertexCoverInstance, read_kernel_result, write_instance
 from hcolkit.reductions import CnfFormula, write_dimacs, write_list_instance
-from hcolkit.reps import rep_from_json
+from hcolkit.gf import field_make
+from hcolkit.reps import rep_from_json, rep_to_json, vandermonde_rep
 
 
 @pytest.fixture
@@ -139,6 +140,47 @@ def test_represent_and_algebraic_kernelize(files, capsys, tmp_path):
     assert code == 0
     stats = json.loads(out)
     assert stats["mode"] == "algebraic" and stats["verified_equivalent"] is True
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("spec",), None, "entry 'spec' of type dict"),
+        (("spec", "p"), None, "entry 'p' of type int"),
+        (("d",), None, "entry 'd' of type int"),
+        (("spec", "m"), "3", "entry 'm' of type int"),
+        (("vectors",), 5, "entry 'vectors' of type list"),
+        (("vectors", 0), 3, "lists of coefficient lists"),
+        (("vectors", 0, 1), ["7"], "ints in [0, 163)"),
+        (("vectors", 0, 1), [170], "ints in [0, 163)"),
+        (("spec", "irreducible"), [200, 1], "ints in [0, 163)"),
+    ],
+    ids=(
+        "no-spec", "no-p", "no-d", "string-m", "vectors-not-list", "vector-not-list",
+        "string-coefficient", "coefficient-above-p", "modulus-above-p",
+    ),
+)
+def test_malformed_rep_is_one_line(files, capsys, tmp_path, path, value, message):
+    # a C5 representation over GF(163) with one entry removed (value None) or replaced
+    payload = json.loads(rep_to_json(vandermonde_rep(make_cycle(5), field_make(163, 1))))
+    *outer, last = path
+    node = payload
+    for key in outer:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    rep_path = tmp_path / "bad.rep"
+    rep_path.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys,
+        "kernelize", files["inst.g"], "--target", files["c5.g"],
+        "--mode", "algebraic", "--rep", str(rep_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("hcol: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_represent_vandermonde_and_ortho(files, capsys):

@@ -55,6 +55,7 @@ def test_gadget_verification_matches_brute_force():
     # small enough to compare against the all-assignments oracle
     c5 = make_cycle(5)
     path = make_path(4)
+    assert verify_edge_gadget(c5, path, 0, 3)
     for u in range(5):
         for v in range(5):
             expect = brute_hom_exists(path, c5, {0: (u,), 3: (v,)})
