@@ -4,7 +4,8 @@ A field is described by a :class:`FieldSpec` (characteristic, extension
 degree, irreducible modulus); elements are coefficient vectors over
 GF(p).  The irreducible polynomial is always the lexicographically
 first monic irreducible, so a spec is reproducible from (p, m) alone
-across runs and platforms.
+across runs and platforms; irreducibility is decided by Ben-Or's test,
+in time polynomial in m and log p.
 
 Extension fields come with an explicit embedding of the base field,
 computed by sending the base generator to a root of the base modulus
@@ -34,8 +35,8 @@ dropped row a certificate: its coordinates over the kept rows.
 ``row_reduce`` and ``matrix_rank`` insert the columns (kept columns are
 the pivots, and the certificates are the RREF entries),
 ``determinant`` inserts the rows, ``SpanBasis`` inserts or only
-reduces vectors, and ``polys.poly_basis_select`` inserts polynomials
-keyed by monomial.
+reduces vectors, and ``polys`` inserts boundary rows keyed by face or
+polynomials keyed by monomial.
 """
 
 from __future__ import annotations
@@ -94,26 +95,42 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int)
     return _poly_mod(out, mod, p)
 
 
+def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of the monic `a` and any `b`."""
+    while any(b):
+        b = b[: max(i for i, c in enumerate(b) if c) + 1]
+        lead_inv = pow(b[-1], -1, p)
+        b = [c * lead_inv % p for c in b]
+        a, b = b, _poly_mod(list(a), b, p)
+    return list(a)
+
+
 def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(poly) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            if not any(_poly_mod(list(poly), list(tail) + [1], p)):
-                return False
+    """Ben-Or's test: a monic f of degree m >= 1 is irreducible over GF(p)
+    iff gcd(x^(p^i) - x, f) = 1 for i = 1..m/2, because x^(p^i) - x is
+    the product of the monic irreducibles of degree dividing i.  Most
+    reducible f have a small factor and fail at a small i.  Residues mod
+    f are taken as ``to_index`` ints."""
+    m = len(poly) - 1
+
+    def mul(a: int, b: int) -> int:
+        return _index(_poly_mulmod(_digits(a, p, m), _digits(b, p, m), poly, p), p)
+
+    x = _poly_mod([0, 1], poly, p)
+    power = _index(x, p)
+    for _ in range(m // 2):
+        power = _int_pow(mul, power, p)  # x^(p^i) mod f
+        diff = [(a - b) % p for a, b in zip(_digits(power, p, m), x)]
+        if _poly_gcd(poly, diff, p) != [1]:
+            return False
     return True
 
 
 @lru_cache(maxsize=None)
 def _first_irreducible(p: int, m: int) -> tuple[int, ...]:
-    if m == 1:
-        return (0, 1)
-    for tail in product(range(p), repeat=m):
-        # tail is (c_0, ..., c_{m-1}) in ascending lexicographic order
+    # tail is (c_0, ..., c_{m-1}) in ascending lexicographic order; above
+    # degree 1, x is a proper factor when c_0 = 0, so c_0 starts at 1
+    for tail in product(range(m > 1, p), *[range(p)] * (m - 1)):
         candidate = list(tail) + [1]
         if _poly_is_irreducible(candidate, p):
             return tuple(candidate)
@@ -558,17 +575,15 @@ def int_vector(vec: Sequence[FieldElement]) -> dict[int, int]:
     return {j: i for j, x in enumerate(vec) if (i := x.to_index())}
 
 
-def column_basis(
-    spec: FieldSpec, columns: Iterable[Sequence[FieldElement]]
-) -> tuple[list[int], dict[int, dict[int, int]]]:
-    """Greedy basis of `columns`: the indices kept, in order, and for every
-    other column its int-encoded coordinates over the kept ones."""
+def greedy_basis(spec: FieldSpec, rows: Iterable[dict]) -> tuple[list[int], dict[int, dict]]:
+    """Greedy basis of the int-encoded `rows`: the indices kept, in order,
+    and for every other row its int-encoded coordinates over the kept ones."""
     elim = Elimination(spec)
     certificates = {}
-    for c, column in enumerate(columns):
-        cert = elim.insert(int_vector(column), c)
+    for i, row in enumerate(rows):
+        cert = elim.insert(row, i)
         if cert is not None:
-            certificates[c] = cert
+            certificates[i] = cert
     return elim.kept, certificates
 
 
@@ -633,7 +648,7 @@ def row_reduce(matrix: Matrix) -> tuple[Matrix, int, list[int]]:
     pivot i.
     """
     spec = matrix.spec
-    pivots, certificates = column_basis(spec, zip(*matrix.data))
+    pivots, certificates = greedy_basis(spec, map(int_vector, zip(*matrix.data)))
     rows = [
         [
             spec.from_index(1 if c == p else certificates.get(c, {}).get(p, 0))
@@ -646,7 +661,7 @@ def row_reduce(matrix: Matrix) -> tuple[Matrix, int, list[int]]:
 
 
 def matrix_rank(matrix: Matrix) -> int:
-    return len(column_basis(matrix.spec, zip(*matrix.data))[0])
+    return len(greedy_basis(matrix.spec, map(int_vector, zip(*matrix.data)))[0])
 
 
 def determinant(matrix: Matrix) -> FieldElement:

@@ -10,7 +10,9 @@ number of the target.
 Algebraic kernel: run the combinatorial kernel at q = d, then attach to
 every retained size-d trace the symbolic determinant of the unit-first-
 row matrix of its cover variables, keep a greedy basis of these
-polynomials, and drop the vertices of the discarded ones.  Correct for
+polynomials, and drop the vertices of the discarded ones.  The basis is
+selected on the +-1 boundary rows of the traces (see `polys`), and the
+polynomials are built only when read, as its certificate.  Correct for
 targets carrying a faithful d-dimensional independent representation
 with unit first entries over the working field; the representation
 itself never enters the computation, only its field does.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Mapping, Optional
@@ -31,8 +34,10 @@ from typing import Mapping, Optional
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError, InvariantViolation
 from .graphs import Graph, parse_graph_lines, vertex_set, write_graph
+from .gf import FieldSpec
 from .hom import find_homomorphism
-from .polys import BasisSelection, SparsePoly, det_poly, poly_basis_select
+from .polys import BasisSelection, SparsePoly, boundary_basis_select, det_poly
+from .polys import poly_basis_select  # unused here; perfbench/tracing.py patches it by name
 from .reps import Representation
 
 
@@ -67,7 +72,9 @@ def greedy_cover_2approx(g: Graph) -> tuple[int, ...]:
 @dataclass
 class KernelResult:
     """Output graph, the cover inside it, and the provenance of every
-    added vertex (the cover subset it realizes, in output ids)."""
+    added vertex (the cover subset it realizes, in output ids).  An
+    algebraic kernel adds its basis over the size-d `basis_traces`, whose
+    determinant polynomials `polys` are built on first read."""
 
     graph: Graph
     cover: tuple[int, ...]
@@ -75,7 +82,14 @@ class KernelResult:
     cover_original: tuple[int, ...]
     stats: dict
     basis: Optional[BasisSelection] = None
-    polys: Optional[list[SparsePoly]] = None
+    basis_traces: tuple[tuple[int, ...], ...] = ()
+    spec: Optional[FieldSpec] = None
+
+    @cached_property
+    def polys(self) -> Optional[list[SparsePoly]]:
+        if self.basis is None:
+            return None
+        return [det_poly(trace, len(trace), self.spec) for trace in self.basis_traces]
 
     def validate(self) -> None:
         if not self.graph.is_vertex_cover(self.cover):
@@ -114,6 +128,14 @@ def size_bounds(mode: str, k: int, exponent: int, vertices: int) -> dict:
     }
 
 
+def _attach_traces(cover_edges: list, k: int, traces: list) -> tuple[Graph, dict]:
+    """The cover graph on 0..k-1 plus one vertex per trace, adjacent
+    exactly to it, and the provenance of those vertices."""
+    provenance = dict(enumerate(traces, start=k))
+    edges = cover_edges + [(v, u) for v, trace in provenance.items() for u in trace]
+    return Graph(k + len(traces), edges), provenance
+
+
 def combinatorial_kernel(
     inst: VertexCoverInstance,
     q: int,
@@ -145,19 +167,8 @@ def combinatorial_kernel(
         for size in range(1, min(q, len(neigh)) + 1):
             for sub in combinations(neigh, size):
                 realized.add(sub)
-    ordered = sorted(realized)
-
-    edges = [
-        (x_index[u], x_index[v])
-        for u, v in g.edges()
-        if u in x_index and v in x_index
-    ]
-    provenance: dict[int, tuple[int, ...]] = {}
-    for offset, trace in enumerate(ordered):
-        vid = k + offset
-        provenance[vid] = trace
-        edges.extend((vid, u) for u in trace)
-    out = Graph(k + len(ordered), edges)
+    cover_edges = [(x_index[u], x_index[v]) for u, v in g.edges() if u in x_index and v in x_index]
+    out, provenance = _attach_traces(cover_edges, k, sorted(realized))
 
     bounds = size_bounds("combinatorial", k, q, out.n)
     stats = {
@@ -220,27 +231,14 @@ def algebraic_kernel(
     k = inst.k
     spec = rep.spec
 
-    size_d_traces = [
-        trace for _, trace in sorted(base.provenance.items()) if len(trace) == d
-    ]
-    polys = [det_poly(trace, d, spec) for trace in size_d_traces]
-    selection = poly_basis_select(polys)
+    size_d_traces = tuple(t for _, t in sorted(base.provenance.items()) if len(t) == d)
+    selection = boundary_basis_select(size_d_traces, spec)
     kept_traces = {size_d_traces[i] for i in selection.kept}
-
-    keep_order = [
-        trace
-        for _, trace in sorted(base.provenance.items())
-        if len(trace) < d or trace in kept_traces
-    ]
-    edges = [
-        (u, v) for u, v in base.graph.edges() if u < k and v < k
-    ]
-    provenance: dict[int, tuple[int, ...]] = {}
-    for offset, trace in enumerate(keep_order):
-        vid = k + offset
-        provenance[vid] = trace
-        edges.extend((vid, u) for u in trace)
-    out = Graph(k + len(keep_order), edges)
+    out, provenance = _attach_traces(
+        [(u, v) for u, v in base.graph.edges() if u < k and v < k],
+        k,
+        [t for _, t in sorted(base.provenance.items()) if len(t) < d or t in kept_traces],
+    )
 
     bounds = size_bounds("algebraic", k, d, out.n)
     stats = {
@@ -263,11 +261,13 @@ def algebraic_kernel(
         cover_original=inst.cover,
         stats=stats,
         basis=selection,
-        polys=polys,
+        basis_traces=size_d_traces,
+        spec=spec,
     )
     result.validate()
-    if len(selection.kept) > bounds["span_bound"]:
-        raise InvariantViolation("basis larger than the ambient polynomial space")
+    # the boundary matrix of all d-sets of k vertices has rank C(k-1, d-1) (Kalai 1983)
+    if len(selection.kept) > comb(max(k - 1, 0), d - 1):
+        raise InvariantViolation("basis larger than the boundary rank C(k-1, d-1)")
     if out.n > bounds["vertex_bound"]:
         raise InvariantViolation("vertex bound violated by construction")
     return result

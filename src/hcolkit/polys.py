@@ -9,20 +9,22 @@ share the same degree.
 
 ``det_poly`` expands the symbolic determinant of the d x d matrix whose
 first row is all ones and whose remaining entries are the variables of
-the d chosen columns: cofactor expansion along the unit row, then
-permutation expansion of each pure-variable minor.  ``poly_basis_select``
-keeps a maximal linearly independent subset, greedily in input order,
-and returns exact reconstruction certificates for everything dropped.
+the d chosen columns, by cofactors along the unit row: det_poly(T) =
+sum_j (-1)^j M_{T - t_j}, where the minors M_S of distinct (d-1)-sets
+have disjoint supports.  So the polynomials have the linear relations
+of the +-1 rows of the simplicial boundary matrix, and the kernel's
+greedy basis is selected on those rows (``boundary_basis_select``).
+The polynomials are the certificate to check it against:
+``poly_basis_select`` keeps the same sets with the same certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import permutations
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .gf import Elimination, FieldElement, FieldSpec
+from .gf import FieldElement, FieldSpec, greedy_basis
 
 MonomialKey = tuple[tuple[int, int], ...]  # sorted ((vertex, coordinate), ...)
 
@@ -112,48 +114,26 @@ class SparsePoly:
         return "SparsePoly(" + " + ".join(bits) + ")"
 
 
-@lru_cache(maxsize=None)
-def _det_pattern(d: int) -> tuple[tuple[int, MonomialKey], ...]:
-    """The terms of `det_poly` for columns 0..d-1: (sign, ((column, coordinate), ...)).
-
-    Cofactor expansion along the unit row, then the permutations of each
-    minor; every term is a distinct monomial, so none cancel.
-    """
-    terms: dict[MonomialKey, int] = {}
-    for j in range(d):
-        minor_cols = [c for c in range(d) if c != j]
-        for perm in permutations(range(d - 1)):
-            inversions = sum(
-                1
-                for a in range(d - 1)
-                for b in range(a + 1, d - 1)
-                if perm[a] > perm[b]
-            )
-            # row i (coordinate i+2) takes the variable of column perm[i]
-            key = tuple(sorted((minor_cols[perm[i]], i + 2) for i in range(d - 1)))
-            terms[key] = (-1) ** (j + inversions)
-    return tuple((sign, key) for key, sign in terms.items())
-
-
 def det_poly(vertices: Sequence[int], d: int, spec: FieldSpec) -> SparsePoly:
     """Symbolic determinant of the unit-first-row matrix on d vertex columns.
 
     Column order is ascending vertex id (order only flips the overall
     sign, which does not affect linear spans).  The result is multilinear
-    and homogeneous of degree d-1.
+    and homogeneous of degree d-1; every term is a distinct monomial, so
+    none cancel.
     """
     cols = sorted(vertices)
     if len(cols) != d or len(set(cols)) != d:
         raise ValueError(f"need {d} distinct vertex ids, got {vertices!r}")
-    signs = {1: spec.one, -1: -spec.one}
-    # columns are ascending, so relabelling keeps each key sorted
-    return SparsePoly(
-        spec,
-        {
-            tuple((cols[c], coord) for c, coord in key): signs[sign]
-            for sign, key in _det_pattern(d)
-        },
-    )
+    terms: dict[MonomialKey, FieldElement] = {}
+    # cofactor expansion along the unit row, then the permutations of each minor
+    for j in range(d):
+        for perm in permutations(cols[:j] + cols[j + 1 :]):
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+            # row i (coordinate i+2) takes the variable of column perm[i]
+            key = tuple(sorted(zip(perm, range(2, d + 1))))
+            terms[key] = spec.from_int((-1) ** (j + inversions))
+    return SparsePoly(spec, terms)
 
 
 @dataclass
@@ -192,12 +172,30 @@ def poly_basis_select(polys: Sequence[SparsePoly]) -> BasisSelection:
         raise ValueError("polynomials over mixed fields")
     if len({p.degree for p in polys if not p.is_zero()}) > 1:
         raise ValueError("polynomials of mixed degree")
+    return _selection(spec, ({k: c.to_index() for k, c in poly.terms.items()} for poly in polys))
 
-    elim = Elimination(spec)
-    certificates: dict[int, dict[int, FieldElement]] = {}
-    for index, poly in enumerate(polys):
-        row = {key: coeff.to_index() for key, coeff in poly.terms.items()}
-        cert = elim.insert(row, index)
-        if cert is not None:
-            certificates[index] = {k_idx: spec.from_index(val) for k_idx, val in cert.items()}
-    return BasisSelection(kept=tuple(elim.kept), certificates=certificates)
+
+def boundary_basis_select(traces: Sequence[Sequence[int]], spec: FieldSpec) -> BasisSelection:
+    """``poly_basis_select`` of the ``det_poly``s of the d-sets `traces`,
+    computed on their boundary rows: T = (t_0 < ... < t_{d-1}) has the
+    entry (-1)^j on the face T - t_j.
+
+    Each row drops the faces that contain the cone vertex 0: every
+    boundary is a cycle, and a cycle is fixed by its faces that avoid the
+    cone vertex, so the linear relations stay the same.
+    """
+
+    def row(trace: Sequence[int]) -> dict:
+        t = sorted(trace)
+        if t[0] == 0:  # the one face that avoids the cone vertex
+            return {tuple(t[1:]): 1}
+        return {tuple(t[:j] + t[j + 1 :]): spec.ops.neg(1) if j % 2 else 1 for j in range(len(t))}
+
+    return _selection(spec, map(row, traces))
+
+
+def _selection(spec: FieldSpec, rows: Iterable[dict]) -> BasisSelection:
+    """:func:`greedy_basis` of int-encoded `rows`, certificates as field elements."""
+    kept, certificates = greedy_basis(spec, rows)
+    as_elements = {i: {k: spec.from_index(v) for k, v in c.items()} for i, c in certificates.items()}
+    return BasisSelection(kept=tuple(kept), certificates=as_elements)

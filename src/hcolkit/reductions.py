@@ -22,7 +22,7 @@ Built on top of gadgets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
@@ -123,33 +123,17 @@ class GadgetSearch:
     searched_up_to: int
 
 
-def _marked_canonical(n: int, mask: int) -> int:
-    """Least adjacency bitmask over relabelings preserving {0, 1} setwise."""
-    best = mask
-    pairs = list(combinations(range(n), 2))
-    pos = {pq: i for i, pq in enumerate(pairs)}
-    for swap in (False, True):
-        for perm_rest in permutations(range(2, n)):
-            perm = ((1, 0) if swap else (0, 1)) + perm_rest
-            out = 0
-            for i, (p, q) in enumerate(pairs):
-                if mask >> i & 1:
-                    pp, qq = perm[p], perm[q]
-                    out |= 1 << pos[(min(pp, qq), max(pp, qq))]
-            if out < best:
-                best = out
-    return best
-
-
 def _graphs_with_marked_pair(n: int) -> Iterable[Graph]:
-    """Connected graphs on n vertices with marked pair (0, 1), one per
-    isomorphism class, in canonical adjacency order."""
+    """Connected graphs on n vertices with marked pair (0, 1), every edge
+    mask in ascending order.
+
+    Whether a graph is an edge gadget with marks (0, 1) does not change
+    under relabelings that fix {0, 1} setwise, and neither does
+    connectivity; so the first mask that verifies is already the least
+    in its orbit, and no canonical forms are needed.
+    """
     pairs = list(combinations(range(n), 2))
-    seen: set[int] = set()
     for mask in range(1 << len(pairs)):
-        if _marked_canonical(n, mask) != mask or mask in seen:
-            continue
-        seen.add(mask)
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         g = Graph(n, edges)
         if len(g.connected_components()) == 1:

@@ -41,8 +41,9 @@ from .gf import (
     FieldSpec,
     Matrix,
     SpanBasis,
-    column_basis,
     field_extension_above,
+    greedy_basis,
+    int_vector,
     matrix_rank,
 )
 from .graphs import Graph, kneser_vertex_subsets, make_kneser
@@ -286,7 +287,7 @@ def kneser_system(m: int, r: int, spec: FieldSpec) -> KneserSystem:
         # first unknown = 1; the others are minus the coordinates of the
         # first support column over the remaining r - 1, which are independent
         columns = [[row[c] for row in rows] for c in cols[1:] + cols[:1]]
-        coords = column_basis(spec, columns)[1].get(r - 1, {})
+        coords = greedy_basis(spec, map(int_vector, columns))[1].get(r - 1, {})
         solution = [spec.one] + [-spec.from_index(coords.get(j, 0)) for j in range(r - 1)]
         if any(x.is_zero() for x in solution):
             raise InvariantViolation("support vector acquired a zero entry")
@@ -552,7 +553,7 @@ def _nullspace_basis(
     """Basis of the right nullspace of the given row vectors in F^d: e_f
     minus the coordinates of column f over the pivot columns, for each
     non-pivot f."""
-    _, certificates = column_basis(spec, ([row[f] for row in rows] for f in range(d)))
+    _, certificates = greedy_basis(spec, (int_vector([row[f] for row in rows]) for f in range(d)))
     basis = []
     for f, coords in certificates.items():
         vec = [spec.zero] * d

@@ -137,6 +137,26 @@ def reference_field_ops(spec) -> SimpleNamespace:
     )
 
 
+def trial_division_irreducible(poly, p) -> bool:
+    """Whether the monic `poly` (coefficients low first) is irreducible
+    over GF(p): no monic polynomial of degree 1..deg/2 divides it."""
+    deg = len(poly) - 1
+    if deg < 1:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for tail in product(range(p), repeat=d):
+            rem = list(poly)
+            # long division by the monic divisor tail + x^d
+            for i in range(deg, d - 1, -1):
+                c = rem[i]
+                rem[i] = 0
+                for j, y in enumerate(tail):
+                    rem[i - d + j] = (rem[i - d + j] - c * y) % p
+            if not any(rem):
+                return False
+    return True
+
+
 def reference_row_reduce(matrix: Matrix) -> tuple[list[list], int, list[int]]:
     """Textbook Gauss-Jordan on field elements: RREF rows, rank, pivot columns."""
     rows = [list(r) for r in matrix.data]

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,14 @@ from conftest import (
     reference_field_ops,
     reference_rank,
     reference_row_reduce,
+    trial_division_irreducible,
 )
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.gf import (
     _ROOT_SCAN_LIMIT,
     Matrix,
+    _poly_is_irreducible,
     SpanBasis,
     determinant,
     field_extension_above,
@@ -48,6 +51,20 @@ def test_field_make_basics():
     assert gf9.order == 9
     # first monic irreducible quadratic over GF(3) in lex coefficient order
     assert gf9.irreducible == (1, 0, 1)
+
+
+# up to degree 6, so that the test takes its gcds at i = 1, 2 and 3
+@pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 6), (5, 4)])
+def test_irreducibility_matches_trial_division(p, max_degree):
+    for deg in range(1, max_degree + 1):
+        for tail in product(range(p), repeat=deg):
+            poly = list(tail) + [1]
+            assert _poly_is_irreducible(poly, p) == trial_division_irreducible(poly, p), poly
+
+
+def test_field_make_large_prime_degree_six():
+    # within the degree ceiling, so the modulus search must finish quickly
+    assert field_make(31, 6).irreducible == (1, 0, 0, 0, 0, 4, 1)
 
 
 def test_field_make_rejects_bad_input():

@@ -7,9 +7,10 @@ import pytest
 from conftest import random_cover_instance
 from hcolkit.hom import find_homomorphism
 from hcolkit.config import Ceilings
-from hcolkit.errors import CeilingError
+from hcolkit.errors import CeilingError, InvariantViolation
 from hcolkit.gf import field_make
 from hcolkit.graphs import Graph, make_complete, make_cycle, make_kneser, make_petersen
+import hcolkit.kernels
 from hcolkit.kernels import (
     VertexCoverInstance,
     algebraic_kernel,
@@ -22,6 +23,7 @@ from hcolkit.kernels import (
     write_instance,
     write_kernel_result,
 )
+from hcolkit.polys import BasisSelection, SparsePoly
 from hcolkit.reps import kneser_rep, normalize_first_entry, vandermonde_rep
 
 
@@ -175,6 +177,45 @@ def test_algebraic_dropped_polys_reconstruct():
             assert res.basis.reconstruct(res.polys, dropped) == res.polys[dropped]
             reconstructed += 1
     assert reconstructed > 0, "sweep never exercised a dropped polynomial"
+
+
+def full_trace_instance(k):
+    """A k-vertex cover and one outside vertex adjacent to all of it, so
+    every subset of the cover is a realized trace."""
+    return VertexCoverInstance(Graph(k + 1, [(u, k) for u in range(k)]), range(k))
+
+
+def test_algebraic_kernel_builds_polys_on_first_read(monkeypatch):
+    calls = {"det_poly": 0, "SparsePoly": 0}
+    real_det_poly = hcolkit.kernels.det_poly
+    real_post_init = SparsePoly.__post_init__
+
+    def counting_det_poly(*args):
+        calls["det_poly"] += 1
+        return real_det_poly(*args)
+
+    def counting_post_init(self):
+        calls["SparsePoly"] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(hcolkit.kernels, "det_poly", counting_det_poly)
+    monkeypatch.setattr(SparsePoly, "__post_init__", counting_post_init)
+    res = algebraic_kernel(full_trace_instance(6), make_complete(3), k3_rep(), 3)
+    assert calls == {"det_poly": 0, "SparsePoly": 0}
+    # all C(6, 3) traces are realized, and the boundary rank C(5, 2) is reached
+    assert len(res.polys) == comb(6, 3) and calls["det_poly"] == comb(6, 3)
+    assert res.stats["basis_kept"] == comb(5, 2)
+    for dropped in res.basis.certificates:
+        assert res.basis.reconstruct(res.polys, dropped) == res.polys[dropped]
+
+
+def test_algebraic_kernel_refuses_basis_above_boundary_rank(monkeypatch):
+    def keep_all(traces, spec):
+        return BasisSelection(kept=tuple(range(len(traces))), certificates={})
+
+    monkeypatch.setattr(hcolkit.kernels, "boundary_basis_select", keep_all)
+    with pytest.raises(InvariantViolation):
+        algebraic_kernel(full_trace_instance(5), make_complete(3), k3_rep(), 3)
 
 
 def test_algebraic_petersen_equivalence():

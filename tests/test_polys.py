@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import leibniz_determinant, reference_rank
 from hcolkit.gf import Matrix, field_make
-from hcolkit.polys import SparsePoly, det_poly, poly_basis_select
+from hcolkit.polys import SparsePoly, boundary_basis_select, det_poly, poly_basis_select
 
 GF7 = field_make(7, 1)
 GF8 = field_make(2, 3)
@@ -154,3 +154,26 @@ def test_basis_select_is_greedy_span_membership(spec, data):
     assert len(sel.kept) + len(sel.certificates) == len(polys)
     for dropped in sel.certificates:
         assert sel.reconstruct(polys, dropped) == polys[dropped]
+
+
+@pytest.mark.parametrize("spec", [GF7, GF8, field_make(3, 2)], ids=str)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_boundary_selection_equals_poly_selection(spec, data):
+    d = data.draw(st.integers(2, 5))
+    k = data.draw(st.integers(d, d + 3))
+    d_sets = st.lists(st.integers(0, k - 1), min_size=d, max_size=d, unique=True)
+    traces = [tuple(sorted(t)) for t in data.draw(st.lists(d_sets, max_size=14))]
+    sel = boundary_basis_select(traces, spec)
+    expected = poly_basis_select([det_poly(t, d, spec) for t in traces])
+    assert sel.kept == expected.kept
+    assert sel.certificates == expected.certificates
+    # +-1 entries: the kept set depends only on the characteristic
+    assert boundary_basis_select(traces, field_make(spec.p, 1)).kept == sel.kept
+
+
+@pytest.mark.parametrize("spec", [field_make(2, 1), GF7], ids=str)
+@pytest.mark.parametrize("k, d", [(5, 2), (7, 3), (7, 4), (8, 5)])
+def test_boundary_rank_on_all_d_sets(spec, k, d):
+    sel = boundary_basis_select(list(combinations(range(k), d)), spec)
+    assert len(sel.kept) == comb(k - 1, d - 1)

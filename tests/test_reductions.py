@@ -110,6 +110,15 @@ def test_gadget_search_inconclusive_on_non_core():
     assert search.searched_up_to == 4
 
 
+def test_enumerated_gadget_for_wheel():
+    # W5, the 5-cycle 0..4 with hub 5: the canonical candidates fail and
+    # the enumeration's first verifying mask is pinned
+    w5 = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+    found = find_edge_gadget(w5, max_gadget_vertices=5).found
+    assert found is not None
+    assert (found.gadget.rows, found.a, found.b) == ((24, 4, 26, 21, 13), 0, 1)
+
+
 def test_verified_constructor_rejects_non_gadgets():
     with pytest.raises(ValueError):
         EdgeGadget.verified(make_cycle(5), make_complete(2), 0, 1)
