@@ -165,7 +165,7 @@ def _cmd_witness(args, ceilings: Ceilings) -> int:
 
 
 def _load_normalized_rep(path: str, target: Graph, seed: int, ceilings: Ceilings):
-    rep = rep_from_json(_read(path), target)
+    rep = rep_from_json(_read(path), target, ceilings=ceilings)
     report = check_faithful(rep)
     if not report:
         raise ValueError(f"representation in {path} is not faithful: {report.counterexample}")

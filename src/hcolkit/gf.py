@@ -52,18 +52,35 @@ from .errors import CeilingError
 _ROOT_SCAN_LIMIT = 100_000
 
 
+# Miller-Rabin on the first 12 primes as bases decides every p below the
+# least composite that passes all twelve (Jiang & Deng, Math. Comp. 2014)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality for p < 3.18e23; larger p raise ValueError."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}, got {p}")
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

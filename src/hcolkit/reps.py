@@ -593,12 +593,21 @@ def _entry(payload, key: str, kind: type):
     return value
 
 
-def rep_from_json(text: str, graph: Graph) -> Representation:
-    """Inverse of :func:`rep_to_json`; malformed content raises ValueError."""
+def rep_from_json(
+    text: str, graph: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS
+) -> Representation:
+    """Inverse of :func:`rep_to_json`; malformed content raises ValueError,
+    an extension degree above the ceiling CeilingError."""
     payload = json.loads(text)
     field = _entry(payload, "spec", dict)
     modulus = tuple(_entry(field, "irreducible", list))
-    spec = FieldSpec(_entry(field, "p", int), _entry(field, "m", int), modulus)
+    p, m = _entry(field, "p", int), _entry(field, "m", int)
+    # refused before FieldSpec tests the modulus for irreducibility
+    if m > ceilings.field_degree:
+        raise CeilingError(
+            f"representation field degree {m} exceeds ceiling {ceilings.field_degree}"
+        )
+    spec = FieldSpec(p, m, modulus)
     n = _entry(payload, "n", int)
     if n != graph.n:
         raise ValueError(f"representation is for {n} vertices, graph has {graph.n}")

@@ -8,25 +8,36 @@ whose (|T|-1)-subsets have a nonempty one.  Critical sets coincide with
 the inclusion-minimal empty-common-neighborhood sets, and a maximum
 clique is always one of them.
 
-The search is exact and runs once: a depth-first branch-and-bound over
-sorted vertex tuples that returns the lexicographically first critical
-set of maximum size, so the size is q(G) and the set is its certificate.
-Its pruning relies on one structural fact: if a critical superset T* of
-the current partial set T adds the vertices Z, then every z in Z has a
-"private witness" v in CN(T) non-adjacent to z with Z - {z} contained
-in N(v).  Hence |Z| <= 1 + max over v in CN(T) of |N(v) ∩ candidates|
-(read from a per-graph table of neighbor counts above each vertex), and
-every z must have a non-neighbor in CN(T).
+The search is exact and runs in two passes.  A set T has no common
+neighbor iff it meets every non-neighborhood E_w = V - N(w) (w is in
+E_w, having no loop), so the critical sets are the minimal transversals
+of the hypergraph {E_w}, and q(G) is the size of its largest one.
 
-Why the certificate is the lexicographically first set of size q: the
-DFS visits sorted tuples in lexicographic order, and the best size
-starts at omega - 1, one below the size of a maximum clique, which is
-itself critical.  While the best size recorded is below q, no branch holding a
-critical set of size q is pruned, because the cap bound, the
-non-neighbor-in-CN filter and the filter on empty proper subsets hold
-for every critical superset.  So the first set of size q the search
-records is the lexicographically first one, and later ones of that
-size never replace it.
+Pass 1 (`_max_critical_size`) finds q alone by the MMCS rule for
+minimal transversals (Murakami & Uno, Discrete Appl. Math. 2014): a
+node holds the partial set S, CN(S) (the edges S misses), CN(S - s)
+for each member s, and a candidate mask.  It branches on the missed
+edge with the fewest candidates, taking the candidates out and giving
+each back after its branch, so every minimal transversal is met once.
+Member s keeps a private ("critical") edge iff CN(S - s) - CN(S) is
+nonempty; a child where some member has none is dropped, because that
+set only shrinks as S grows.  The bound: if a critical superset adds
+the vertices Z, every z in Z has a private witness v in CN(S)
+non-adjacent to z with Z - {z} contained in N(v), so
+|Z| <= 1 + max over v in CN(S) of |N(v) ∩ candidates|.  The best size
+starts at omega, since a maximum clique is critical.
+
+Pass 2 (`_first_critical_of_size`) finds the certificate: a depth-first
+search over sorted vertex tuples, in lexicographic order, that stops at
+its first critical set of size q.  It prunes by the same private-witness
+cap (read from a per-graph table of neighbor counts above each vertex),
+by requiring every new vertex to have a non-neighbor in CN(T), and by
+the private-edge test above.  All three hold for every prefix of a
+critical set of size q, so no such set is pruned, and the first one
+found is the lexicographically first.  Run alone, with the best size
+rising from omega - 1 and the weaker test that every CN(T - t) is
+nonempty, the same DFS also ends with this set; each test of pass 2 is
+at least as strong at every node, so it visits a subset of those nodes.
 
 Also here: the B(m, l) obstruction patterns whose absence certifies
 q(G) <= m-1, and the degeneracy / clique-number / max-degree bounds.
@@ -147,21 +158,67 @@ def max_clique(g: Graph) -> tuple[int, ...]:
 # Exact witness number
 # ---------------------------------------------------------------------------
 
-def _lex_first_max_critical_set(g: Graph, omega: int) -> tuple[int, ...]:
-    """Lexicographically first critical set of maximum size."""
+def _max_critical_size(g: Graph, omega: int) -> int:
+    """q(g): the size of a largest minimal transversal of {V - N(w)}."""
+    rows = g.rows
+    # a maximum clique is critical
+    best = omega
+
+    # cn = CN(S) marks the edges S misses, dcs[i] = CN(S - s_i); a member
+    # keeps a private edge iff its dc meets the complement of cn
+    def search(cn: int, dcs: list[int], cand: int, depth: int) -> None:
+        nonlocal best
+        # branch on the missed edge with the fewest candidates, ties to
+        # the lowest w; the same scan gives the bound, since
+        # |N(w) ∩ cand| = |cand| - |(V - N(w)) ∩ cand|
+        size = cand.bit_count()
+        fewest = size + 1
+        scan = cn
+        while scan:
+            low = scan & -scan
+            w = low.bit_length() - 1
+            k = (cand & ~rows[w]).bit_count()
+            if k < fewest:
+                fewest, edge = k, w
+            scan ^= low
+        if depth + 1 + size - fewest <= best:
+            return
+        branch = cand & ~rows[edge]
+        # each branch's vertex is given back once its subtree is done, so
+        # later siblings may take it and every transversal is met once
+        cand ^= branch
+        while branch:
+            low = branch & -branch
+            row = rows[low.bit_length() - 1]
+            new_cn = cn & row
+            new_dcs = [dc & row for dc in dcs]
+            # a member with no private edge left never regains one
+            if all(dc & ~new_cn for dc in new_dcs):
+                if not new_cn:
+                    best = max(best, depth + 1)
+                else:
+                    new_dcs.append(cn)
+                    search(new_cn, new_dcs, cand, depth + 1)
+            cand |= low
+            branch ^= low
+
+    full = (1 << g.n) - 1
+    search(full, [], full, 0)
+    return best
+
+
+def _first_critical_of_size(g: Graph, q: int) -> tuple[int, ...]:
+    """Lexicographically first critical set of size q, where q = q(g)."""
     n = g.n
     rows = g.rows
     # after[z][v] = |N(v) ∩ {z+1, ..., n-1}|, the cap bound's term for v
     after = [[(row >> (z + 1)).bit_count() for row in rows] for z in range(n)]
-    # a maximum clique is critical, so seeding one below it records a set
-    best = omega - 1
-    cert: tuple[int, ...] = ()
     path: list[int] = []
 
     # dc[i] = common neighborhood of T minus its i-th element; a leaf is
-    # critical iff CN(T) = 0 while every dc entry is nonzero.
-    def extend(t_last: int, cn: int, dcs: list[int], depth: int) -> None:
-        nonlocal best, cert
+    # critical iff CN(T) = 0 while every dc entry is nonzero.  The search
+    # stops at its first leaf of size q, which is the certificate.
+    def extend(t_last: int, cn: int, dcs: list[int], depth: int) -> bool:
         for z in range(t_last + 1, n):
             row = rows[z]
             # z must have a non-neighbor inside CN(T) to earn a private
@@ -170,14 +227,14 @@ def _lex_first_max_critical_set(g: Graph, omega: int) -> tuple[int, ...]:
                 continue
             new_cn = cn & row
             if new_cn == 0:
-                if depth + 1 > best and all(dc & row for dc in dcs):
-                    best = depth + 1
-                    cert = (*path, z)
+                if depth + 1 == q and all(dc & row for dc in dcs):
+                    path.append(z)
+                    return True
                 continue
             # upper bound: all but one future addition must fit inside the
             # neighborhood of one common neighbor of the extended set; the
             # branch survives once one common neighbor leaves room
-            slack = best - depth - 2
+            slack = q - depth - 3
             counts = after[z]
             scan = new_cn
             while scan:
@@ -188,17 +245,19 @@ def _lex_first_max_critical_set(g: Graph, omega: int) -> tuple[int, ...]:
             else:
                 continue
             new_dcs = [dc & row for dc in dcs]
-            if not all(new_dcs):
-                # some proper subset already has an empty common
-                # neighborhood; no superset through here is minimal
+            if not all(dc & ~new_cn for dc in new_dcs):
+                # some member has no private witness left, and none comes
+                # back as T grows; no superset through here is minimal
                 continue
             new_dcs.append(cn)
             path.append(z)
-            extend(z, new_cn, new_dcs, depth + 1)
+            if extend(z, new_cn, new_dcs, depth + 1):
+                return True
             path.pop()
+        return False
 
     extend(-1, (1 << n) - 1, [], 0)
-    return cert
+    return tuple(path)
 
 
 def witness_number(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> WitnessCertificate:
@@ -210,7 +269,7 @@ def witness_number(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> Witnes
             f"witness-number search limited to {ceilings.witness_vertices} vertices (got {g.n})"
         )
     checked_up_to = min(g.n, g.max_degree() + 1)
-    cert = _lex_first_max_critical_set(g, len(max_clique(g)))
+    cert = _first_critical_of_size(g, _max_critical_size(g, len(max_clique(g))))
     if not cert:
         raise InvariantViolation("the search recorded no critical set")
     result = WitnessCertificate(q=len(cert), witness_set=cert, checked_up_to=checked_up_to)

@@ -16,6 +16,7 @@ import pytest
 from hcolkit.gf import Matrix
 from hcolkit.graphs import Graph, common_neighbors
 from hcolkit.kernels import VertexCoverInstance
+from hcolkit.witness import max_clique
 
 
 def brute_homomorphisms(g: Graph, h: Graph, lists=None):
@@ -49,7 +50,7 @@ def brute_first_embedding(pattern: Graph, g: Graph):
 
 def brute_witness_q(g: Graph) -> int:
     """Maximum size of an inclusion-minimal set with no common neighbor."""
-    assert 1 <= g.n <= 8
+    assert 1 <= g.n <= 10
     best = 0
     for size in range(1, g.n + 1):
         for t in combinations(range(g.n), size):
@@ -71,6 +72,45 @@ def brute_first_critical(g: Graph) -> tuple[int, ...]:
             if all(common_neighbors(g, s) for s in combinations(t, size - 1)):
                 return t
     raise AssertionError("every graph with a vertex has a critical set")
+
+
+def reference_witness_search(g: Graph) -> tuple[int, ...]:
+    """Lexicographically first critical set of maximum size, by one
+    depth-first branch-and-bound over sorted vertex tuples whose best
+    size rises from omega - 1 (a maximum clique is critical).  It prunes
+    a vertex with no non-neighbor in CN(T), an extension some of whose
+    CN(T - t) is empty, and one whose every common neighbor v leaves too
+    little room above it: a critical superset adding Z fits Z - {z}
+    inside N(v) for a private witness v in CN(T) of each z in Z."""
+    n, rows = g.n, g.rows
+    after = [[(row >> (z + 1)).bit_count() for row in rows] for z in range(n)]
+    best = len(max_clique(g)) - 1
+    cert: tuple[int, ...] = ()
+    path: list[int] = []
+
+    def extend(t_last, cn, dcs, depth):
+        nonlocal best, cert
+        for z in range(t_last + 1, n):
+            row = rows[z]
+            if not (cn & ~row):
+                continue
+            new_cn = cn & row
+            if new_cn == 0:
+                if depth + 1 > best and all(dc & row for dc in dcs):
+                    best = depth + 1
+                    cert = (*path, z)
+                continue
+            if not any(after[z][v] > best - depth - 2 for v in range(n) if new_cn >> v & 1):
+                continue
+            new_dcs = [dc & row for dc in dcs]
+            if not all(new_dcs):
+                continue
+            path.append(z)
+            extend(z, new_cn, new_dcs + [cn], depth + 1)
+            path.pop()
+
+    extend(-1, (1 << n) - 1, [], 0)
+    return cert
 
 
 def reference_field_ops(spec) -> SimpleNamespace:

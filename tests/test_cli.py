@@ -154,10 +154,11 @@ def test_represent_and_algebraic_kernelize(files, capsys, tmp_path):
         (("vectors", 0, 1), ["7"], "ints in [0, 163)"),
         (("vectors", 0, 1), [170], "ints in [0, 163)"),
         (("spec", "irreducible"), [200, 1], "ints in [0, 163)"),
+        (("spec", "p"), 10**24, "primality is decided only below"),
     ],
     ids=(
         "no-spec", "no-p", "no-d", "string-m", "vectors-not-list", "vector-not-list",
-        "string-coefficient", "coefficient-above-p", "modulus-above-p",
+        "string-coefficient", "coefficient-above-p", "modulus-above-p", "p-above-prime-range",
     ),
 )
 def test_malformed_rep_is_one_line(files, capsys, tmp_path, path, value, message):
@@ -181,6 +182,39 @@ def test_malformed_rep_is_one_line(files, capsys, tmp_path, path, value, message
     assert code == 2 and out == ""
     assert err.startswith("hcol: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_rep_above_degree_ceiling_is_refused(files, capsys, tmp_path):
+    # a C5 representation over GF(163) rewritten to GF(163^12) with an
+    # irreducible modulus: refused for its degree, before the modulus is tested
+    payload = json.loads(rep_to_json(vandermonde_rep(make_cycle(5), field_make(163, 1))))
+    payload["spec"].update(m=12, irreducible=[1] + [0] * 10 + [18, 1])
+    rep_path = tmp_path / "deg12.rep"
+    rep_path.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys,
+        "kernelize", files["inst.g"], "--target", files["c5.g"],
+        "--mode", "algebraic", "--rep", str(rep_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("hcol: ") and "degree 12 exceeds ceiling 8" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_rep_over_a_large_prime_is_decided(files, capsys, tmp_path):
+    # the same representation read over GF(10^18 + 3): primality of p is
+    # decided at once, not by trial division up to 10^9
+    payload = json.loads(rep_to_json(vandermonde_rep(make_cycle(5), field_make(163, 1))))
+    payload["spec"]["p"] = 10**18 + 3
+    rep_path = tmp_path / "bigp.rep"
+    rep_path.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys,
+        "kernelize", files["inst.g"], "--target", files["c5.g"],
+        "--mode", "algebraic", "--rep", str(rep_path),
+    )
+    assert code == 0 and err == ""
+    assert '"field_order":1000000000000000003' in out
 
 
 def test_represent_vandermonde_and_ortho(files, capsys):

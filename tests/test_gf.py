@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,21 @@ def test_powers_and_division():
 def test_is_prime():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0)
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    for p in range(10**5):
+        assert is_prime(p) == (p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))), p
+    # Carmichael numbers fool the Fermat test on every coprime base
+    assert not any(is_prime(c) for c in (561, 1105, 1729, 2465))
+
+
+def test_is_prime_is_fast_and_refuses_past_its_range():
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+    # the least composite passing all twelve bases is where exactness ends
+    with pytest.raises(ValueError, match="decided only below"):
+        is_prime(318665857834031151167461)
 
 
 def _check_int_ops(spec, pairs):

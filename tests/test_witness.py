@@ -3,7 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_first_critical, brute_first_embedding, brute_witness_q
+from conftest import (
+    brute_first_critical,
+    brute_first_embedding,
+    brute_witness_q,
+    reference_witness_search,
+)
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import (
@@ -87,6 +92,37 @@ def test_certificate_is_lexicographically_first_on_random_graphs():
         gaps.add(cert.q > clique_number(g))
     # the sample holds graphs with q == omega and with q > omega
     assert gaps == {False, True}
+
+
+DENSITIES = (0.1, 0.3, 0.7, 0.9)
+
+
+def _graph_at_density(rng, n, density):
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+
+
+def test_matches_single_pass_search_across_densities():
+    rng = random.Random(11)
+    for density in DENSITIES:
+        for trial in range(30):
+            g = _graph_at_density(rng, rng.randrange(1, 21), density)
+            assert witness_number(g).witness_set == reference_witness_search(g), (density, g.rows)
+
+
+def test_agrees_with_brute_force_across_densities():
+    rng = random.Random(13)
+    for density in DENSITIES:
+        for trial in range(25):
+            g = _graph_at_density(rng, rng.randrange(1, 10), density)
+            cert = witness_number(g)
+            assert cert.q == brute_witness_q(g), (density, g.rows)
+            assert cert.witness_set == brute_first_critical(g), (density, g.rows)
+
+
+def test_pinned_certificate_on_g40():
+    cert = witness_number(make_random(40, 0))
+    assert cert.q == 8
+    assert cert.witness_set == (0, 1, 16, 20, 23, 29, 35, 37)
 
 
 def test_sandwich_bounds():
