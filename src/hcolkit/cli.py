@@ -1,8 +1,9 @@
 """Command-line frontend: witness numbers, kernelization, representations,
 reductions, and experiment sweeps.
 
-Exit codes: 0 success, 1 usage error (bad flags, unreadable inputs),
-2 ceiling/feasibility abort, 3 internal invariant violation.  Every
+Exit codes: 0 success; 1 usage error (bad flags) or a file that cannot
+be read or written; 2 refused input (malformed content, a bad HCOL_*
+value, or input above a ceiling); 3 internal invariant violation.  Every
 command is deterministic given its inputs and seed: stats omit wall
 time, JSON is key-sorted, CSV headers are fixed.
 
@@ -326,7 +327,7 @@ def _cmd_sweep(args, ceilings: Ceilings) -> int:
                 rng = random.Random(_sample_seed(args.seed, k, trial))
                 inst = _random_growth_instance(rng, k, args.q)
                 result = combinatorial_kernel(inst, args.q, ceilings=ceilings)
-                report = kernel_size_report(result, k, args.q)
+                report = kernel_size_report(result)
                 rows.append(
                     f"{k},{trial},{report['vertices']},{report['vertex_bound']},"
                     f"{report['ratio']:.4f}"

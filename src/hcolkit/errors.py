@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-Exit-code mapping used by the CLI: bad input / usage -> 1,
-CeilingError -> 2, InvariantViolation -> 3.
+Exit-code mapping used by the CLI: 1 for a usage error or a file that
+cannot be read or written; 2 for refused input (malformed content or a
+bad HCOL_* value, raised as ValueError, and CeilingError for input
+above a ceiling); 3 for InvariantViolation.
 """
 
 

@@ -54,8 +54,10 @@ _PIN_DEGREE = 5
 _CLUSTER_CAP = 64
 
 # (H rows, cluster signature) -> compiled table; clusters repeat heavily
-# across gadget copies, so this cache collapses their cost.
+# across gadget copies, so this cache collapses their cost.  It is
+# emptied whenever it reaches the cap, so a long-lived process stays bounded.
 _cluster_cache: dict = {}
+_CLUSTER_CACHE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,8 @@ class _ComponentSolver:
                 sum(1 << b for b in range(h.n) if feasible((a, b)))
                 for a in range(h.n)
             )
+        if len(_cluster_cache) >= _CLUSTER_CACHE_CAP:
+            _cluster_cache.clear()
         _cluster_cache[key] = result
         return result
 

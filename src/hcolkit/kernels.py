@@ -7,15 +7,15 @@ neighborhood trace of some outside vertex, one fresh vertex adjacent
 exactly to S.  Correct whenever q is at least the non-adjacency witness
 number of the target.
 
-Algebraic kernel: run the combinatorial kernel at q = d, then attach to
-every retained size-d trace the symbolic determinant of the unit-first-
-row matrix of its cover variables, keep a greedy basis of these
-polynomials, and drop the vertices of the discarded ones.  The basis is
-selected on the +-1 boundary rows of the traces (see `polys`), and the
-polynomials are built only when read, as its certificate.  Correct for
-targets carrying a faithful d-dimensional independent representation
-with unit first entries over the working field; the representation
-itself never enters the computation, only its field does.
+Algebraic kernel: the same realized traces at q = d, with the size-d
+ones thinned to those whose symbolic determinant (of the unit-first-row
+matrix of its cover variables) enters a greedy basis of these
+polynomials; one kernel is laid out from the filtered traces.  The
+basis is selected on the +-1 boundary rows of the traces (see `polys`),
+and the polynomials are built only when read, as its certificate.
+Correct for targets carrying a faithful d-dimensional independent
+representation with unit first entries over the working field; the
+representation itself never enters the computation, only its field does.
 
 Exact closed-form size bounds are recorded with every run and asserted,
 never treated asymptotically.
@@ -128,35 +128,16 @@ def size_bounds(mode: str, k: int, exponent: int, vertices: int) -> dict:
     }
 
 
-def _attach_traces(cover_edges: list, k: int, traces: list) -> tuple[Graph, dict]:
-    """The cover graph on 0..k-1 plus one vertex per trace, adjacent
-    exactly to it, and the provenance of those vertices."""
-    provenance = dict(enumerate(traces, start=k))
-    edges = cover_edges + [(v, u) for v, trace in provenance.items() for u in trace]
-    return Graph(k + len(traces), edges), provenance
-
-
-def combinatorial_kernel(
-    inst: VertexCoverInstance,
-    q: int,
-    *,
-    ceilings: Ceilings = DEFAULT_CEILINGS,
-) -> KernelResult:
-    """Subset-trace kernel at parameter q.
-
-    Enumerates, per outside vertex, the subsets of its neighborhood of
-    size at most q, deduplicating globally; one vertex per realized
-    subset regardless of how many outside vertices realize it.
-    """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    started = time.perf_counter()
-    g = inst.graph
+def _realized_traces(inst: VertexCoverInstance, q: int, ceilings: Ceilings) -> tuple[list, list]:
+    """The cover edges relabelled to 0..k-1, and the sorted cover subsets
+    of size at most q that lie inside some outside vertex's neighborhood.
+    A subset is realized once however many outside vertices realize it."""
     k = inst.k
     if _subset_budget(k, q) > ceilings.subset_budget:
         raise CeilingError(
             f"kernel would enumerate more than {ceilings.subset_budget} cover subsets"
         )
+    g = inst.graph
     x_index = {v: i for i, v in enumerate(inst.cover)}
     outside = [v for v in range(g.n) if v not in x_index]
 
@@ -168,29 +149,48 @@ def combinatorial_kernel(
             for sub in combinations(neigh, size):
                 realized.add(sub)
     cover_edges = [(x_index[u], x_index[v]) for u, v in g.edges() if u in x_index and v in x_index]
-    out, provenance = _attach_traces(cover_edges, k, sorted(realized))
+    return cover_edges, sorted(realized)
 
-    bounds = size_bounds("combinatorial", k, q, out.n)
-    stats = {
-        "mode": "combinatorial",
-        "q": q,
-        "k": k,
-        "vertices": out.n,
-        "edges": out.m,
-        **bounds,
-        "elapsed": time.perf_counter() - started,
-    }
-    result = KernelResult(
-        graph=out,
-        cover=tuple(range(k)),
-        provenance=provenance,
-        cover_original=inst.cover,
-        stats=stats,
-    )
+
+def _build_kernel(
+    inst: VertexCoverInstance, cover_edges: list, traces: list, stats: dict, started: float,
+    **basis,
+) -> KernelResult:
+    """The cover graph on 0..k-1 plus one vertex per trace, adjacent
+    exactly to it, with the mode's `stats` completed by the counts and
+    size bounds; validated, and checked against its vertex bound."""
+    k = inst.k
+    provenance = dict(enumerate(traces, start=k))
+    edges = cover_edges + [(v, u) for v, trace in provenance.items() for u in trace]
+    out = Graph(k + len(traces), edges)
+    bounds = size_bounds(stats["mode"], k, _exponent(stats), out.n)
+    stats = {**stats, "k": k, "vertices": out.n, "edges": out.m, **bounds}
+    stats["elapsed"] = time.perf_counter() - started
+    result = KernelResult(out, tuple(range(k)), provenance, inst.cover, stats, **basis)
     result.validate()
     if out.n > bounds["vertex_bound"]:
         raise InvariantViolation("vertex bound violated by construction")
     return result
+
+
+def _exponent(stats: Mapping) -> int:
+    """q for a combinatorial kernel, d for an algebraic one."""
+    return stats["q"] if stats["mode"] == "combinatorial" else stats["d"]
+
+
+def combinatorial_kernel(
+    inst: VertexCoverInstance,
+    q: int,
+    *,
+    ceilings: Ceilings = DEFAULT_CEILINGS,
+) -> KernelResult:
+    """Subset-trace kernel at parameter q: one vertex per realized cover
+    subset of size at most q."""
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    started = time.perf_counter()
+    cover_edges, traces = _realized_traces(inst, q, ceilings)
+    return _build_kernel(inst, cover_edges, traces, {"mode": "combinatorial", "q": q}, started)
 
 
 def algebraic_kernel(
@@ -227,50 +227,27 @@ def algebraic_kernel(
         raise ValueError("working field must be larger than the target graph")
 
     started = time.perf_counter()
-    base = combinatorial_kernel(inst, d, ceilings=ceilings)
-    k = inst.k
+    cover_edges, traces = _realized_traces(inst, d, ceilings)
     spec = rep.spec
-
-    size_d_traces = tuple(t for _, t in sorted(base.provenance.items()) if len(t) == d)
+    size_d_traces = tuple(t for t in traces if len(t) == d)
     selection = boundary_basis_select(size_d_traces, spec)
-    kept_traces = {size_d_traces[i] for i in selection.kept}
-    out, provenance = _attach_traces(
-        [(u, v) for u, v in base.graph.edges() if u < k and v < k],
-        k,
-        [t for _, t in sorted(base.provenance.items()) if len(t) < d or t in kept_traces],
-    )
-
-    bounds = size_bounds("algebraic", k, d, out.n)
+    # the boundary matrix of all d-sets of k vertices has rank C(k-1, d-1) (Kalai 1983)
+    if len(selection.kept) > comb(max(inst.k - 1, 0), d - 1):
+        raise InvariantViolation("basis larger than the boundary rank C(k-1, d-1)")
+    kept = {size_d_traces[i] for i in selection.kept}
     stats = {
         "mode": "algebraic",
         "d": d,
-        "k": k,
-        "vertices": out.n,
-        "edges": out.m,
-        **bounds,
         "basis_kept": len(selection.kept),
         "basis_dropped": len(selection.certificates),
         "field_order": spec.order,
         "field": {"p": spec.p, "m": spec.m, "irreducible": list(spec.irreducible)},
-        "elapsed": time.perf_counter() - started,
     }
-    result = KernelResult(
-        graph=out,
-        cover=tuple(range(k)),
-        provenance=provenance,
-        cover_original=inst.cover,
-        stats=stats,
-        basis=selection,
-        basis_traces=size_d_traces,
-        spec=spec,
+    traces = [t for t in traces if len(t) < d or t in kept]
+    return _build_kernel(
+        inst, cover_edges, traces, stats, started,
+        basis=selection, basis_traces=size_d_traces, spec=spec,
     )
-    result.validate()
-    # the boundary matrix of all d-sets of k vertices has rank C(k-1, d-1) (Kalai 1983)
-    if len(selection.kept) > comb(max(k - 1, 0), d - 1):
-        raise InvariantViolation("basis larger than the boundary rank C(k-1, d-1)")
-    if out.n > bounds["vertex_bound"]:
-        raise InvariantViolation("vertex bound violated by construction")
-    return result
 
 
 def verify_kernel_equivalence(
@@ -291,30 +268,28 @@ def verify_kernel_equivalence(
     return before == after
 
 
-def kernel_size_report(result: KernelResult, k: int, exponent: int) -> dict:
-    """Closed-form size accounting for a kernel run.
-
-    Emits actual vertex/edge counts, the exact vertex bound, the
-    bit-size estimate of the canonical encoding, and asserts the
+def kernel_size_report(result: KernelResult) -> dict:
+    """Size accounting for a kernel, also one read back from a file:
+    actual vertex/edge counts beside the k, exponent, exact vertex bound
+    and encoding bit-size estimate recorded in its stats; asserts the
     vertices/bound ratio is at most 1.
     """
-    mode = result.stats["mode"]
+    stats = result.stats
     vertices = result.graph.n
-    bounds = size_bounds(mode, k, exponent, vertices)
-    vertex_bound = bounds["vertex_bound"]
+    vertex_bound = stats["vertex_bound"]
     ratio = vertices / vertex_bound if vertex_bound else 0.0
     if vertices > vertex_bound:
         raise InvariantViolation(
             f"kernel has {vertices} vertices, bound is {vertex_bound}"
         )
     return {
-        "mode": mode,
-        "k": k,
-        "exponent": exponent,
+        "mode": stats["mode"],
+        "k": stats["k"],
+        "exponent": _exponent(stats),
         "vertices": vertices,
         "edges": result.graph.m,
         "vertex_bound": vertex_bound,
-        "bit_size_estimate": bounds["bit_size_estimate"],
+        "bit_size_estimate": stats["bit_size_estimate"],
         "ratio": ratio,
         "within_bound": True,
     }

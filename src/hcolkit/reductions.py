@@ -141,10 +141,7 @@ def _graphs_with_marked_pair(n: int) -> Iterable[Graph]:
 
 
 def find_edge_gadget(
-    target: Graph,
-    max_gadget_vertices: int | None = None,
-    *,
-    ceilings: Ceilings = DEFAULT_CEILINGS,
+    target: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS
 ) -> GadgetSearch:
     """Search for an edge gadget: canonical family first, then all small
     connected marked graphs in increasing size.
@@ -152,7 +149,7 @@ def find_edge_gadget(
     The target should be a core (check with `is_core`); the outcome for
     non-cores is still sound but gadgets typically do not exist.
     """
-    limit = max_gadget_vertices or ceilings.gadget_vertices
+    limit = ceilings.gadget_vertices
     # canonical candidates are constant-time to verify and exempt from
     # the ceiling, which only guards the exponential enumeration below
     for gadget, a, b in _canonical_gadget_candidates():
@@ -252,10 +249,14 @@ class CnfFormula:
                 )
 
 
-def nae_sat_brute(formula: CnfFormula, *, max_vars: int = 24) -> bool:
+# the brute force sweeps 2^n assignments; beyond this it is refused
+_NAE_BRUTE_VARS = 24
+
+
+def nae_sat_brute(formula: CnfFormula) -> bool:
     """Exact NAE-satisfiability by exhaustive assignment sweep."""
-    if formula.n_vars > max_vars:
-        raise CeilingError(f"NAE brute force limited to {max_vars} variables")
+    if formula.n_vars > _NAE_BRUTE_VARS:
+        raise CeilingError(f"NAE brute force limited to {_NAE_BRUTE_VARS} variables")
     for bits in range(1 << formula.n_vars):
         ok = True
         for clause in formula.clauses:

@@ -18,7 +18,8 @@ Constructions provided:
   vectors.
 * ``kneser_rep`` - vectors supported exactly on each r-subset lying in
   the kernel of a Vandermonde-type matrix, compressed to dimension
-  m - 2r + 2 by a seeded, verified general-position projection.
+  m - 2r + 2 by a seeded projection, accepted when every neighborhood
+  span keeps its rank and every non-neighbor's vector stays outside it.
 * ``ortho_graph`` - the orthogonality graph on all non-self-orthogonal
   vectors of F^d, carrying its identity representation.
 
@@ -295,11 +296,26 @@ def kneser_system(m: int, r: int, spec: FieldSpec) -> KneserSystem:
         for c, val in zip(cols, solution):
             full[c] = val
         vectors.append(tuple(full))
-    dims = []
+    dims = _neighborhood_ranks(spec, graph, vectors)
+    if dims is None:
+        raise InvariantViolation("support vectors are not faithful")
+    return KneserSystem(graph, m, r, spec, tuple(vectors), dims)
+
+
+def _neighborhood_ranks(
+    spec: FieldSpec, graph: Graph, vectors: Sequence[Vector]
+) -> Optional[tuple[int, ...]]:
+    """Per vertex, the rank of its neighbors' vectors; None when some
+    non-neighbor's vector lies in that span."""
+    ranks = []
     for b in range(graph.n):
-        neighbor_vecs = [vectors[c] for c in graph.neighbors(b)]
-        dims.append(matrix_rank(Matrix(spec, neighbor_vecs)) if neighbor_vecs else 0)
-    return KneserSystem(graph, m, r, spec, tuple(vectors), tuple(dims))
+        basis = SpanBasis(spec)
+        for c in graph.neighbors(b):
+            basis.add(vectors[c])
+        if any(basis.contains(vectors[a]) for a in range(graph.n) if not graph.has_edge(a, b)):
+            return None
+        ranks.append(basis.rank)
+    return tuple(ranks)
 
 
 def kneser_rep(
@@ -313,9 +329,9 @@ def kneser_rep(
     """Faithful independent representation of K(m, r) in dimension m - 2r + 2.
 
     Pipeline: support vectors from the nullspace system, then a seeded
-    random linear map to t = m - 2r + 2 coordinates, accepted only after
-    verifying it preserves the dimension of every neighborhood subspace
-    and of every such subspace extended by a non-adjacent vertex vector.
+    random linear map to t = m - 2r + 2 coordinates, accepted only when
+    every vertex's neighborhood span keeps its rank and every
+    non-neighbor's vector stays outside that span.
     """
     if not (r >= 1 and m >= 2 * r):
         raise ValueError(f"need m >= 2r >= 2, got m={m}, r={r}")
@@ -328,21 +344,6 @@ def kneser_rep(
     system = kneser_system(m, r, spec)
     graph = system.graph
     t = m - 2 * r + 2
-    vectors = system.support_vectors
-
-    # spanning sets whose dimensions the projection must preserve
-    jobs: list[tuple[tuple[int, ...], int]] = []  # (vertex list of the set, extra vertex or -1)
-    base_rank: list[int] = []
-    for b in range(graph.n):
-        jobs.append((graph.neighbors(b), -1))
-        base_rank.append(system.neighborhood_dims[b])
-    for a in range(graph.n):
-        for b in range(graph.n):
-            if not graph.has_edge(a, b):
-                jobs.append((graph.neighbors(b), a))
-                rows = [vectors[c] for c in graph.neighbors(b)] + [vectors[a]]
-                base_rank.append(matrix_rank(Matrix(spec, rows)))
-
     rng = random.Random(seed)
     for _ in range(ceilings.retry_cap):
         phi = Matrix(
@@ -352,17 +353,8 @@ def kneser_rep(
                 for _ in range(t)
             ],
         )
-        projected = [tuple(phi.matvec(list(vec))) for vec in vectors]
-        ok = True
-        for (members, extra), want in zip(jobs, base_rank):
-            rows = [projected[c] for c in members]
-            if extra >= 0:
-                rows.append(projected[extra])
-            got = matrix_rank(Matrix(spec, rows)) if rows else 0
-            if got != want:
-                ok = False
-                break
-        if ok:
+        projected = [tuple(phi.matvec(list(vec))) for vec in system.support_vectors]
+        if _neighborhood_ranks(spec, graph, projected) == system.neighborhood_dims:
             rep = Representation(graph, spec, t, tuple(projected), INDEPENDENT)
             report = check_faithful(rep)
             if not report:

@@ -231,23 +231,53 @@ def test_represent_vandermonde_and_ortho(files, capsys):
     "argv, digest",
     [
         (
-            ("--family", "kneser", "--m", "5", "--r", "2"),
+            ("represent", "--family", "kneser", "--m", "5", "--r", "2"),
             "9ec953cc17ad2132d644cbb6652158d5bce014edb02f61c9f7507d362f4253e2",
         ),
         (
-            ("--family", "kneser", "--m", "5", "--r", "2", "--field", "2^8"),
+            ("represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "2^8"),
             "e78d075cd8f2cda3f63b23d98d05c3894008919bdf11de74745d546386d20332",
         ),
         (
-            ("--family", "vandermonde", "--graph", "c5.g", "--field", "7"),
+            ("represent", "--family", "vandermonde", "--graph", "c5.g", "--field", "7"),
             "c5a6ed421b682886792e2d20d006d92805b419b05272a09e593c2c8510b48840",
         ),
+        # seeds whose first projections are rejected (two or three trials)
+        (
+            ("--seed", "5", "represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "163"),
+            "0b76c7bc72ccc3ff9306f4cce2f5f7fc06e530d2917a7af4a90ae18badb983a2",
+        ),
+        (
+            ("--seed", "6", "represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "163"),
+            "2a8d5f10399bfd514b33baee0318a8814dec1b5efa69492e3a2073ac55738f28",
+        ),
+        (
+            ("--seed", "9", "represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "163"),
+            "d79e56896f066013991599882902774a9f821349b70cfe53a8e3d48fae111084",
+        ),
+        (
+            ("--seed", "1", "represent", "--family", "kneser", "--m", "6", "--r", "2", "--field", "307"),
+            "96e176924985a0b28a92c5287e290ba322d20249009942d799efdb8c5bd1c637",
+        ),
+        (
+            ("--seed", "8", "represent", "--family", "kneser", "--m", "7", "--r", "2", "--field", "509"),
+            "2f82d5728d56d6cde3499489965bcb71df0e02a7bb019fe6eb93c61afc90c460",
+        ),
     ],
-    ids=("kneser-5-2", "kneser-5-2-gf256", "vandermonde-c5-gf7"),
+    ids=(
+        "kneser-5-2",
+        "kneser-5-2-gf256",
+        "vandermonde-c5-gf7",
+        "kneser-5-2-seed5",
+        "kneser-5-2-seed6",
+        "kneser-5-2-seed9",
+        "kneser-6-2-gf307-seed1",
+        "kneser-7-2-gf509-seed8",
+    ),
 )
 def test_represent_output_is_pinned(files, capsys, argv, digest):
     # representation JSON is part of the output contract: seeded and byte-stable
-    code, out, _ = run(capsys, "represent", *(files.get(a, a) for a in argv))
+    code, out, _ = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 from math import comb
@@ -18,6 +19,7 @@ from hcolkit.kernels import (
     greedy_cover_2approx,
     kernel_size_report,
     read_instance,
+    size_bounds,
     read_kernel_result,
     verify_kernel_equivalence,
     write_instance,
@@ -270,7 +272,7 @@ def test_kernel_size_report_closed_forms():
         Graph(11, [(i, 10) for i in range(10)]), range(10)
     )
     res = combinatorial_kernel(inst, 2)
-    report = kernel_size_report(res, 10, 2)
+    report = kernel_size_report(res)
     assert report["vertex_bound"] == 10 + 10 + 45
     assert report["bit_size_estimate"] == comb(10, 2) + 55
     assert report["ratio"] <= 1
@@ -280,8 +282,52 @@ def test_kernel_size_report_closed_forms():
 def test_kernel_size_report_empty_cover():
     inst = VertexCoverInstance(Graph(0), ())
     res = combinatorial_kernel(inst, 2)
-    report = kernel_size_report(res, 0, 2)
+    report = kernel_size_report(res)
     assert report["vertices"] == 0 and report["vertex_bound"] == 0
+
+
+@pytest.mark.parametrize("field", [(7, 1), (2, 3)], ids=("gf7", "gf8"))
+def test_algebraic_kernel_filters_the_combinatorial_traces(field):
+    # the algebraic kernel is the combinatorial kernel at q = d with the
+    # size-d traces outside the basis removed, in the same order
+    rng = random.Random(31)
+    spec = field_make(*field)
+    dropped = 0
+    for trial in range(30):
+        d = 3 + trial % 2
+        target = make_complete(d)
+        rep = vandermonde_rep(target, spec)
+        inst = random_cover_instance(rng, n_max=16, k_max=10)
+        res = algebraic_kernel(inst, target, rep, d)
+        base = combinatorial_kernel(inst, d)
+        traces = [t for _, t in sorted(base.provenance.items())]
+        assert res.basis_traces == tuple(t for t in traces if len(t) == d)
+        kept = {res.basis_traces[i] for i in res.basis.kept}
+        filtered = [t for t in traces if len(t) < d or t in kept]
+        assert res.provenance == dict(enumerate(filtered, start=inst.k))
+        dropped += len(traces) - len(filtered)
+        for kernel, mode in ((res, "algebraic"), (base, "combinatorial")):
+            report = kernel_size_report(kernel)
+            bounds = size_bounds(mode, inst.k, d, kernel.graph.n)
+            assert (report["mode"], report["k"], report["exponent"]) == (mode, inst.k, d)
+            assert report["vertex_bound"] == bounds["vertex_bound"]
+            assert report["bit_size_estimate"] == bounds["bit_size_estimate"]
+    assert dropped > 0, "no trial dropped a size-d trace"
+
+
+def test_kernel_size_report_of_a_kernel_read_back():
+    inst = full_trace_instance(5)
+    for res in (combinatorial_kernel(inst, 2), algebraic_kernel(inst, make_complete(3), k3_rep(), 3)):
+        back = read_kernel_result(write_kernel_result(res))
+        assert kernel_size_report(back) == kernel_size_report(res)
+    # the report's own check catches a file whose kernel outgrew its bound
+    text = write_kernel_result(combinatorial_kernel(full_trace_instance(4), 2))
+    graph_part, stats_part = text.split("STATS ")
+    stats = json.loads(stats_part)
+    stats["vertex_bound"] = 4
+    back = read_kernel_result(graph_part + "STATS " + json.dumps(stats) + "\n")
+    with pytest.raises(InvariantViolation):
+        kernel_size_report(back)
 
 
 def test_instance_file_round_trip():

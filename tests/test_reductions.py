@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import brute_hom_exists
+from hcolkit.config import Ceilings
 from hcolkit.graphs import (
     Graph,
     make_complete,
@@ -13,6 +14,7 @@ from hcolkit.graphs import (
     make_petersen,
     make_random,
 )
+from hcolkit import hom
 from hcolkit.hom import find_homomorphism, is_core
 from hcolkit.reductions import (
     CnfFormula,
@@ -104,7 +106,7 @@ def test_find_gadget_for_kneser_6_2():
 
 def test_gadget_search_inconclusive_on_non_core():
     # C_4 is bipartite, not a core; nothing small should verify
-    search = find_edge_gadget(make_cycle(4), max_gadget_vertices=4)
+    search = find_edge_gadget(make_cycle(4), ceilings=Ceilings(gadget_vertices=4))
     assert isinstance(search, GadgetSearch)
     assert search.found is None
     assert search.searched_up_to == 4
@@ -114,7 +116,7 @@ def test_enumerated_gadget_for_wheel():
     # W5, the 5-cycle 0..4 with hub 5: the canonical candidates fail and
     # the enumeration's first verifying mask is pinned
     w5 = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
-    found = find_edge_gadget(w5, max_gadget_vertices=5).found
+    found = find_edge_gadget(w5, ceilings=Ceilings(gadget_vertices=5)).found
     assert found is not None
     assert (found.gadget.rows, found.a, found.b) == ((24, 4, 26, 21, 13), 0, 1)
 
@@ -342,3 +344,35 @@ def test_list_instance_round_trip():
     text = write_list_instance(g, lists)
     g2, lists2 = read_list_instance(text)
     assert g2 == g and lists2 == lists
+
+
+def test_cluster_cache_cap_keeps_answers(monkeypatch):
+    # with the cache cap at one entry, every compiled cluster evicts the
+    # last, and the answers on reduction outputs stay those of the
+    # list oracle on the original instance
+    rng = random.Random(41)
+    c5 = make_cycle(5)
+    gadget = c5_gadget()
+    cases = []
+    for _ in range(20):
+        n = rng.randrange(1, 9)
+        g = make_random(n, rng.randrange(10**6))
+        lists = {v: tuple(sorted(rng.sample(range(5), rng.randrange(1, 6)))) for v in range(n)}
+        cases.append((g, lists, reduce_list_to_plain(g, lists, c5, gadget)))
+
+    class RecordingCache(dict):
+        inserts = peak = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            RecordingCache.inserts += 1
+            RecordingCache.peak = max(RecordingCache.peak, len(self))
+
+    uncapped = [find_homomorphism(out, c5) for _, _, out in cases]
+    monkeypatch.setattr(hom, "_cluster_cache", RecordingCache())
+    monkeypatch.setattr(hom, "_CLUSTER_CACHE_CAP", 1)
+    for (g, lists, out), before in zip(cases, uncapped):
+        got = find_homomorphism(out, c5)
+        assert (got is not None) == (find_homomorphism(g, c5, lists=lists) is not None)
+        assert (got and got.assignment) == (before and before.assignment)
+    assert RecordingCache.inserts > 1 and RecordingCache.peak == 1

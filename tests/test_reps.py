@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
-from hcolkit.gf import field_make, is_prime, matrix_rank
+from hcolkit.gf import Matrix, field_make, is_prime, matrix_rank
 from hcolkit.graphs import Graph, make_complete, make_cycle, make_kneser, make_path, make_petersen, make_random
 from hcolkit.reps import (
+    _neighborhood_ranks,
     PETERSEN_FIXTURE_VECTORS,
     Representation,
     adjacency_rank_matrix,
@@ -285,3 +288,50 @@ def test_rep_serialization_rejects_mismatched_graph():
     rep = vandermonde_rep(make_cycle(5), field_make(7, 1))
     with pytest.raises(ValueError):
         rep_from_json(rep_to_json(rep), make_cycle(6))
+
+
+def old_projection_test(spec, graph, vectors, dims):
+    """The rank-per-pair acceptance test: every neighborhood keeps its
+    rank, and so does every neighborhood extended by a non-neighbor."""
+    def rank(rows):
+        return matrix_rank(Matrix(spec, rows)) if rows else 0
+
+    for b in range(graph.n):
+        rows = [vectors[c] for c in graph.neighbors(b)]
+        if rank(rows) != dims[b]:
+            return False
+        for a in range(graph.n):
+            if not graph.has_edge(a, b) and rank(rows + [vectors[a]]) != dims[b] + 1:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("m, r, p", [(5, 2, 31), (5, 2, 11), (6, 2, 13), (4, 2, 7)])
+def test_neighborhood_ranks_accept_the_projections_the_rank_test_accepts(m, r, p):
+    # a small field makes many projections fail, so both outcomes occur
+    spec = field_make(p, 1)
+    system = kneser_system(m, r, spec)
+    graph = system.graph
+    assert system.neighborhood_dims == tuple(
+        matrix_rank(Matrix(spec, [system.support_vectors[c] for c in graph.neighbors(b)]))
+        for b in range(graph.n)
+    )
+    rng = random.Random(m * 100 + p)
+    t = m - 2 * r + 2
+    outcomes = set()
+    for _ in range(40):
+        phi = Matrix(spec, [[spec.from_index(rng.randrange(p)) for _ in range(m)] for _ in range(t)])
+        projected = [tuple(phi.matvec(list(vec))) for vec in system.support_vectors]
+        accepted = _neighborhood_ranks(spec, graph, projected) == system.neighborhood_dims
+        assert accepted == old_projection_test(spec, graph, projected, system.neighborhood_dims)
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
+def test_neighborhood_ranks_none_when_a_non_neighbor_is_in_the_span():
+    spec = field_make(5, 1)
+    path = make_path(3)  # 0 - 1 - 2
+    e1, e2, e3 = (tuple(spec.from_int(int(i == j)) for j in range(3)) for i in range(3))
+    assert _neighborhood_ranks(spec, path, [e1, e2, e3]) == (1, 2, 1)
+    # vertex 0's span is <x_1>, which now holds its non-neighbor x_2
+    assert _neighborhood_ranks(spec, path, [e1, e2, tuple(x + x for x in e2)]) is None
