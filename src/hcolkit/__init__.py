@@ -36,7 +36,7 @@ from .witness import (
     witness_bound_via_b,
     witness_number,
 )
-from .gf import FieldElement, FieldSpec, Matrix, determinant, field_extension_above, field_make, row_reduce
+from .gf import FieldElement, FieldSpec, field_extension_above, field_make
 from .polys import BasisSelection, SparsePoly, det_poly, poly_basis_select
 from .reps import (
     Representation,

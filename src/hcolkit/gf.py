@@ -30,13 +30,13 @@ index encodes, multiply with ``_poly_mulmod`` and invert as a^(q-2).
 All linear algebra runs on one routine, :class:`Elimination`: greedy
 incremental elimination of sparse int-encoded rows, pivoting on each
 kept row's least key.  It records the labels of the kept (independent)
-rows in input order with their pivots and leads, and returns for every
-dropped row a certificate: its coordinates over the kept rows.
-``row_reduce`` and ``matrix_rank`` insert the columns (kept columns are
-the pivots, and the certificates are the RREF entries),
-``determinant`` inserts the rows, ``SpanBasis`` inserts or only
-reduces vectors, and ``polys`` inserts boundary rows keyed by face or
-polynomials keyed by monomial.
+rows in input order with their pivots, and returns for every dropped
+row a certificate: its coordinates over the kept rows.
+:func:`greedy_basis` runs it over a sequence of rows, and
+:func:`matrix_rank` counts the rows it keeps; ``SpanBasis`` inserts or
+only reduces vectors, for span membership; ``polys`` inserts boundary
+rows keyed by face or polynomials keyed by monomial, and ``reps``
+inserts columns to read off nullspaces and coordinates.
 """
 
 from __future__ import annotations
@@ -535,7 +535,6 @@ class Elimination:
         self.ops = int_field(spec)
         self.kept: list = []  # labels of the kept rows, in insertion order
         self.pivots: list = []  # pivot key of each kept row
-        self.leads: list[int] = []  # its entry at the pivot before scaling
         # per kept row: the monic reduced row and its expression over kept labels
         self._rows: list[tuple[dict, dict]] = []
 
@@ -582,7 +581,6 @@ class Elimination:
             expr[k] = ops.neg(ops.mul(val, lead_inv))
         self.kept.append(label)
         self.pivots.append(pivot)
-        self.leads.append(rem[pivot])
         self._rows.append(({k: ops.mul(v, lead_inv) for k, v in rem.items()}, expr))
         return None
 
@@ -604,100 +602,9 @@ def greedy_basis(spec: FieldSpec, rows: Iterable[dict]) -> tuple[list[int], dict
     return elim.kept, certificates
 
 
-# ---------------------------------------------------------------------------
-# Dense matrices
-# ---------------------------------------------------------------------------
-
-class Matrix:
-    """Row-major dense matrix over one FieldSpec."""
-
-    __slots__ = ("spec", "rows", "cols", "data")
-
-    def __init__(self, spec: FieldSpec, data: Sequence[Sequence[FieldElement]]):
-        self.spec = spec
-        self.data = tuple(tuple(row) for row in data)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-            for x in row:
-                if x.spec != spec:
-                    raise ValueError("mixed field elements in matrix")
-
-    @classmethod
-    def from_ints(cls, spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "Matrix":
-        return cls(spec, [[spec.from_int(x) for x in row] for row in rows])
-
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        return cls(
-            spec,
-            [[spec.one if i == j else spec.zero for j in range(n)] for i in range(n)],
-        )
-
-    def __getitem__(self, idx: tuple[int, int]) -> FieldElement:
-        return self.data[idx[0]][idx[1]]
-
-    def matvec(self, vec: Sequence[FieldElement]) -> list[FieldElement]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.data:
-            acc = self.spec.zero
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            out.append(acc)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.spec == other.spec and self.data == other.data
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols} over {self.spec})"
-
-
-def row_reduce(matrix: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form, rank, and pivot columns (ascending).
-
-    The pivots are the columns outside the span of the columns before
-    them; row i of the form holds each other column's coordinate on
-    pivot i.
-    """
-    spec = matrix.spec
-    pivots, certificates = greedy_basis(spec, map(int_vector, zip(*matrix.data)))
-    rows = [
-        [
-            spec.from_index(1 if c == p else certificates.get(c, {}).get(p, 0))
-            for c in range(matrix.cols)
-        ]
-        for p in pivots
-    ]
-    rows += [[spec.zero] * matrix.cols] * (matrix.rows - len(pivots))
-    return Matrix(spec, rows), len(pivots), pivots
-
-
-def matrix_rank(matrix: Matrix) -> int:
-    return len(greedy_basis(matrix.spec, map(int_vector, zip(*matrix.data)))[0])
-
-
-def determinant(matrix: Matrix) -> FieldElement:
-    """Exact determinant: the rows reduced in order are triangular in the
-    order of their pivots, so it is the sign of that permutation times
-    the product of the leads, or zero once a row is dependent."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant needs a square matrix")
-    spec = matrix.spec
-    elim = Elimination(spec)
-    for i, row in enumerate(matrix.data):
-        if elim.insert(int_vector(row), i) is not None:
-            return spec.zero
-    ops, pivots = elim.ops, elim.pivots
-    det = 1
-    for lead in elim.leads:
-        det = ops.mul(det, lead)
-    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
-    return spec.from_index(ops.neg(det) if inversions % 2 else det)
+def matrix_rank(spec: FieldSpec, rows: Iterable[Sequence[FieldElement]]) -> int:
+    """Rank of the given rows of field elements."""
+    return len(greedy_basis(spec, map(int_vector, rows))[0])
 
 
 class SpanBasis:

@@ -302,6 +302,8 @@ def parse_graph_lines(lines: Iterable[str]) -> tuple[Graph, list[list[str]]]:
             expect_edges = header[1]
             continue
         if tokens[0] == "L":
+            if len(tokens) < 2:
+                raise ValueError(f"label line without a vertex: {line!r}")
             labels[int(tokens[1])] = " ".join(tokens[2:])
         elif tokens[0].lstrip("-").isdigit():
             if len(tokens) != 2:

@@ -342,16 +342,22 @@ def read_kernel_result(text: str) -> KernelResult:
     g, extras = parse_graph_lines(text.splitlines())
     cover: tuple[int, ...] = ()
     provenance: dict[int, tuple[int, ...]] = {}
-    stats: dict = {}
+    stats = None
     for tokens in extras:
         if tokens[0] == "X":
             cover = tuple(int(t) for t in tokens[1:])
         elif tokens[0] == "S":
+            if len(tokens) < 2 or not 0 <= int(tokens[1]) < g.n:
+                raise ValueError(f"S line needs a vertex of the graph: {' '.join(tokens)!r}")
             provenance[int(tokens[1])] = tuple(int(t) for t in tokens[2:])
         elif tokens[0] == "STATS":
             stats = json.loads(" ".join(tokens[1:]))
+            if type(stats) is not dict:
+                raise ValueError("kernel file STATS must be a JSON object")
         else:
             raise ValueError(f"unexpected line in kernel file: {tokens[0]!r}")
+    if stats is None:
+        raise ValueError("kernel file is missing its STATS line")
     result = KernelResult(
         graph=g,
         cover=cover,

@@ -40,7 +40,6 @@ from .errors import CeilingError, InvariantViolation
 from .gf import (
     FieldElement,
     FieldSpec,
-    Matrix,
     SpanBasis,
     field_extension_above,
     greedy_basis,
@@ -118,15 +117,10 @@ def check_faithful(rep: Representation) -> FaithfulnessReport:
                 if orthogonal != g.has_edge(u, v):
                     return FaithfulnessReport(False, (u, v, g.has_edge(u, v)))
         return FaithfulnessReport(True)
-    for v in range(g.n):
-        basis = SpanBasis(rep.spec)
-        for w in g.neighbors(v):
-            basis.add(rep.vectors[w])
-        for u in range(g.n):
-            in_span = basis.contains(rep.vectors[u])
-            if in_span != g.has_edge(u, v):
-                return FaithfulnessReport(False, (u, v, g.has_edge(u, v)))
-    return FaithfulnessReport(True)
+    # a neighbor's vector lies in the span trivially, so the first
+    # violation is a non-neighbor inside it
+    _, bad = _neighborhood_ranks(rep.spec, g, rep.vectors)
+    return FaithfulnessReport(True) if bad is None else FaithfulnessReport(False, (*bad, False))
 
 
 def as_independent(rep: Representation) -> Representation:
@@ -164,9 +158,9 @@ def vandermonde_rep(g: Graph, spec: FieldSpec) -> Representation:
     return rep
 
 
-def _complete_to_invertible(spec: FieldSpec, first_row: Vector, d: int) -> Matrix:
-    """Invertible d x d matrix with the given first row, completed greedily
-    by standard basis vectors."""
+def _complete_to_invertible(spec: FieldSpec, first_row: Vector, d: int) -> list[list[FieldElement]]:
+    """Rows of an invertible d x d matrix with the given first row,
+    completed greedily by standard basis vectors."""
     rows = [list(first_row)]
     basis = SpanBasis(spec)
     if not basis.add(first_row):
@@ -177,7 +171,7 @@ def _complete_to_invertible(spec: FieldSpec, first_row: Vector, d: int) -> Matri
             rows.append(e)
         if len(rows) == d:
             break
-    return Matrix(spec, rows)
+    return rows
 
 
 def normalize_first_entry(
@@ -219,7 +213,7 @@ def normalize_first_entry(
     a = _complete_to_invertible(ext, y, d)
     out = []
     for vec in vecs:
-        image = a.matvec(list(vec))
+        image = [inner_product(row, vec) for row in a]
         scale = image[0].inverse()
         out.append(tuple(x * scale for x in image))
     result = Representation(g, ext, d, tuple(out), INDEPENDENT)
@@ -296,26 +290,29 @@ def kneser_system(m: int, r: int, spec: FieldSpec) -> KneserSystem:
         for c, val in zip(cols, solution):
             full[c] = val
         vectors.append(tuple(full))
-    dims = _neighborhood_ranks(spec, graph, vectors)
-    if dims is None:
+    dims, bad = _neighborhood_ranks(spec, graph, vectors)
+    if bad is not None:
         raise InvariantViolation("support vectors are not faithful")
     return KneserSystem(graph, m, r, spec, tuple(vectors), dims)
 
 
 def _neighborhood_ranks(
     spec: FieldSpec, graph: Graph, vectors: Sequence[Vector]
-) -> Optional[tuple[int, ...]]:
-    """Per vertex, the rank of its neighbors' vectors; None when some
-    non-neighbor's vector lies in that span."""
+) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, int]]]:
+    """One span pass over the vertices b in order: ``(ranks, None)`` with
+    the rank of each b's neighbors' vectors, or ``(None, (a, b))`` for the
+    first non-neighbor a of b (b itself included) whose vector lies in
+    that span."""
     ranks = []
     for b in range(graph.n):
         basis = SpanBasis(spec)
         for c in graph.neighbors(b):
             basis.add(vectors[c])
-        if any(basis.contains(vectors[a]) for a in range(graph.n) if not graph.has_edge(a, b)):
-            return None
+        for a in range(graph.n):
+            if not graph.has_edge(a, b) and basis.contains(vectors[a]):
+                return None, (a, b)
         ranks.append(basis.rank)
-    return tuple(ranks)
+    return tuple(ranks), None
 
 
 def kneser_rep(
@@ -346,22 +343,13 @@ def kneser_rep(
     t = m - 2 * r + 2
     rng = random.Random(seed)
     for _ in range(ceilings.retry_cap):
-        phi = Matrix(
-            spec,
-            [
-                [spec.from_index(rng.randrange(spec.order)) for _ in range(m)]
-                for _ in range(t)
-            ],
-        )
-        projected = [tuple(phi.matvec(list(vec))) for vec in system.support_vectors]
-        if _neighborhood_ranks(spec, graph, projected) == system.neighborhood_dims:
-            rep = Representation(graph, spec, t, tuple(projected), INDEPENDENT)
-            report = check_faithful(rep)
-            if not report:
-                raise InvariantViolation(
-                    f"dimension-preserving projection not faithful: {report}"
-                )
-            return rep
+        phi = [[spec.from_index(rng.randrange(spec.order)) for _ in range(m)] for _ in range(t)]
+        projected = [
+            tuple(inner_product(row, vec) for row in phi) for vec in system.support_vectors
+        ]
+        # accepted ranks come with no non-neighbor in any span: faithful as is
+        if _neighborhood_ranks(spec, graph, projected)[0] == system.neighborhood_dims:
+            return Representation(graph, spec, t, tuple(projected), INDEPENDENT)
     raise CeilingError(
         f"no dimension-preserving projection found in {ceilings.retry_cap} "
         f"seeded trials (seed={seed}); rerun with another seed or a larger field"
@@ -490,14 +478,16 @@ def adjacency_rank_matrix(
     *,
     seed: int = 0,
     ceilings: Ceilings = DEFAULT_CEILINGS,
-) -> Matrix:
-    """Matrix M of rank <= d with M[u][v] = 0 exactly on edges.
+) -> tuple[tuple[FieldElement, ...], ...]:
+    """Rows of an n x n matrix M of rank <= d with M[u][v] = 0 exactly on
+    edges.
 
     Built from a faithful independent representation over a field with
     order > n: for each vertex v a dual vector y_v orthogonal to the
     neighbors' span with <x_u, y_v> != 0 for all non-neighbors u is
     found by seeded sampling inside the orthogonal complement, verified
-    before acceptance; then M = X^T Y.
+    before acceptance; then M[u][v] = <x_u, y_v>.  The rank and the
+    zero pattern are checked before M is returned.
     """
     g = rep.graph
     spec = rep.spec
@@ -525,16 +515,15 @@ def adjacency_rank_matrix(
                 f"no dual vector for vertex {v} in {ceilings.retry_cap} trials"
             )
         duals.append(found)
-    entries = [
-        [inner_product(rep.vectors[u], duals[v]) for v in range(g.n)]
+    matrix = tuple(
+        tuple(inner_product(rep.vectors[u], duals[v]) for v in range(g.n))
         for u in range(g.n)
-    ]
-    matrix = Matrix(spec, entries)
-    if matrix_rank(matrix) > rep.d:
+    )
+    if matrix_rank(spec, matrix) > rep.d:
         raise InvariantViolation("adjacency matrix rank exceeds the dimension")
     for u in range(g.n):
         for v in range(g.n):
-            if matrix[u, v].is_zero() != g.has_edge(u, v):
+            if matrix[u][v].is_zero() != g.has_edge(u, v):
                 raise InvariantViolation("adjacency matrix zero pattern broken")
     return matrix
 

@@ -13,7 +13,6 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from hcolkit.gf import Matrix
 from hcolkit.graphs import Graph, common_neighbors
 from hcolkit.kernels import VertexCoverInstance
 from hcolkit.witness import max_clique
@@ -197,19 +196,20 @@ def trial_division_irreducible(poly, p) -> bool:
     return True
 
 
-def reference_row_reduce(matrix: Matrix) -> tuple[list[list], int, list[int]]:
-    """Textbook Gauss-Jordan on field elements: RREF rows, rank, pivot columns."""
-    rows = [list(r) for r in matrix.data]
+def reference_row_reduce(matrix) -> tuple[list[list], int, list[int]]:
+    """Textbook Gauss-Jordan on a nonempty list of rows of field elements:
+    RREF rows, rank, pivot columns."""
+    rows = [list(r) for r in matrix]
     pivots: list[int] = []
     r = 0
-    for c in range(matrix.cols):
-        pivot_row = next((i for i in range(r, matrix.rows) if not rows[i][c].is_zero()), None)
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c].inverse()
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(matrix.rows):
+        for i in range(len(rows)):
             if i != r and not rows[i][c].is_zero():
                 factor = rows[i][c]
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
@@ -219,19 +219,21 @@ def reference_row_reduce(matrix: Matrix) -> tuple[list[list], int, list[int]]:
 
 
 def reference_rank(spec, vectors) -> int:
-    return reference_row_reduce(Matrix(spec, vectors))[1] if vectors else 0
+    return reference_row_reduce(vectors)[1] if vectors else 0
 
 
-def leibniz_determinant(matrix: Matrix):
-    """Sum over all permutations of signed products; only for tiny matrices."""
-    n = matrix.rows
-    assert n == matrix.cols and n <= 6
-    total = matrix.spec.zero
+def leibniz_determinant(matrix):
+    """Sum over all permutations of signed products, for a square list of
+    rows of field elements; only for tiny matrices."""
+    n = len(matrix)
+    assert all(len(row) == n for row in matrix) and 1 <= n <= 6
+    spec = matrix[0][0].spec
+    total = spec.zero
     for perm in permutations(range(n)):
         inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-        term = matrix.spec.one
+        term = spec.one
         for i in range(n):
-            term = term * matrix[i, perm[i]]
+            term = term * matrix[i][perm[i]]
         total = total - term if inversions % 2 else total + term
     return total
 

@@ -33,7 +33,6 @@ from hcolkit.kernels import (
     write_instance,
 )
 from hcolkit.polys import det_poly
-from hcolkit.gf import Matrix
 from hcolkit.reductions import (
     CnfFormula,
     find_edge_gadget,
@@ -229,7 +228,7 @@ def test_criterion_06_det_poly_evaluation_oracle():
                 + [spec.from_index(rng.randrange(spec.order)) for _ in range(d - 1)]
                 for u in vertices
             }
-            matrix = Matrix(spec, [[vectors[u][i] for u in vertices] for i in range(d)])
+            matrix = [[vectors[u][i] for u in vertices] for i in range(d)]
             assert poly.evaluate(vectors) == leibniz_determinant(matrix)
     _report(6, "determinant polynomials match numeric determinants, 20 points per d in {2,3,4}")
 

@@ -184,6 +184,27 @@ def test_malformed_rep_is_one_line(files, capsys, tmp_path, path, value, message
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("witness", "bad.g"), "2 0\nL\n", "label line without a vertex: 'L'"),
+        (
+            ("reduce", "--from", "list-hcol", "--instance", "bad.g", "--target", "c5.g"),
+            "2 0\nA\n",
+            "list line without a vertex: 'A'",
+        ),
+    ],
+    ids=("bare-label", "bare-list-line"),
+)
+def test_bare_tag_line_is_one_line(files, capsys, tmp_path, argv, text, message):
+    files["bad.g"] = str(tmp_path / "bad.g")
+    (tmp_path / "bad.g").write_text(text)
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("hcol: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_rep_above_degree_ceiling_is_refused(files, capsys, tmp_path):
     # a C5 representation over GF(163) rewritten to GF(163^12) with an
     # irreducible modulus: refused for its degree, before the modulus is tested

@@ -351,3 +351,21 @@ def test_kernel_result_file_round_trip():
     assert back.stats == {
         key: val for key, val in res.stats.items() if key != "elapsed"
     }
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("", "missing its STATS line"),
+        ("STATS [1]\n", "STATS must be a JSON object"),
+        ("S\n<stats>", "S line needs a vertex of the graph"),
+        ("S 99 0\n<stats>", "S line needs a vertex of the graph"),
+    ],
+    ids=("no-stats", "stats-not-object", "bare-s", "s-outside-graph"),
+)
+def test_kernel_result_file_refusals(tail, message):
+    # the lines after the graph and cover of a kernel file, <stats> its STATS line
+    text = write_kernel_result(combinatorial_kernel(full_trace_instance(4), 2))
+    head, stats = text.split("STATS ")
+    with pytest.raises(ValueError, match=message):
+        read_kernel_result(head + tail.replace("<stats>", "STATS " + stats))

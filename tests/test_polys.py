@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import leibniz_determinant, reference_rank
-from hcolkit.gf import Matrix, field_make
+from hcolkit.gf import field_make
 from hcolkit.polys import SparsePoly, boundary_basis_select, det_poly, poly_basis_select
 
 GF7 = field_make(7, 1)
@@ -51,7 +51,7 @@ def test_evaluation_matches_numeric_determinant(spec, d):
             + [spec.from_index(rng.randrange(spec.order)) for _ in range(d - 1)]
             for u in vertices
         }
-        matrix = Matrix(spec, [[vectors[u][i] for u in vertices] for i in range(d)])
+        matrix = [[vectors[u][i] for u in vertices] for i in range(d)]
         assert poly.evaluate(vectors) == leibniz_determinant(matrix)
 
 

@@ -1,0 +1,50 @@
+"""Every file reader refuses malformed text with ValueError or an HcolError.
+
+The text is built from the formats' own tag tokens, small ints and
+junk, so that it reaches past the first line of each reader.  The ints
+stay small: a graph header allocates one adjacency row per vertex it
+announces.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hcolkit.errors import HcolError
+from hcolkit.graphs import make_cycle, read_graph
+from hcolkit.kernels import read_instance, read_kernel_result
+from hcolkit.reductions import read_dimacs, read_list_instance
+from hcolkit.reps import rep_from_json
+
+TOKENS = st.one_of(
+    st.sampled_from(["L", "X", "S", "A", "STATS", "p", "cnf", "c", "#", "{", "}", "[", "]"]),
+    st.sampled_from(['"p":', '"n":', ",", "-", "--1", "x", "1.5", "null", "²"]),
+    st.integers(-3, 12).map(str),
+)
+TAGS = st.sampled_from(["L", "X", "S", "A", "STATS", "p cnf"])
+LINE = st.one_of(
+    st.tuples(TAGS, st.lists(TOKENS, max_size=4)).map(lambda t: " ".join([t[0], *t[1]])),
+    st.lists(TOKENS, max_size=6).map(" ".join),
+)
+# most texts open with a well-formed graph header, so the tag lines are read
+HEADER = st.tuples(st.integers(0, 6), st.integers(0, 2)).map(lambda nm: f"{nm[0]} {nm[1]}")
+TEXT = st.tuples(st.one_of(HEADER, LINE), st.lists(LINE, max_size=8)).map(
+    lambda t: "\n".join([t[0], *t[1]])
+)
+
+READERS = {
+    "read_graph": read_graph,
+    "read_instance": read_instance,
+    "read_list_instance": read_list_instance,
+    "read_dimacs": read_dimacs,
+    "rep_from_json": lambda text: rep_from_json(text, make_cycle(3)),
+    "read_kernel_result": read_kernel_result,
+}
+
+
+@given(st.sampled_from(sorted(READERS)), TEXT)
+@settings(max_examples=300, deadline=None)
+def test_readers_raise_only_value_or_hcol_errors(reader, text):
+    try:
+        READERS[reader](text)
+    except (ValueError, HcolError):
+        pass
