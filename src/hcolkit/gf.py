@@ -30,8 +30,14 @@ index encodes, multiply with ``_poly_mulmod`` and invert as a^(q-2).
 All linear algebra runs on one routine, :class:`Elimination`: greedy
 incremental elimination of sparse int-encoded rows, pivoting on each
 kept row's least key.  It records the labels of the kept (independent)
-rows in input order with their pivots, and returns for every dropped
-row a certificate: its coordinates over the kept rows.
+rows in input order and stores each kept row in a dict under its
+pivot.  A new row is reduced as in the standard column algorithm of
+persistence (Edelsbrunner, Letscher & Zomorodian, DCG 2002; PHAT,
+Bauer et al., JSC 2017): look up the stored row of its least key, clear
+that key, and stop at the first least key that has no stored row.  It
+returns for every dropped row a certificate: its coordinates over the
+kept rows.  Both the kept rows and the certificates are unique, so they
+are those of a full reduction.
 :func:`greedy_basis` runs it over a sequence of rows, and
 :func:`matrix_rank` counts the rows it keeps; ``SpanBasis`` inserts or
 only reduces vectors, for span membership; ``polys`` inserts boundary
@@ -526,32 +532,43 @@ class Elimination:
     A row is a dict from sortable keys (column indices, monomials) to
     nonzero ``to_index`` ints.  :meth:`insert` keeps a row exactly when it
     lies outside the span of the rows kept before it.  A kept row is
-    reduced against the earlier ones, pivots on its least key and is
-    stored monic with its expression over the kept inputs, so every
-    dropped row gets a certificate: its coordinates over the kept rows.
+    stored monic under its pivot, its least key, with its expression over
+    the kept inputs, so every dropped row gets a certificate: its
+    coordinates over the kept rows.
+
+    Every stored row has all its keys at or above its pivot, and the
+    pivots are distinct, so every nonzero vector in the span has a
+    stored pivot as its least key.  Reduction therefore only clears the
+    least key while it is a pivot, and stops at the first least key that
+    is not: the rest of the row cannot make it zero.  The kept rows of a
+    greedy basis, and each dropped row's coordinates over them, are
+    unique, so they do not depend on how far rows are reduced.
     """
 
     def __init__(self, spec: FieldSpec):
         self.ops = int_field(spec)
         self.kept: list = []  # labels of the kept rows, in insertion order
-        self.pivots: list = []  # pivot key of each kept row
-        # per kept row: the monic reduced row and its expression over kept labels
-        self._rows: list[tuple[dict, dict]] = []
+        # pivot -> (the monic reduced row, its expression over kept labels)
+        self._rows: dict = {}
 
     def reduce(self, row: dict) -> tuple[dict, dict]:
-        """Clear every pivot of `row` with the kept rows.
+        """Clear the least key of `row` while a kept row pivots on it.
 
-        Returns the remainder and the combination (kept label ->
-        coefficient) taken away: `row` equals the remainder plus that
-        combination of the kept rows.
+        Returns the remainder, empty exactly when `row` lies in the span,
+        and the combination (kept label -> coefficient) taken away:
+        `row` equals the remainder plus that combination of the kept rows.
         """
         add, sub, mul = self.ops.add, self.ops.sub, self.ops.mul
+        rows = self._rows
         rem = dict(row)
         combo: dict = {}
-        for pivot, (reduced, expr) in zip(self.pivots, self._rows):
-            coeff = rem.get(pivot)
-            if not coeff:
-                continue
+        while rem:
+            pivot = min(rem)
+            stored = rows.get(pivot)
+            if stored is None:
+                break
+            reduced, expr = stored
+            coeff = rem[pivot]
             for key, val in reduced.items():
                 acc = sub(rem.get(key, 0), mul(coeff, val))
                 if acc:
@@ -580,8 +597,7 @@ class Elimination:
         for k, val in combo.items():
             expr[k] = ops.neg(ops.mul(val, lead_inv))
         self.kept.append(label)
-        self.pivots.append(pivot)
-        self._rows.append(({k: ops.mul(v, lead_inv) for k, v in rem.items()}, expr))
+        self._rows[pivot] = ({k: ops.mul(v, lead_inv) for k, v in rem.items()}, expr)
         return None
 
 

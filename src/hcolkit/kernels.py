@@ -11,8 +11,10 @@ Algebraic kernel: the same realized traces at q = d, with the size-d
 ones thinned to those whose symbolic determinant (of the unit-first-row
 matrix of its cover variables) enters a greedy basis of these
 polynomials; one kernel is laid out from the filtered traces.  The
-basis is selected on the +-1 boundary rows of the traces (see `polys`),
-and the polynomials are built only when read, as its certificate.
+basis is selected on the +-1 boundary rows of the traces (see `polys`).
+The polynomials, and the certificates that rebuild each dropped one from
+the kept ones, are built only when read: the kernel itself needs only
+the kept set and the count of dropped traces.
 Correct for targets carrying a faithful d-dimensional independent
 representation with unit first entries over the working field; the
 representation itself never enters the computation, only its field does.
@@ -91,15 +93,23 @@ class KernelResult:
             return None
         return [det_poly(trace, len(trace), self.spec) for trace in self.basis_traces]
 
-    def validate(self) -> None:
+    def _mismatch(self) -> Optional[str]:
+        """Where the graph disagrees with the cover or the provenance, or None."""
         if not self.graph.is_vertex_cover(self.cover):
-            raise InvariantViolation("cover lost on the kernel output")
+            return "cover lost on the kernel output"
         for v, trace in self.provenance.items():
             if self.graph.neighbors(v) != trace:
-                raise InvariantViolation(
+                return (
                     f"added vertex {v} has neighborhood {self.graph.neighbors(v)}, "
                     f"provenance says {trace}"
                 )
+        return None
+
+    def validate(self) -> None:
+        """Raise InvariantViolation on a :meth:`_mismatch` of a built kernel."""
+        fault = self._mismatch()
+        if fault is not None:
+            raise InvariantViolation(fault)
 
 
 def _subset_budget(k: int, q: int) -> int:
@@ -163,7 +173,7 @@ def _build_kernel(
     provenance = dict(enumerate(traces, start=k))
     edges = cover_edges + [(v, u) for v, trace in provenance.items() for u in trace]
     out = Graph(k + len(traces), edges)
-    bounds = size_bounds(stats["mode"], k, _exponent(stats), out.n)
+    bounds = size_bounds(stats["mode"], k, stats[_exponent_key(stats)], out.n)
     stats = {**stats, "k": k, "vertices": out.n, "edges": out.m, **bounds}
     stats["elapsed"] = time.perf_counter() - started
     result = KernelResult(out, tuple(range(k)), provenance, inst.cover, stats, **basis)
@@ -173,9 +183,9 @@ def _build_kernel(
     return result
 
 
-def _exponent(stats: Mapping) -> int:
+def _exponent_key(stats: Mapping) -> str:
     """q for a combinatorial kernel, d for an algebraic one."""
-    return stats["q"] if stats["mode"] == "combinatorial" else stats["d"]
+    return "q" if stats["mode"] == "combinatorial" else "d"
 
 
 def combinatorial_kernel(
@@ -239,7 +249,7 @@ def algebraic_kernel(
         "mode": "algebraic",
         "d": d,
         "basis_kept": len(selection.kept),
-        "basis_dropped": len(selection.certificates),
+        "basis_dropped": len(size_d_traces) - len(selection.kept),
         "field_order": spec.order,
         "field": {"p": spec.p, "m": spec.m, "irreducible": list(spec.irreducible)},
     }
@@ -285,7 +295,7 @@ def kernel_size_report(result: KernelResult) -> dict:
     return {
         "mode": stats["mode"],
         "k": stats["k"],
-        "exponent": _exponent(stats),
+        "exponent": stats[_exponent_key(stats)],
         "vertices": vertices,
         "edges": result.graph.m,
         "vertex_bound": vertex_bound,
@@ -358,6 +368,12 @@ def read_kernel_result(text: str) -> KernelResult:
             raise ValueError(f"unexpected line in kernel file: {tokens[0]!r}")
     if stats is None:
         raise ValueError("kernel file is missing its STATS line")
+    # the keys kernel_size_report reads
+    if stats.get("mode") not in ("combinatorial", "algebraic"):
+        raise ValueError("kernel file STATS needs a mode, combinatorial or algebraic")
+    for key in ("k", _exponent_key(stats), "vertex_bound", "bit_size_estimate"):
+        if type(stats.get(key)) is not int:
+            raise ValueError(f"kernel file STATS needs an int {key!r}")
     result = KernelResult(
         graph=g,
         cover=cover,
@@ -365,5 +381,7 @@ def read_kernel_result(text: str) -> KernelResult:
         cover_original=cover,
         stats=stats,
     )
-    result.validate()
+    fault = result._mismatch()
+    if fault is not None:
+        raise ValueError(f"kernel file disagrees with its graph: {fault}")
     return result

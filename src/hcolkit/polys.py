@@ -21,6 +21,7 @@ The polynomials are the certificate to check it against:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -141,12 +142,22 @@ class BasisSelection:
     """Outcome of greedy basis selection over a list of polynomials.
 
     kept: input indices forming the basis, in input order.
-    certificates: for each dropped input index, its exact coordinates
-    over the kept polynomials (kept index -> coefficient).
+    coordinates: for each dropped input index, its exact coordinates over
+    the kept polynomials (kept index -> nonzero ``to_index`` int over
+    `spec`), as :func:`~hcolkit.gf.greedy_basis` returns them.
+    certificates: the same coordinates as field elements, built on first
+    read, as ``KernelResult.polys`` is; the kernel path only counts the
+    dropped indices.
     """
 
     kept: tuple[int, ...]
-    certificates: dict[int, dict[int, FieldElement]]
+    coordinates: dict[int, dict[int, int]]
+    spec: Optional[FieldSpec]  # None only for a selection over no polynomials
+
+    @cached_property
+    def certificates(self) -> dict[int, dict[int, FieldElement]]:
+        spec = self.spec
+        return {i: {k: spec.from_index(v) for k, v in c.items()} for i, c in self.coordinates.items()}
 
     def reconstruct(self, polys: Sequence[SparsePoly], dropped_index: int) -> SparsePoly:
         cert = self.certificates[dropped_index]
@@ -166,7 +177,7 @@ def poly_basis_select(polys: Sequence[SparsePoly]) -> BasisSelection:
     polynomial gets a certificate expressing it over the kept ones.
     """
     if not polys:
-        return BasisSelection(kept=(), certificates={})
+        return BasisSelection(kept=(), coordinates={}, spec=None)
     spec = polys[0].spec
     if any(p.spec != spec for p in polys):
         raise ValueError("polynomials over mixed fields")
@@ -185,17 +196,18 @@ def boundary_basis_select(traces: Sequence[Sequence[int]], spec: FieldSpec) -> B
     cone vertex, so the linear relations stay the same.
     """
 
+    minus_one = spec.ops.neg(1)
+
     def row(trace: Sequence[int]) -> dict:
         t = sorted(trace)
         if t[0] == 0:  # the one face that avoids the cone vertex
             return {tuple(t[1:]): 1}
-        return {tuple(t[:j] + t[j + 1 :]): spec.ops.neg(1) if j % 2 else 1 for j in range(len(t))}
+        return {tuple(t[:j] + t[j + 1 :]): minus_one if j % 2 else 1 for j in range(len(t))}
 
     return _selection(spec, map(row, traces))
 
 
 def _selection(spec: FieldSpec, rows: Iterable[dict]) -> BasisSelection:
-    """:func:`greedy_basis` of int-encoded `rows`, certificates as field elements."""
-    kept, certificates = greedy_basis(spec, rows)
-    as_elements = {i: {k: spec.from_index(v) for k, v in c.items()} for i, c in certificates.items()}
-    return BasisSelection(kept=tuple(kept), certificates=as_elements)
+    """:func:`greedy_basis` of int-encoded `rows`."""
+    kept, coordinates = greedy_basis(spec, rows)
+    return BasisSelection(kept=tuple(kept), coordinates=coordinates, spec=spec)

@@ -194,6 +194,49 @@ def test_elimination_matches_reference_on_random_matrices(spec):
         assert basis.contains(probe) == (reference_rank(spec, rows + [probe]) == rank)
 
 
+def _descending_sparse_rows(rng, spec, n_rows, n_cols) -> list[list]:
+    """Rows of 2-4 nonzeros whose least column falls from row to row, so
+    that each new row pivots below the kept ones and reducing it by a
+    kept row fills in that row's higher columns."""
+    rows = []
+    for i in range(n_rows):
+        lead = (n_cols - 3) - i * (n_cols - 2) // n_rows
+        above = range(lead + 1, n_cols)
+        cols = {lead, *rng.sample(above, min(rng.randrange(1, 4), len(above)))}
+        rows.append([
+            spec.from_index(rng.randrange(1, spec.order)) if c in cols else spec.zero
+            for c in range(n_cols)
+        ])
+    return rows
+
+
+@pytest.mark.parametrize("spec", [field_make(7, 1), field_make(2, 3)], ids=str)
+def test_elimination_stops_early_on_sparse_descending_rows(spec):
+    rng = random.Random(40 + spec.order)
+    rows = _descending_sparse_rows(rng, spec, 40, 25)
+    ref_rows, rank, ref_kept = reference_row_reduce([list(col) for col in zip(*rows)])
+    kept, certificates = greedy_basis(spec, map(int_vector, rows))
+    assert kept == ref_kept
+    assert sorted(certificates) == [i for i in range(len(rows)) if i not in kept]
+    for i, coords in certificates.items():
+        assert [spec.from_index(coords.get(j, 0)) for j in kept] == [
+            ref_rows[r][i] for r in range(rank)
+        ]
+    # a kept row's remainder still holding a pivot above its least key
+    # shows that reduction stopped before clearing every pivot
+    basis, pivots, early_stops = SpanBasis(spec), set(), 0
+    for i, row in enumerate(rows):
+        assert basis.contains(row) == (i not in kept)
+        rem = basis._elim.reduce(int_vector(row))[0]
+        if rem:
+            early_stops += any(key in pivots for key in rem)
+            pivots.add(min(rem))
+        assert basis.add(row) == (i in kept)
+    assert early_stops > 0 and len(certificates) > 0
+    for probe in _random_matrix(rng, spec, 6, 25) + [[a + b for a, b in zip(rows[3], rows[30])]]:
+        assert basis.contains(probe) == (reference_rank(spec, rows + [probe]) == rank)
+
+
 def test_powers_and_division():
     gf9 = field_make(3, 2)
     a = gf9.from_index(5)

@@ -25,7 +25,7 @@ from hcolkit.kernels import (
     write_instance,
     write_kernel_result,
 )
-from hcolkit.polys import BasisSelection, SparsePoly
+from hcolkit.polys import BasisSelection, SparsePoly, poly_basis_select
 from hcolkit.reps import kneser_rep, normalize_first_entry, vandermonde_rep
 
 
@@ -211,9 +211,19 @@ def test_algebraic_kernel_builds_polys_on_first_read(monkeypatch):
         assert res.basis.reconstruct(res.polys, dropped) == res.polys[dropped]
 
 
+def test_algebraic_kernel_builds_certificates_on_first_read():
+    for rep in (k3_rep(), normalize_first_entry(vandermonde_rep(make_complete(3), field_make(2, 3)))):
+        res = algebraic_kernel(full_trace_instance(6), make_complete(3), rep, 3)
+        write_kernel_result(res)
+        assert "certificates" not in res.basis.__dict__
+        certificates = res.basis.certificates
+        assert certificates == poly_basis_select(res.polys).certificates
+        assert res.stats["basis_dropped"] == len(certificates) == comb(6, 3) - comb(5, 2)
+
+
 def test_algebraic_kernel_refuses_basis_above_boundary_rank(monkeypatch):
     def keep_all(traces, spec):
-        return BasisSelection(kept=tuple(range(len(traces))), certificates={})
+        return BasisSelection(kept=tuple(range(len(traces))), coordinates={}, spec=spec)
 
     monkeypatch.setattr(hcolkit.kernels, "boundary_basis_select", keep_all)
     with pytest.raises(InvariantViolation):
@@ -360,8 +370,20 @@ def test_kernel_result_file_round_trip():
         ("STATS [1]\n", "STATS must be a JSON object"),
         ("S\n<stats>", "S line needs a vertex of the graph"),
         ("S 99 0\n<stats>", "S line needs a vertex of the graph"),
+        # a file that disagrees with itself is refused input, not a broken invariant
+        ("X\n<stats>", "cover lost"),
+        ("S 4 1\n<stats>", "added vertex 4 has neighborhood"),
+        # and so is one without the STATS keys kernel_size_report reads
+        ("STATS {}\n", "needs a mode"),
+        ('STATS {"mode":"combinatorial","d":3}\n', "needs an int 'k'"),
+        ('STATS {"mode":"combinatorial","k":4,"d":3}\n', "needs an int 'q'"),
+        ('STATS {"mode":"algebraic","k":4,"d":3}\n', "needs an int 'vertex_bound'"),
+        ('STATS {"mode":"algebraic","k":4,"d":3,"vertex_bound":"15"}\n', "needs an int 'vertex_bound'"),
+        ('STATS {"mode":"algebraic","k":4,"d":3,"vertex_bound":15}\n', "needs an int 'bit_size_estimate'"),
     ],
-    ids=("no-stats", "stats-not-object", "bare-s", "s-outside-graph"),
+    ids=("no-stats", "stats-not-object", "bare-s", "s-outside-graph", "no-cover",
+         "s-trace-differs", "empty-stats", "no-k", "no-q", "no-vertex-bound",
+         "string-vertex-bound", "no-bit-size"),
 )
 def test_kernel_result_file_refusals(tail, message):
     # the lines after the graph and cover of a kernel file, <stats> its STATS line
@@ -369,3 +391,4 @@ def test_kernel_result_file_refusals(tail, message):
     head, stats = text.split("STATS ")
     with pytest.raises(ValueError, match=message):
         read_kernel_result(head + tail.replace("<stats>", "STATS " + stats))
+
