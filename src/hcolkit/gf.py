@@ -30,19 +30,23 @@ index encodes, multiply with ``_poly_mulmod`` and invert as a^(q-2).
 All linear algebra runs on one routine, :class:`Elimination`: greedy
 incremental elimination of sparse int-encoded rows, pivoting on each
 kept row's least key.  It records the labels of the kept (independent)
-rows in input order and stores each kept row in a dict under its
-pivot.  A new row is reduced as in the standard column algorithm of
+rows in input order and stores each kept row, monic, in a dict under
+its pivot.  A new row is reduced as in the standard column algorithm of
 persistence (Edelsbrunner, Letscher & Zomorodian, DCG 2002; PHAT,
 Bauer et al., JSC 2017): look up the stored row of its least key, clear
-that key, and stop at the first least key that has no stored row.  It
-returns for every dropped row a certificate: its coordinates over the
-kept rows.  Both the kept rows and the certificates are unique, so they
-are those of a full reduction.
-:func:`greedy_basis` runs it over a sequence of rows, and
-:func:`matrix_rank` counts the rows it keeps; ``SpanBasis`` inserts or
-only reduces vectors, for span membership; ``polys`` inserts boundary
-rows keyed by face or polynomials keyed by monomial, and ``reps``
-inserts columns to read off nullspaces and coordinates.
+that key, and stop at the first least key that has no stored row.
+Elimination keeps no certificates, so :func:`greedy_kept` (the kept
+set alone) and :func:`matrix_rank` pay only for the reduction.
+:func:`greedy_basis` also returns for every dropped row its
+coordinates over the kept rows.  It gets them from one more pass of the
+same elimination, over the rows each extended by a unit entry under a
+tag key of its own that sorts after every real key: the tags of a
+dropped row's remainder are its coordinates, negated.  Both the kept
+rows and the coordinates are unique, so they are those of a full
+reduction.  ``SpanBasis`` inserts or only reduces vectors, for span
+membership; ``polys`` selects boundary rows keyed by face or
+polynomials keyed by monomial, and reads their certificates only on
+demand; ``reps`` reads off nullspaces and coordinates of columns.
 """
 
 from __future__ import annotations
@@ -531,10 +535,10 @@ class Elimination:
 
     A row is a dict from sortable keys (column indices, monomials) to
     nonzero ``to_index`` ints.  :meth:`insert` keeps a row exactly when it
-    lies outside the span of the rows kept before it.  A kept row is
-    stored monic under its pivot, its least key, with its expression over
-    the kept inputs, so every dropped row gets a certificate: its
-    coordinates over the kept rows.
+    lies outside the span of the rows kept before it, and stores its
+    remainder monic under its pivot, its least key.  No record of how a
+    row was reduced is kept; :func:`greedy_basis` reads coordinates off
+    tag entries instead.
 
     Every stored row has all its keys at or above its pivot, and the
     pivots are distinct, so every nonzero vector in the span has a
@@ -548,26 +552,19 @@ class Elimination:
     def __init__(self, spec: FieldSpec):
         self.ops = int_field(spec)
         self.kept: list = []  # labels of the kept rows, in insertion order
-        # pivot -> (the monic reduced row, its expression over kept labels)
-        self._rows: dict = {}
+        self._rows: dict = {}  # pivot -> the monic reduced row
 
-    def reduce(self, row: dict) -> tuple[dict, dict]:
-        """Clear the least key of `row` while a kept row pivots on it.
-
-        Returns the remainder, empty exactly when `row` lies in the span,
-        and the combination (kept label -> coefficient) taken away:
-        `row` equals the remainder plus that combination of the kept rows.
-        """
-        add, sub, mul = self.ops.add, self.ops.sub, self.ops.mul
+    def reduce(self, row: dict) -> dict:
+        """Clear the least key of `row` while a kept row pivots on it, and
+        return the remainder, empty exactly when `row` lies in the span."""
+        sub, mul = self.ops.sub, self.ops.mul
         rows = self._rows
         rem = dict(row)
-        combo: dict = {}
         while rem:
             pivot = min(rem)
-            stored = rows.get(pivot)
-            if stored is None:
+            reduced = rows.get(pivot)
+            if reduced is None:
                 break
-            reduced, expr = stored
             coeff = rem[pivot]
             for key, val in reduced.items():
                 acc = sub(rem.get(key, 0), mul(coeff, val))
@@ -575,30 +572,20 @@ class Elimination:
                     rem[key] = acc
                 else:
                     rem.pop(key, None)
-            for label, val in expr.items():
-                acc = add(combo.get(label, 0), mul(coeff, val))
-                if acc:
-                    combo[label] = acc
-                else:
-                    combo.pop(label, None)
-        return rem, combo
+        return rem
 
-    def insert(self, row: dict, label) -> dict | None:
-        """Keep `row` under `label` and return None when it is outside the
-        span of the kept rows; otherwise return its certificate over them."""
-        rem, combo = self.reduce(row)
+    def insert(self, row: dict, label) -> bool:
+        """Keep `row` under `label` and return True when it is outside the
+        span of the kept rows; otherwise return False."""
+        rem = self.reduce(row)
         if not rem:
-            return combo
-        ops = self.ops
+            return False
+        mul = self.ops.mul
         pivot = min(rem)
-        lead_inv = ops.inv(rem[pivot])
-        # reduced row = (row - sum combo * kept) / lead, expressed over kept labels
-        expr = {label: lead_inv}
-        for k, val in combo.items():
-            expr[k] = ops.neg(ops.mul(val, lead_inv))
+        lead_inv = self.ops.inv(rem[pivot])
         self.kept.append(label)
-        self._rows[pivot] = ({k: ops.mul(v, lead_inv) for k, v in rem.items()}, expr)
-        return None
+        self._rows[pivot] = {k: mul(v, lead_inv) for k, v in rem.items()}
+        return True
 
 
 def int_vector(vec: Sequence[FieldElement]) -> dict[int, int]:
@@ -606,21 +593,50 @@ def int_vector(vec: Sequence[FieldElement]) -> dict[int, int]:
     return {j: i for j, x in enumerate(vec) if (i := x.to_index())}
 
 
+def greedy_kept(spec: FieldSpec, rows: Iterable[dict]) -> list[int]:
+    """Indices of the int-encoded `rows` that a greedy basis keeps, in order."""
+    elim = Elimination(spec)
+    for i, row in enumerate(rows):
+        elim.insert(row, i)
+    return elim.kept
+
+
 def greedy_basis(spec: FieldSpec, rows: Iterable[dict]) -> tuple[list[int], dict[int, dict]]:
     """Greedy basis of the int-encoded `rows`: the indices kept, in order,
-    and for every other row its int-encoded coordinates over the kept ones."""
+    and for every other row its int-encoded coordinates over the kept ones.
+
+    Row i is reduced with a unit entry under its tag, a key after every
+    key of every row, the tags in row order.  The stored rows then carry
+    their expressions over the kept rows in their tags, and a remainder
+    whose least key is a tag is a dropped row: row i plus the tagged
+    combination of kept rows is zero.
+    """
+    rows = list(rows)
+    top = max((key for row in rows for key in row), default=None)
+    if top is None:  # only zero rows, each the empty combination
+        return [], {i: {} for i in range(len(rows))}
+    # an int key is followed by larger ints, a tuple key by its extensions
+    if isinstance(top, int):
+        tags = range(top + 1, top + 1 + len(rows))
+    else:
+        tags = [top + (i,) for i in range(len(rows))]
+    label = dict(zip(tags, range(len(rows))))
     elim = Elimination(spec)
-    certificates = {}
+    neg = elim.ops.neg
+    coordinates = {}
     for i, row in enumerate(rows):
-        cert = elim.insert(row, i)
-        if cert is not None:
-            certificates[i] = cert
-    return elim.kept, certificates
+        rem = elim.reduce({**row, tags[i]: 1})
+        if min(rem) <= top:
+            elim.insert(rem, i)  # already reduced: stored as it is
+        else:
+            del rem[tags[i]]
+            coordinates[i] = {label[tag]: neg(val) for tag, val in rem.items()}
+    return elim.kept, coordinates
 
 
 def matrix_rank(spec: FieldSpec, rows: Iterable[Sequence[FieldElement]]) -> int:
     """Rank of the given rows of field elements."""
-    return len(greedy_basis(spec, map(int_vector, rows))[0])
+    return len(greedy_kept(spec, map(int_vector, rows)))
 
 
 class SpanBasis:
@@ -630,11 +646,11 @@ class SpanBasis:
         self._elim = Elimination(spec)
 
     def contains(self, vec: Sequence[FieldElement]) -> bool:
-        return not self._elim.reduce(int_vector(vec))[0]
+        return not self._elim.reduce(int_vector(vec))
 
     def add(self, vec: Sequence[FieldElement]) -> bool:
         """Insert vec; returns False when it was already in the span."""
-        return self._elim.insert(int_vector(vec), self.rank) is None
+        return self._elim.insert(int_vector(vec), self.rank)
 
     @property
     def rank(self) -> int:

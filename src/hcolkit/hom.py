@@ -53,9 +53,12 @@ _PIN_DEGREE = 5
 # Largest cluster the compiler will fold into a constraint table.
 _CLUSTER_CAP = 64
 
-# (H rows, cluster signature) -> compiled table; clusters repeat heavily
-# across gadget copies, so this cache collapses their cost.  It is
-# emptied whenever it reaches the cap, so a long-lived process stays bounded.
+# (H rows, cluster signature) -> compiled table: the mask of feasible
+# images of a one-vertex boundary, or the feasibility table of a
+# two-vertex boundary together with its transpose.  Clusters repeat
+# heavily across gadget copies, so this cache collapses their cost.  It
+# is emptied whenever it reaches the cap, so a long-lived process stays
+# bounded.
 _cluster_cache: dict = {}
 _CLUSTER_CACHE_CAP = 4096
 
@@ -197,6 +200,7 @@ class _ComponentSolver:
         if not pins:
             self.residual = list(self.comp)
             return True
+        # the component is connected, so every soft region touches a pin
         soft = [v for v in self.comp if v not in pins]
         seen: set[int] = set()
         residual_extra: list[int] = []
@@ -225,7 +229,8 @@ class _ComponentSolver:
         return True
 
     def _cluster_tables(self, members: list[int], boundary: list[int]):
-        """Feasibility table of a cluster, cached by structural signature."""
+        """Feasibility table of a cluster with one or two boundary
+        vertices, cached by structural signature (see ``_cluster_cache``)."""
         g, h = self.g, self.h
         index = {v: i for i, v in enumerate(members)}
         local_rows = []
@@ -260,48 +265,44 @@ class _ComponentSolver:
                 dom.append(d)
             return next(_fc_search(order, dom, cons), None) is not None
 
-        if len(boundary) == 0:
-            result = feasible(())
-        elif len(boundary) == 1:
+        if len(boundary) == 1:
             result = 0
             for a in range(h.n):
                 if feasible((a,)):
                     result |= 1 << a
         else:
-            result = tuple(
+            table = tuple(
                 sum(1 << b for b in range(h.n) if feasible((a, b)))
                 for a in range(h.n)
             )
+            back = [0] * h.n
+            for a in range(h.n):
+                for b in _bits(table[a]):
+                    back[b] |= 1 << a
+            result = (table, tuple(back))
         if len(_cluster_cache) >= _CLUSTER_CACHE_CAP:
             _cluster_cache.clear()
         _cluster_cache[key] = result
         return result
 
     def _compile_cluster(self, members: list[int], boundary: list[int]) -> bool:
-        table = self._cluster_tables(members, boundary)
-        if len(boundary) == 0:
-            # the cluster is the whole component; table is a plain yes/no
-            if not table:
-                return False
-        elif len(boundary) == 1:
+        compiled = self._cluster_tables(members, boundary)
+        if len(boundary) == 1:
             x = boundary[0]
-            self.dom[x] &= table
+            self.dom[x] &= compiled
             if not self.dom[x]:
                 return False
         else:
             x, y = boundary
-            # arc-consistency pass on the fresh table, then register both
+            table, back = compiled
+            # arc-consistency pass on the table, then register both
             # directions for forward checking.
-            back = [0] * self.h.n
-            for a in range(self.h.n):
-                for b in _bits(table[a]):
-                    back[b] |= 1 << a
             self.dom[x] &= sum(1 << a for a in range(self.h.n) if table[a] & self.dom[y])
             self.dom[y] &= sum(1 << b for b in range(self.h.n) if back[b] & self.dom[x])
             if not self.dom[x] or not self.dom[y]:
                 return False
             self.constraints.setdefault(x, []).append((y, table))
-            self.constraints.setdefault(y, []).append((x, tuple(back)))
+            self.constraints.setdefault(y, []).append((x, back))
         self.clusters.append((members, boundary))
         return True
 

@@ -270,8 +270,8 @@ def verify_kernel_equivalence(
     """Oracle check that kernelization preserved target-colorability.
 
     Runs the exhaustive homomorphism search on both graphs; True when
-    the two answers agree.  Test-suite machinery, never on the kernel
-    path itself.
+    the two answers agree.  ``hcol kernelize --verify`` and the tests run
+    it after a kernel is built; building a kernel never calls it.
     """
     before = find_homomorphism(original.graph, target, ceilings=ceilings) is not None
     after = find_homomorphism(result.graph, target, ceilings=ceilings) is not None

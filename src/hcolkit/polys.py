@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .gf import FieldElement, FieldSpec, greedy_basis
+from .gf import FieldElement, FieldSpec, greedy_basis, greedy_kept
 
 MonomialKey = tuple[tuple[int, int], ...]  # sorted ((vertex, coordinate), ...)
 
@@ -141,18 +141,25 @@ def det_poly(vertices: Sequence[int], d: int, spec: FieldSpec) -> SparsePoly:
 class BasisSelection:
     """Outcome of greedy basis selection over a list of polynomials.
 
-    kept: input indices forming the basis, in input order.
+    kept: input indices forming the basis, in input order; selecting it
+    builds no certificates.
+    rows: regenerates the int-encoded rows the selection ran on.
     coordinates: for each dropped input index, its exact coordinates over
     the kept polynomials (kept index -> nonzero ``to_index`` int over
-    `spec`), as :func:`~hcolkit.gf.greedy_basis` returns them.
-    certificates: the same coordinates as field elements, built on first
-    read, as ``KernelResult.polys`` is; the kernel path only counts the
-    dropped indices.
+    `spec`), computed from `rows` by :func:`~hcolkit.gf.greedy_basis` on
+    first read.
+    certificates: the same coordinates as field elements, also built on
+    first read, as ``KernelResult.polys`` is; the kernel path reads
+    neither and only counts the dropped indices.
     """
 
     kept: tuple[int, ...]
-    coordinates: dict[int, dict[int, int]]
     spec: Optional[FieldSpec]  # None only for a selection over no polynomials
+    rows: Callable[[], Iterable[dict]]
+
+    @cached_property
+    def coordinates(self) -> dict[int, dict[int, int]]:
+        return greedy_basis(self.spec, self.rows())[1]
 
     @cached_property
     def certificates(self) -> dict[int, dict[int, FieldElement]]:
@@ -174,16 +181,17 @@ def poly_basis_select(polys: Sequence[SparsePoly]) -> BasisSelection:
     The first nonzero polynomial is kept; each later one is kept exactly
     when it is not in the span of those already kept, decided by
     incremental elimination keyed on monomials.  Every dropped
-    polynomial gets a certificate expressing it over the kept ones.
+    polynomial gets a certificate expressing it over the kept ones,
+    computed when ``certificates`` is first read.
     """
     if not polys:
-        return BasisSelection(kept=(), coordinates={}, spec=None)
+        return BasisSelection(kept=(), spec=None, rows=tuple)
     spec = polys[0].spec
     if any(p.spec != spec for p in polys):
         raise ValueError("polynomials over mixed fields")
     if len({p.degree for p in polys if not p.is_zero()}) > 1:
         raise ValueError("polynomials of mixed degree")
-    return _selection(spec, ({k: c.to_index() for k, c in poly.terms.items()} for poly in polys))
+    return _selection(spec, lambda: ({k: c.to_index() for k, c in p.terms.items()} for p in polys))
 
 
 def boundary_basis_select(traces: Sequence[Sequence[int]], spec: FieldSpec) -> BasisSelection:
@@ -204,10 +212,9 @@ def boundary_basis_select(traces: Sequence[Sequence[int]], spec: FieldSpec) -> B
             return {tuple(t[1:]): 1}
         return {tuple(t[:j] + t[j + 1 :]): minus_one if j % 2 else 1 for j in range(len(t))}
 
-    return _selection(spec, map(row, traces))
+    return _selection(spec, lambda: map(row, traces))
 
 
-def _selection(spec: FieldSpec, rows: Iterable[dict]) -> BasisSelection:
-    """:func:`greedy_basis` of int-encoded `rows`."""
-    kept, coordinates = greedy_basis(spec, rows)
-    return BasisSelection(kept=tuple(kept), coordinates=coordinates, spec=spec)
+def _selection(spec: FieldSpec, rows: Callable[[], Iterable[dict]]) -> BasisSelection:
+    """The kept set of the int-encoded rows that `rows` generates."""
+    return BasisSelection(kept=tuple(greedy_kept(spec, rows())), spec=spec, rows=rows)

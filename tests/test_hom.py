@@ -6,12 +6,16 @@ from conftest import brute_hom_exists, brute_homomorphisms
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import Graph, make_complete, make_cycle, make_empty, make_petersen, make_random
+import hcolkit.hom
 from hcolkit.hom import (
+    _ComponentSolver,
+    _domains_from_lists,
     compute_core,
     enumerate_homomorphisms,
     find_homomorphism,
     is_core,
 )
+from hcolkit.kernels import VertexCoverInstance, combinatorial_kernel
 
 
 def test_identity_on_cycle():
@@ -109,6 +113,75 @@ def test_cluster_compilation_matches_plain_search():
             assert all(
                 find_homomorphism(g, h, lists={0: (t,)}) is None for t in range(h.n)
             )
+
+
+def kernel_shaped_graph(rng, k=7, outside=30):
+    """A combinatorial kernel at q = 2 of an instance whose cover spans a
+    k-cycle: the cover vertices are hubs, and every added vertex of a
+    size-2 trace is a cluster on two of them."""
+    edges = [(u, (u + 1) % k) for u in range(k)]
+    for j in range(outside):
+        edges.extend((u, k + j) for u in rng.sample(range(k), rng.randrange(1, 4)))
+    return combinatorial_kernel(VertexCoverInstance(Graph(k + outside, edges), range(k)), 2).graph
+
+
+def compiled_solvers(g, h, lists=None):
+    doms = _domains_from_lists(g, h, lists)
+    solvers = [_ComponentSolver(g, h, comp, doms) for comp in g.connected_components()]
+    return solvers, [solver.solve() for solver in solvers]
+
+
+def test_two_boundary_clusters_register_exact_transposes():
+    h = make_petersen()
+    clusters = asymmetric = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        g = kernel_shaped_graph(rng)
+        # single-vertex clusters have symmetric tables; a path between two
+        # hubs with a list at one end has an asymmetric one
+        hubs = [v for v in range(g.n) if g.degree(v) >= 5]
+        edges, n, lists = list(g.edges()), g.n, {}
+        for _ in range(4):
+            x, y = rng.sample(hubs, 2)
+            edges += [(x, n), (n, n + 1), (n + 1, y)]
+            lists[n] = rng.sample(range(h.n), 4)
+            n += 2
+        for solver in compiled_solvers(Graph(n, edges), h, lists)[0]:
+            for members, boundary in solver.clusters:
+                if len(boundary) != 2:
+                    continue
+                x, y = boundary
+                # each cluster on (x, y) appends one table at x and its reverse at y
+                forward = [t for u, t in solver.constraints[x] if u == y]
+                reverse = [t for u, t in solver.constraints[y] if u == x]
+                assert len(forward) == len(reverse)
+                for table, back in zip(forward, reverse):
+                    bits = [[table[a] >> b & 1 for b in range(h.n)] for a in range(h.n)]
+                    assert [[back[b] >> a & 1 for b in range(h.n)] for a in range(h.n)] == bits
+                    asymmetric += bits != [list(col) for col in zip(*bits)]
+                clusters += 1
+    assert clusters > 50 and asymmetric > 0
+
+
+def test_cluster_cache_hit_registers_the_tables_of_a_miss():
+    h = make_complete(4)
+    g = kernel_shaped_graph(random.Random(9))
+    hcolkit.hom._cluster_cache.clear()
+    missed, miss_witness = compiled_solvers(g, h)
+    entries = len(hcolkit.hom._cluster_cache)
+    assert entries > 0
+    hit, hit_witness = compiled_solvers(g, h)
+    assert len(hcolkit.hom._cluster_cache) == entries
+    assert hit_witness == miss_witness and None not in miss_witness
+    assert [s.constraints for s in hit] == [s.constraints for s in missed]
+    # a hit registers the cached tuples themselves
+    for a, b in zip(missed, hit):
+        for v, cons in a.constraints.items():
+            assert all(t1 is t2 for (_, t1), (_, t2) in zip(cons, b.constraints[v]))
+    hcolkit.hom._cluster_cache.clear()
+    witness = find_homomorphism(g, h)
+    assert witness is not None and witness.check()
+    assert find_homomorphism(g, h) == witness
 
 
 def test_enumerate_homomorphisms_counts():

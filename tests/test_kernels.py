@@ -215,6 +215,8 @@ def test_algebraic_kernel_builds_certificates_on_first_read():
     for rep in (k3_rep(), normalize_first_entry(vandermonde_rep(make_complete(3), field_make(2, 3)))):
         res = algebraic_kernel(full_trace_instance(6), make_complete(3), rep, 3)
         write_kernel_result(res)
+        # selecting the basis builds neither the coordinates nor their field elements
+        assert "coordinates" not in res.basis.__dict__
         assert "certificates" not in res.basis.__dict__
         certificates = res.basis.certificates
         assert certificates == poly_basis_select(res.polys).certificates
@@ -223,7 +225,7 @@ def test_algebraic_kernel_builds_certificates_on_first_read():
 
 def test_algebraic_kernel_refuses_basis_above_boundary_rank(monkeypatch):
     def keep_all(traces, spec):
-        return BasisSelection(kept=tuple(range(len(traces))), coordinates={}, spec=spec)
+        return BasisSelection(kept=tuple(range(len(traces))), spec=spec, rows=tuple)
 
     monkeypatch.setattr(hcolkit.kernels, "boundary_basis_select", keep_all)
     with pytest.raises(InvariantViolation):

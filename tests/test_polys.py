@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import leibniz_determinant, reference_rank
+from conftest import leibniz_determinant, reference_rank, reference_row_reduce
 from hcolkit.gf import field_make
 from hcolkit.polys import SparsePoly, boundary_basis_select, det_poly, poly_basis_select
 
@@ -177,3 +177,35 @@ def test_boundary_selection_equals_poly_selection(spec, data):
 def test_boundary_rank_on_all_d_sets(spec, k, d):
     sel = boundary_basis_select(list(combinations(range(k), d)), spec)
     assert len(sel.kept) == comb(k - 1, d - 1)
+
+
+@pytest.mark.parametrize("spec", [GF7, GF8], ids=str)
+def test_certificates_read_on_demand_match_reference(spec):
+    rng = random.Random(spec.order)
+    monomials = [((v, 2),) for v in range(6)]
+    for _ in range(20):
+        n_cols = rng.randrange(1, 7)
+        rows = [
+            [spec.from_index(rng.randrange(spec.order)) if rng.random() < 0.6 else spec.zero
+             for _ in range(n_cols)]
+            for _ in range(rng.randrange(2, 9))
+        ]
+        # every matrix has a zero row and a row repeating an earlier one
+        rows.insert(rng.randrange(len(rows) + 1), [spec.zero] * n_cols)
+        i = rng.randrange(len(rows))
+        rows.insert(rng.randrange(i + 1, len(rows) + 1), list(rows[i]))
+        polys = [
+            SparsePoly(spec, {m: c for m, c in zip(monomials, row) if not c.is_zero()})
+            for row in rows
+        ]
+        sel = poly_basis_select(polys)
+        assert "coordinates" not in sel.__dict__ and "certificates" not in sel.__dict__
+        # a dropped row's coordinates over the kept ones are its column of
+        # the reduced row echelon form of the transpose
+        ref_rows, _, ref_kept = reference_row_reduce([list(col) for col in zip(*rows)])
+        assert sel.kept == tuple(ref_kept)
+        assert sel.certificates == {
+            i: {j: ref_rows[r][i] for r, j in enumerate(ref_kept) if not ref_rows[r][i].is_zero()}
+            for i in range(len(rows))
+            if i not in ref_kept
+        }
