@@ -1,14 +1,20 @@
 """Exact list-homomorphism search, endomorphism enumeration, and cores.
 
 ``find_homomorphism`` is the universal correctness oracle of the
-package: a complete backtracking search over vertex images with
-forward checking, so a ``None`` answer is a proof of non-existence.
+package: a complete backtracking search over vertex images that
+maintains arc consistency, so a ``None`` answer is a proof of
+non-existence.
 
-One engine, ``_fc_search``, does every search in this module.  It
-assigns vertices in a given order, tries target vertices in ascending
-id order, forward-checks binary constraint tables and yields each
-solution, so solutions come in ascending lexicographic order of the
-images read in assignment order.  It has two uses:
+One engine, ``_search``, does every search in this module.  It assigns
+vertices in a given order, tries target vertices in ascending id order
+and yields each solution, so solutions come in ascending lexicographic
+order of the images read in assignment order.  After each assignment it
+forward-checks the binary constraint tables, then propagates arc
+consistency from every vertex whose domain shrank (MAC, Sabin & Freuder
+1994), with the supports of a table cached per domain mask in the
+spirit of AC-3rm (Lecoutre & Hemery 2007).  Propagation removes only
+values that extend to no solution, so the solutions and their order are
+those of plain forward checking.  It has two uses:
 
 * first: ``find_homomorphism``, the cluster feasibility tables and the
   re-expansion of compiled clusters take its first solution, and so do
@@ -29,7 +35,9 @@ modules, without affecting exactness:
   rest of the graph through at most two higher-degree vertices) are
   compiled into unary/binary constraint tables between their boundary
   vertices and re-expanded after the main search.  Gadget interiors and
-  kernel pendant vertices disappear from the search this way.
+  kernel pendant vertices disappear from the search this way, and
+  clusters whose re-expansion has equal rows and domains (gadget copies)
+  share one search.
 
 The residual search orders vertices by descending total constraint
 tightness, which is plain descending degree on uncompiled graphs;
@@ -109,34 +117,83 @@ def _domains_from_lists(
 
 def _edge_constraints(
     rows: Sequence[int], h_rows: tuple[int, ...]
-) -> tuple[list[int], list[list[tuple[int, tuple[int, ...]]]]]:
-    """Degree order (descending, ties by id) and plain edge constraints
-    of the graph on 0..len(rows)-1 with adjacency bitmasks ``rows``."""
+) -> tuple[list[int], list[list[tuple]]]:
+    """Degree order (descending, ties by id) and plain edge constraints,
+    in the form ``_search`` takes, of the graph on 0..len(rows)-1 with
+    adjacency bitmasks ``rows``; every vertex shares one supports dict."""
     order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
-    return order, [[(u, h_rows) for u in _bits(row)] for row in rows]
+    supports: dict[int, int] = {}
+    return order, [[(h_rows, list(_bits(row)), supports)] if row else [] for row in rows]
 
 
-def _fc_search(
+def _search(
     order: list[int],
     dom: list[int] | dict[int, int],
     cons: Sequence[list] | Mapping[int, list],
 ) -> Iterator[dict[int, int]]:
-    """Forward-checking search; yields the live assignment at every solution.
+    """Search maintaining arc consistency; yields the live assignment at
+    every solution.
 
     Vertices are assigned in ``order`` and values tried in ascending
     order, so solutions come in ascending lexicographic order of
-    ``tuple(assign[v] for v in order)``.  ``cons[v]`` lists
-    ``(partner, table)`` pairs, ``table[a]`` being the mask of partner
-    values compatible with ``v -> a``; each assignment narrows the
-    partners' entries of ``dom`` (a vertex -> value-mask mapping), and a
-    per-level trail restores them on backtracking.  The yielded dict is
-    mutated as the search resumes: copy it to keep it.
+    ``tuple(assign[v] for v in order)``.  ``cons[v]`` lists groups
+    ``(table, partners, supports)``: ``table[a]`` is the mask of values
+    of each vertex in ``partners`` compatible with ``v -> a``, and
+    ``supports`` maps a domain mask ``d`` to the OR of ``table[b]`` over
+    ``b`` in ``d``.  It is filled as the search runs, and may be shared
+    by every group with the same table and kept across calls.  A
+    constraint must be listed at its end that comes first in ``order``
+    (callers list both ends, the partner carrying the transpose), and a
+    pair may carry several.
+
+    Assigning ``v -> a`` narrows ``dom[v]`` (a vertex -> value-mask
+    mapping) to ``a`` and propagates: while some vertex ``w`` is queued,
+    each unassigned partner of ``w`` is narrowed to its support in
+    ``dom[w]`` and queued if it shrank.  From ``v`` itself this is
+    forward checking, ``table[a]``; from the partners it maintains arc
+    consistency (MAC).  This removes only values that extend to no
+    solution, so the solutions and their order are those of plain
+    forward checking.  Every narrowing goes on a per-level trail that is
+    restored in reverse on backtracking, so a vertex narrowed twice at
+    one level gets its oldest mask back.  The yielded dict is mutated as
+    the search resumes: copy it to keep it.
     """
     n = len(order)
     assign: dict[int, int] = {}
     if not n:
         yield assign
         return
+
+    def propagate(queue: list[int], t: list) -> bool:
+        """Narrow partners of queued vertices to their supports until no
+        domain shrinks; False on a wipeout."""
+        queued = set(queue)
+        while queue:
+            w = queue.pop()
+            queued.discard(w)
+            d = dom[w]
+            for table, partners, supports in cons[w]:
+                s = supports.get(d)
+                if s is None:
+                    s = 0
+                    for b in _bits(d):
+                        s |= table[b]
+                    supports[d] = s
+                for u in partners:
+                    if u in assign:
+                        continue
+                    old = dom[u]
+                    new = old & s
+                    if new != old:
+                        t.append((u, old))
+                        dom[u] = new
+                        if not new:
+                            return False
+                        if u not in queued:
+                            queued.add(u)
+                            queue.append(u)
+        return True
+
     cand = [0] * n
     trail: list[list] = [[] for _ in range(n)]
     cand[0] = dom[order[0]]
@@ -147,19 +204,10 @@ def _fc_search(
         if cand[i]:
             low = cand[i] & -cand[i]
             cand[i] ^= low
-            a = low.bit_length() - 1
-            assign[v] = a
-            for u, table in cons[v]:
-                if u in assign:
-                    continue
-                old = dom[u]
-                new = old & table[a]
-                if new != old:
-                    t.append((u, old))
-                    dom[u] = new
-                    if not new:
-                        break
-            else:
+            assign[v] = low.bit_length() - 1
+            t.append((v, dom[v]))
+            dom[v] = low
+            if propagate([v], t):
                 if i + 1 < n:
                     i += 1
                     cand[i] = dom[order[i]]
@@ -172,7 +220,7 @@ def _fc_search(
             t = trail[i]
         else:
             return
-        for u, old in t:
+        for u, old in reversed(t):
             dom[u] = old
         t.clear()
         del assign[v]
@@ -263,7 +311,7 @@ class _ComponentSolver:
                 if not d:
                     return False
                 dom.append(d)
-            return next(_fc_search(order, dom, cons), None) is not None
+            return next(_search(order, dom, cons), None) is not None
 
         if len(boundary) == 1:
             result = 0
@@ -296,7 +344,7 @@ class _ComponentSolver:
             x, y = boundary
             table, back = compiled
             # arc-consistency pass on the table, then register both
-            # directions for forward checking.
+            # directions for the search.
             self.dom[x] &= sum(1 << a for a in range(self.h.n) if table[a] & self.dom[y])
             self.dom[y] &= sum(1 << b for b in range(self.h.n) if back[b] & self.dom[x])
             if not self.dom[x] or not self.dom[y]:
@@ -312,14 +360,24 @@ class _ComponentSolver:
         if not self.split_clusters():
             return None
         g, h = self.g, self.h
-        # graph-edge constraints among residual vertices
-        residual_set = set(self.residual)
-        cons: dict[int, list] = {v: [] for v in self.residual}
+        # graph-edge constraints among residual vertices, then the cluster
+        # tables, grouped by table; equal clusters share their tables
+        residual_mask = sum(1 << v for v in self.residual)
+        edge_supports: dict[int, int] = {}
+        table_supports: dict[int, dict[int, int]] = {}
+        cons: dict[int, list] = {}
         for v in self.residual:
-            for u in _bits(g.rows[v]):
-                if u in residual_set:
-                    cons[v].append((u, h.rows))
-            cons[v].extend(self.constraints.get(v, ()))
+            neighbors = list(_bits(g.rows[v] & residual_mask))
+            groups = [(h.rows, neighbors, edge_supports)] if neighbors else []
+            by_table: dict[int, list[int]] = {}
+            for u, table in self.constraints.get(v, ()):
+                partners = by_table.get(id(table))
+                if partners is None:
+                    partners = by_table[id(table)] = []
+                    supports = table_supports.setdefault(id(table), {})
+                    groups.append((table, partners, supports))
+                partners.append(u)
+            cons[v] = groups
 
         # Order by total constraint tightness (forbidden pairs summed over
         # incident constraint tables), descending, ties by id.  On plain
@@ -327,28 +385,24 @@ class _ComponentSolver:
         # on compiled instances it ranks hard mutual edges above the loose
         # disequality tables of gadget boundaries.
         square = h.n * h.n
-        edge_weight = square - sum(r.bit_count() for r in h.rows)
         table_weight: dict[int, int] = {}
 
         def weight(v: int) -> int:
             total = 0
-            for _, table in cons[v]:
-                if table is h.rows:
-                    total += edge_weight
-                else:
-                    key = id(table)
-                    w = table_weight.get(key)
-                    if w is None:
-                        w = square - sum(m.bit_count() for m in table)
-                        table_weight[key] = w
-                    total += w
+            for table, partners, _ in cons[v]:
+                w = table_weight.get(id(table))
+                if w is None:
+                    w = table_weight[id(table)] = square - sum(m.bit_count() for m in table)
+                total += w * len(partners)
             return total
 
         order = sorted(self.residual, key=lambda v: (-weight(v), v))
-        assign = next(_fc_search(order, self.dom, cons), None)
+        assign = next(_search(order, self.dom, cons), None)
         if assign is None:
             return None
-        # re-expand the compiled clusters
+        # re-expand the compiled clusters; the search is deterministic, so
+        # clusters with equal rows and domains (gadget copies) share one
+        expanded: dict[tuple, tuple[int, ...]] = {}
         for members, boundary in self.clusters:
             index = {v: i for i, v in enumerate(members)}
             rows = []
@@ -363,12 +417,16 @@ class _ComponentSolver:
                         d &= h.rows[assign[u]]
                 rows.append(row)
                 dom.append(d)
-            order, cons = _edge_constraints(rows, h.rows)
-            sub = next(_fc_search(order, dom, cons), None)
+            key = (tuple(rows), tuple(dom))
+            sub = expanded.get(key)
             if sub is None:
-                raise InvariantViolation("compiled cluster lost its witness")
-            for i, v in enumerate(members):
-                assign[v] = sub[i]
+                order, cons = _edge_constraints(rows, h.rows)
+                found = next(_search(order, dom, cons), None)
+                if found is None:
+                    raise InvariantViolation("compiled cluster lost its witness")
+                sub = expanded[key] = tuple(found[i] for i in range(len(members)))
+            for v, a in zip(members, sub):
+                assign[v] = a
         return assign
 
 
@@ -431,7 +489,7 @@ def enumerate_homomorphisms(
     if h.n == 0 or 0 in doms:
         return
     order, cons = _edge_constraints(g.rows, h.rows)
-    for assign in _fc_search(order, doms, cons):
+    for assign in _search(order, doms, cons):
         yield Homomorphism(g, h, tuple(assign[v] for v in range(g.n)))
 
 

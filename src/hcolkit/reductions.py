@@ -29,7 +29,7 @@ from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError
 from .graphs import Graph, make_complete, make_path, parse_graph_lines, write_graph
 from .graphs import common_neighbors
-from .hom import _check_oracle_size, _domains_from_lists, _edge_constraints, _fc_search
+from .hom import _check_oracle_size, _domains_from_lists, _edge_constraints, _search
 from .hom import find_homomorphism  # unused here; perfbench/tracing.py patches it by name
 from .kernels import VertexCoverInstance
 from .witness import witness_number
@@ -75,16 +75,19 @@ def verify_edge_gadget(
     ceilings: Ceilings = DEFAULT_CEILINGS,
 ) -> bool:
     """Exhaustively check the disequality behaviour over all ordered pins:
-    one engine search per pair (u, v), a pinned to u and b to v."""
+    one engine search per pair (u, v), a pinned to u and b to v.  The
+    pins are assigned first, so both propagate from the start; only the
+    existence of a solution is read, so the order changes no verdict."""
     if a == b:
         raise ValueError("marked vertices must differ")
     _check_oracle_size(gadget, target, ceilings)
     order, cons = _edge_constraints(gadget.rows, target.rows)
+    order = [a, b] + [x for x in order if x not in (a, b)]
     for u in range(target.n):
         for v in range(target.n):
             # a fresh domain list each time: a taken solution leaves it narrowed
             dom = _domains_from_lists(gadget, target, {a: (u,), b: (v,)})
-            if (next(_fc_search(order, dom, cons), None) is not None) != (u != v):
+            if (next(_search(order, dom, cons), None) is not None) != (u != v):
                 return False
     return True
 

@@ -52,7 +52,7 @@ from typing import Optional
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError, InvariantViolation
 from .graphs import Graph, _bits, common_neighbors
-from .hom import _edge_constraints, _fc_search
+from .hom import _edge_constraints, _search
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,7 @@ def find_b_ml_copy(
 
     Subgraph embedding (not necessarily induced): an injective
     homomorphism from the pattern, found by the oracle's engine
-    ``hom._fc_search``.  Pattern vertices are assigned in descending
+    ``hom._search``.  Pattern vertices are assigned in descending
     degree order (ties by id), each over the g-vertices of at least its
     degree; pattern edges take g's adjacency as their table and every
     other pair a disequality table (g is loopless, so adjacent images
@@ -331,14 +331,15 @@ def find_b_ml_copy(
     order, cons = _edge_constraints(pattern.rows, g.rows)
     # injectivity: non-adjacent pattern vertices take distinct images
     distinct = tuple(((1 << g.n) - 1) ^ (1 << a) for a in range(g.n))
+    distinct_supports: dict[int, int] = {}
     p_full = (1 << pattern.n) - 1
     for pv, row in enumerate(pattern.rows):
-        cons[pv] += [(pu, distinct) for pu in _bits(p_full ^ row ^ (1 << pv))]
+        cons[pv].append((distinct, list(_bits(p_full ^ row ^ (1 << pv))), distinct_supports))
     dom = [
         sum(1 << a for a in range(g.n) if g.degree(a) >= row.bit_count())
         for row in pattern.rows
     ]
-    images = next(_fc_search(order, dom, cons), None)
+    images = next(_search(order, dom, cons), None)
     if images is None:
         return None
     return tuple(images[v] for v in range(pattern.n))

@@ -34,6 +34,47 @@ def brute_hom_exists(g: Graph, h: Graph, lists=None) -> bool:
     return next(brute_homomorphisms(g, h, lists), None) is not None
 
 
+def reference_hom_exists(g: Graph, h: Graph, lists=None) -> bool:
+    """Plain chronological backtracking in id order: each image is checked
+    against the list and the already-placed neighbours, nothing else (no
+    component split, no cluster compilation, no propagation)."""
+    assign = [-1] * g.n
+
+    def rec(v: int) -> bool:
+        if v == g.n:
+            return True
+        allowed = lists.get(v, range(h.n)) if lists else range(h.n)
+        for a in allowed:
+            if all(assign[u] < 0 or h.has_edge(a, assign[u]) for u in g.neighbors(v)):
+                assign[v] = a
+                if rec(v + 1):
+                    return True
+                assign[v] = -1
+        return False
+
+    return rec(0)
+
+
+def brute_network_solutions(order, dom, cons) -> list[dict[int, int]]:
+    """Every assignment of vertices 0..len(dom)-1 within their domain masks
+    that satisfies each constraint of ``cons`` (``_search`` groups
+    ``(table, partners, supports)``, of which it reads only the first
+    two), tried in `itertools.product` order and sorted by the images
+    read in ``order``."""
+    values = [[a for a in range(d.bit_length()) if d >> a & 1] for d in dom]
+    found = [
+        dict(enumerate(images))
+        for images in product(*values)
+        if all(
+            table[images[v]] >> images[u] & 1
+            for v, groups in enumerate(cons)
+            for table, partners, _ in groups
+            for u in partners
+        )
+    ]
+    return sorted(found, key=lambda s: [s[v] for v in order])
+
+
 def brute_first_embedding(pattern: Graph, g: Graph):
     """First injective edge-preserving map of `pattern` into g, images
     indexed by pattern vertex; pattern vertices read in descending

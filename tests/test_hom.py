@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from conftest import brute_hom_exists, brute_homomorphisms
+from conftest import brute_hom_exists, brute_homomorphisms, brute_network_solutions
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import Graph, make_complete, make_cycle, make_empty, make_petersen, make_random
 import hcolkit.hom
 from hcolkit.hom import (
+    Homomorphism,
     _ComponentSolver,
     _domains_from_lists,
+    _search,
     compute_core,
     enumerate_homomorphisms,
     find_homomorphism,
@@ -182,6 +184,63 @@ def test_cluster_cache_hit_registers_the_tables_of_a_miss():
     witness = find_homomorphism(g, h)
     assert witness is not None and witness.check()
     assert find_homomorphism(g, h) == witness
+
+
+def test_backtracking_restores_a_twice_narrowed_partner():
+    # two constraints from 0 to 1 narrow 1 twice at one level; restoring
+    # the trail front to back left 1 at its middle mask {1, 2}, which the
+    # next value of 0 narrowed to nothing
+    cons = [[((1, 2), [1], {}), ((0, 2), [1], {})], []]
+    assert [dict(s) for s in _search([0, 1], [3, 3], cons)] == [{0: 1, 1: 1}]
+    # the same through the oracle: three paths between hubs 0 and 1 are
+    # clusters on the same two pins
+    g = Graph(11, [(0, 2), (0, 4), (0, 5), (0, 6), (0, 7), (1, 3), (1, 4), (1, 8), (1, 9), (1, 10), (2, 3)])
+    lists = {1: (1, 2), 3: (2, 3), 5: (0,)}
+    assert Homomorphism(g, make_cycle(5), (4, 1, 3, 2, 0, 0, 0, 0, 0, 0, 0)).check(lists)
+    f = find_homomorphism(g, make_cycle(5), lists=lists)
+    assert f is not None and f.check(lists)
+
+
+def random_network(rng):
+    """A random constraint network on up to 5 vertices and 4 values:
+    random tables, each listed at both ends (the partner carrying the
+    transpose) or only at the end that comes first in the order, with
+    some pairs carrying several constraints and some tables shared by
+    several partners and their supports kept across searches."""
+    n, k = rng.randint(1, 5), rng.randint(2, 4)
+    dom = [rng.randrange(1, 1 << k) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    cons = [[] for _ in range(n)]
+    for _ in range(rng.randint(0, 2 * n)):
+        if n < 2:
+            break
+        v, u = rng.sample(range(n), 2)
+        if order.index(u) < order.index(v):
+            v, u = u, v
+        if cons[v] and rng.random() < 0.3:
+            cons[v][-1][1].append(u)
+            continue
+        table = tuple(rng.randrange(1 << k) for _ in range(k))
+        cons[v].append((table, [u], {}))
+        if rng.random() < 0.7:
+            back = tuple(sum((table[a] >> b & 1) << a for a in range(k)) for b in range(k))
+            cons[u].append((back, [v], {}))
+    return order, dom, cons
+
+
+def test_engine_yields_every_solution_in_order():
+    rng = random.Random(59)
+    repeated = solved = 0
+    for _ in range(400):
+        order, dom, cons = random_network(rng)
+        expect = brute_network_solutions(order, dom, cons)
+        # twice: the second search reads the supports the first one cached
+        for _ in range(2):
+            assert [dict(s) for s in _search(order, list(dom), cons)] == expect
+        pairs = [[u for _, partners, _ in groups for u in partners] for groups in cons]
+        repeated += any(len(set(p)) < len(p) for p in pairs)
+        solved += bool(expect)
+    assert repeated > 50 and solved > 100
 
 
 def test_enumerate_homomorphisms_counts():

@@ -1,39 +1,18 @@
 """Cross-validation of the production solver against a naive reference.
 
-The reference implementation below does plain chronological backtracking
-with no component split, no cluster compilation, and no ordering
-heuristics, so agreement on structured inputs exercises exactly the
-machinery the production solver adds.
+The reference, ``conftest.reference_hom_exists``, does plain chronological
+backtracking with no component split, no cluster compilation, no
+propagation and no ordering heuristics, so agreement on structured
+inputs exercises exactly the machinery the production solver adds.
 """
 
 import random
 from itertools import combinations
 
-from hcolkit.graphs import Graph, make_cycle, make_complete, make_kneser, make_random
+from conftest import reference_hom_exists
+from hcolkit.graphs import Graph, make_complete, make_cycle, make_kneser, make_petersen, make_random
 from hcolkit.hom import find_homomorphism
 from hcolkit.witness import witness_number
-
-
-def reference_hom_exists(g: Graph, h: Graph, lists=None) -> bool:
-    order = list(range(g.n))
-    assign = [-1] * g.n
-
-    def rec(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        allowed = lists.get(v, range(h.n)) if lists else range(h.n)
-        for a in allowed:
-            if all(
-                assign[u] < 0 or h.has_edge(a, assign[u]) for u in g.neighbors(v)
-            ):
-                assign[v] = a
-                if rec(i + 1):
-                    return True
-                assign[v] = -1
-        return False
-
-    return rec(0)
 
 
 def structured_graph(rng: random.Random) -> Graph:
@@ -96,6 +75,54 @@ def test_solver_agrees_with_reference_on_dense_random_graphs():
         expect = reference_hom_exists(g, h)
         got = find_homomorphism(g, h)
         assert (got is not None) == expect
+
+
+def hub_and_path_graph(rng: random.Random) -> tuple[Graph, int]:
+    """Two hubs of degree at least 5 joined by 2-4 paths of 2-4 edges,
+    and maybe by an edge, so that every path is a cluster on the same two
+    pins; returns the graph and the number of hub and path vertices,
+    which come before the pendant vertices that lift the hub degrees."""
+    edges, n = [], 2
+    for _ in range(rng.randint(2, 4)):
+        last = 0
+        for _ in range(rng.randint(1, 3)):
+            edges.append((last, n))
+            last = n
+            n += 1
+        edges.append((last, 1))
+    core = n
+    for hub in (0, 1):
+        for _ in range(5):
+            edges.append((hub, n))
+            n += 1
+    if rng.random() < 0.5:
+        edges.append((0, 1))
+    return Graph(n, edges), core
+
+
+def test_solver_agrees_with_reference_on_hub_and_path_graphs():
+    # parallel clusters between one pair of pins put repeated partners on
+    # the engine's constraint lists; lists on path vertices make their
+    # tables differ and some instances unsatisfiable.  Pendant vertices
+    # carry no list: one that failed would send the id-order reference
+    # through every assignment of the paths before it.
+    rng = random.Random(113)
+    targets = [make_cycle(5), make_complete(3), make_petersen()]
+    answers = set()
+    for trial in range(600):
+        g, core = hub_and_path_graph(rng)
+        h = targets[trial % len(targets)]
+        lists = {
+            v: tuple(sorted(rng.sample(range(h.n), rng.randint(1, h.n))))
+            for v in rng.sample(range(core), rng.randint(1, min(4, core)))
+        }
+        expect = reference_hom_exists(g, h, lists)
+        got = find_homomorphism(g, h, lists=lists)
+        assert (got is not None) == expect, (trial, g, lists)
+        if got is not None:
+            assert got.check(lists)
+        answers.add(expect)
+    assert answers == {True, False}
 
 
 def test_solver_with_lists_inside_pendant_clusters():
