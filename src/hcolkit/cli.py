@@ -147,7 +147,7 @@ def _parse_field(spec_text: str, ceilings: Ceilings) -> FieldSpec:
 # ---------------------------------------------------------------------------
 
 def _cmd_witness(args, ceilings: Ceilings) -> int:
-    graph = read_graph(_read(args.graph))
+    graph = read_graph(_read(args.graph), max_vertices=ceilings.witness_vertices)
     cert = witness_number(graph, ceilings=ceilings)
     if args.format == "json":
         payload = {

@@ -22,6 +22,8 @@ import random
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .errors import CeilingError
+
 
 def _bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of `mask` in increasing order."""
@@ -278,12 +280,16 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph_lines(lines: Iterable[str]) -> tuple[Graph, list[list[str]]]:
+def parse_graph_lines(
+    lines: Iterable[str], *, max_vertices: int | None = None
+) -> tuple[Graph, list[list[str]]]:
     """Parse the graph portion; return (graph, leftover structured lines).
 
     Leftover lines are those beginning with an uppercase tag other than
     ``L`` (``X``, ``S``, ``A``, ``STATS``), split into tokens; they are
     interpreted by the instance-level formats built on top of this one.
+    A header announcing more than ``max_vertices`` vertices raises
+    ``CeilingError`` before any row is built.
     """
     header = None
     edges: list[tuple[int, int]] = []
@@ -299,6 +305,11 @@ def parse_graph_lines(lines: Iterable[str]) -> tuple[Graph, list[list[str]]]:
             if len(tokens) != 2:
                 raise ValueError(f"expected 'n m' header, got {line!r}")
             header = (int(tokens[0]), int(tokens[1]))
+            if max_vertices is not None and header[0] > max_vertices:
+                raise CeilingError(
+                    f"graph header announces {header[0]} vertices, "
+                    f"above the limit of {max_vertices}"
+                )
             expect_edges = header[1]
             continue
         if tokens[0] == "L":
@@ -318,8 +329,8 @@ def parse_graph_lines(lines: Iterable[str]) -> tuple[Graph, list[list[str]]]:
     return Graph(header[0], edges, labels), extras
 
 
-def read_graph(text: str) -> Graph:
-    g, extras = parse_graph_lines(text.splitlines())
+def read_graph(text: str, *, max_vertices: int | None = None) -> Graph:
+    g, extras = parse_graph_lines(text.splitlines(), max_vertices=max_vertices)
     if extras:
         raise ValueError(f"unexpected line in graph file: {' '.join(extras[0])!r}")
     return g

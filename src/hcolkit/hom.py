@@ -140,8 +140,10 @@ def _search(
     ``(table, partners, supports)``: ``table[a]`` is the mask of values
     of each vertex in ``partners`` compatible with ``v -> a``, and
     ``supports`` maps a domain mask ``d`` to the OR of ``table[b]`` over
-    ``b`` in ``d``.  It is filled as the search runs, and may be shared
-    by every group with the same table and kept across calls.  A
+    ``b`` in ``d``, or to -1 when that OR is the full mask of
+    ``len(table)`` values: such a group narrows nothing and is skipped.
+    It is filled as the search runs, and may be shared by every group
+    with the same table and kept across calls.  A
     constraint must be listed at its end that comes first in ``order``
     (callers list both ends, the partner carrying the transpose), and a
     pair may carry several.
@@ -178,7 +180,12 @@ def _search(
                     s = 0
                     for b in _bits(d):
                         s |= table[b]
+                    if s == (1 << len(table)) - 1:
+                        s = -1
                     supports[d] = s
+                if s == -1:
+                    # a full support narrows no partner
+                    continue
                 for u in partners:
                     if u in assign:
                         continue

@@ -21,17 +21,26 @@ edge with the fewest candidates, taking the candidates out and giving
 each back after its branch, so every minimal transversal is met once.
 Member s keeps a private ("critical") edge iff CN(S - s) - CN(S) is
 nonempty; a child where some member has none is dropped, because that
-set only shrinks as S grows.  The bound: if a critical superset adds
-the vertices Z, every z in Z has a private witness v in CN(S)
-non-adjacent to z with Z - {z} contained in N(v), so
-|Z| <= 1 + max over v in CN(S) of |N(v) ∩ candidates|.  The best size
-starts at omega, since a maximum clique is critical.
+set only shrinks as S grows.  The best size starts at omega, since a
+maximum clique is critical.
+
+Both passes prune by counting private witnesses.  If a critical
+superset adds the vertices Z to S, every z in Z has a private witness
+w_z in CN(S): w_z misses z and sees every other member of Z.  So the
+witnesses are pairwise distinct (w_z misses z, which every other
+w_z' sees), and each has at least |Z| - 1 neighbors among the vertices
+Z is drawn from.  In pass 1, where Z lies in the candidates, a node can
+beat the best size only if at least need = best - |S| + 1 members of
+CN(S) have |N(w) ∩ candidates| >= need - 1; the scan that picks the
+branching edge counts them.
 
 Pass 2 (`_first_critical_of_size`) finds the certificate: a depth-first
 search over sorted vertex tuples, in lexicographic order, that stops at
-its first critical set of size q.  It prunes by the same private-witness
-cap (read from a per-graph table of neighbor counts above each vertex),
-by requiring every new vertex to have a non-neighbor in CN(T), and by
+its first critical set of size q.  After a new vertex z, the r = q -
+|T| - 1 vertices still to come lie above z, so it asks for r members w
+of CN(T + z) with |N(w) ∩ {z+1, ..., n-1}| >= r - 1 (read from a
+per-graph table of neighbor counts above each vertex).  It also
+requires every new vertex to have a non-neighbor in CN(T), and applies
 the private-edge test above.  All three hold for every prefix of a
 critical set of size q, so no such set is pruned, and the first one
 found is the lexicographically first.  Run alone, with the best size
@@ -169,10 +178,14 @@ def _max_critical_size(g: Graph, omega: int) -> int:
     def search(cn: int, dcs: list[int], cand: int, depth: int) -> None:
         nonlocal best
         # branch on the missed edge with the fewest candidates, ties to
-        # the lowest w; the same scan gives the bound, since
-        # |N(w) ∩ cand| = |cand| - |(V - N(w)) ∩ cand|
+        # the lowest w; the same scan counts the possible private
+        # witnesses: beating best adds need vertices, each with its own
+        # witness w in cn missing at most size - need + 1 candidates
         size = cand.bit_count()
+        need = best - depth + 1
+        cap = size - need + 1
         fewest = size + 1
+        room = 0
         scan = cn
         while scan:
             low = scan & -scan
@@ -180,8 +193,10 @@ def _max_critical_size(g: Graph, omega: int) -> int:
             k = (cand & ~rows[w]).bit_count()
             if k < fewest:
                 fewest, edge = k, w
+            if k <= cap:
+                room += 1
             scan ^= low
-        if depth + 1 + size - fewest <= best:
+        if room < need:
             return
         branch = cand & ~rows[edge]
         # each branch's vertex is given back once its subtree is done, so
@@ -231,18 +246,20 @@ def _first_critical_of_size(g: Graph, q: int) -> tuple[int, ...]:
                     path.append(z)
                     return True
                 continue
-            # upper bound: all but one future addition must fit inside the
-            # neighborhood of one common neighbor of the extended set; the
-            # branch survives once one common neighbor leaves room
-            slack = q - depth - 3
+            # upper bound: each of the r = q - depth - 1 future additions
+            # needs its own private witness in new_cn, seeing the other
+            # r - 1 (all above z); the branch survives once r common
+            # neighbors leave that room
+            r = q - depth - 1
             counts = after[z]
+            short = r
             scan = new_cn
-            while scan:
+            while short > 0 and scan:
                 low = scan & -scan
-                if counts[low.bit_length() - 1] > slack:
-                    break
+                if counts[low.bit_length() - 1] >= r - 1:
+                    short -= 1
                 scan ^= low
-            else:
+            if short > 0:
                 continue
             new_dcs = [dc & row for dc in dcs]
             if not all(dc & ~new_cn for dc in new_dcs):

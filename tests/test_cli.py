@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -480,6 +481,21 @@ def test_witness_ceiling_exit_code(files, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HCOL_WITNESS_VERTICES", "3")
     code, _, err = run(capsys, "witness", files["petersen.g"])
     assert code == 2 and "desk scale" in err
+
+
+def test_witness_refuses_a_large_header_before_building_rows(capsys, tmp_path):
+    path = tmp_path / "huge.g"
+    path.write_text("100000 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "witness", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "100000 vertices" in err and err.count("\n") == 1
+    # one row per announced vertex would take well over a megabyte
+    assert peak < 600_000
 
 
 def test_reduce_gadget_search_exhaustion(files, capsys, tmp_path, monkeypatch):

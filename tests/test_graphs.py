@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcolkit.errors import CeilingError
 from hcolkit.graphs import (
     Graph,
     common_neighbors,
@@ -106,6 +107,16 @@ def test_text_format_rejects_garbage():
         read_graph("2 1\n0 1\n0 1\n")  # edge count mismatch
     with pytest.raises(ValueError):
         read_graph("1 0\nX 0\n")  # instance line in a plain graph file
+
+
+def test_vertex_limit_is_checked_at_the_header():
+    text = write_graph(make_petersen())
+    assert read_graph(text, max_vertices=10) == make_petersen()
+    with pytest.raises(CeilingError, match="announces 10 vertices"):
+        read_graph(text, max_vertices=9)
+    # refused before the edge count is compared with the header
+    with pytest.raises(CeilingError):
+        read_graph("100000 5\n", max_vertices=64)
 
 
 def test_comments_and_labels():

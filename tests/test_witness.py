@@ -125,6 +125,20 @@ def test_pinned_certificate_on_g40():
     assert cert.witness_set == (0, 1, 16, 20, 23, 29, 35, 37)
 
 
+@pytest.mark.parametrize(
+    "n, q, witness_set",
+    [
+        (56, 8, (0, 1, 2, 6, 8, 16, 31, 38)),
+        (64, 9, (0, 5, 14, 26, 37, 44, 49, 51, 57)),
+    ],
+)
+def test_pinned_certificate_at_the_frontier(n, q, witness_set):
+    # G(64, 1/2) is the default witness ceiling
+    cert = witness_number(make_random(n, 0))
+    assert cert.q == q
+    assert cert.witness_set == witness_set
+
+
 def test_sandwich_bounds():
     rng = random.Random(17)
     for trial in range(60):
