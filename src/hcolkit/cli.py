@@ -264,7 +264,10 @@ def _cmd_represent(args, ceilings: Ceilings) -> int:
 
 
 def _cmd_reduce(args, ceilings: Ceilings) -> int:
-    target = read_graph(_read(args.target))
+    # the witness search (nae-sat) or the gadget check's oracle (list-hcol)
+    # refuses a larger target anyway; refuse it before building its rows
+    limit = ceilings.witness_vertices if args.source == "nae-sat" else ceilings.oracle_vertices
+    target = read_graph(_read(args.target), max_vertices=limit)
     if args.source == "nae-sat":
         if not args.cnf:
             raise ValueError("--from nae-sat needs --cnf")

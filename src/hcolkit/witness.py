@@ -8,12 +8,12 @@ whose (|T|-1)-subsets have a nonempty one.  Critical sets coincide with
 the inclusion-minimal empty-common-neighborhood sets, and a maximum
 clique is always one of them.
 
-The search is exact and runs in two passes.  A set T has no common
-neighbor iff it meets every non-neighborhood E_w = V - N(w) (w is in
-E_w, having no loop), so the critical sets are the minimal transversals
-of the hypergraph {E_w}, and q(G) is the size of its largest one.
+The search is exact.  A set T has no common neighbor iff it meets every
+non-neighborhood E_w = V - N(w) (w is in E_w, having no loop), so the
+critical sets are the minimal transversals of the hypergraph {E_w}, and
+q(G) is the size of its largest one.
 
-Pass 1 (`_max_critical_size`) finds q alone by the MMCS rule for
+One search (`_largest_transversal`) finds them by the MMCS rule for
 minimal transversals (Murakami & Uno, Discrete Appl. Math. 2014): a
 node holds the partial set S, CN(S) (the edges S misses), CN(S - s)
 for each member s, and a candidate mask.  It branches on the missed
@@ -21,32 +21,33 @@ edge with the fewest candidates, taking the candidates out and giving
 each back after its branch, so every minimal transversal is met once.
 Member s keeps a private ("critical") edge iff CN(S - s) - CN(S) is
 nonempty; a child where some member has none is dropped, because that
-set only shrinks as S grows.  The best size starts at omega, since a
-maximum clique is critical.
+set only shrinks as S grows.  Started at a node (S, cand), the search
+meets exactly the minimal transversals T ⊇ S with T - S ⊆ cand, and it
+returns as soon as its best size reaches a given stop.
 
-Both passes prune by counting private witnesses.  If a critical
-superset adds the vertices Z to S, every z in Z has a private witness
-w_z in CN(S): w_z misses z and sees every other member of Z.  So the
-witnesses are pairwise distinct (w_z misses z, which every other
-w_z' sees), and each has at least |Z| - 1 neighbors among the vertices
-Z is drawn from.  In pass 1, where Z lies in the candidates, a node can
-beat the best size only if at least need = best - |S| + 1 members of
-CN(S) have |N(w) ∩ candidates| >= need - 1; the scan that picks the
-branching edge counts them.
+It prunes by counting private witnesses.  If a critical superset adds
+the vertices Z to S, every z in Z has a private witness w_z in CN(S):
+w_z misses z and sees every other member of Z.  So the witnesses are
+pairwise distinct (w_z misses z, which every other w_z' sees), and each
+has at least |Z| - 1 neighbors among the candidates Z is drawn from.  A
+node can beat the best size only if at least need = best - |S| + 1
+members of CN(S) have |N(w) ∩ candidates| >= need - 1; the scan that
+picks the branching edge counts them.
 
-Pass 2 (`_first_critical_of_size`) finds the certificate: a depth-first
-search over sorted vertex tuples, in lexicographic order, that stops at
-its first critical set of size q.  After a new vertex z, the r = q -
-|T| - 1 vertices still to come lie above z, so it asks for r members w
-of CN(T + z) with |N(w) ∩ {z+1, ..., n-1}| >= r - 1 (read from a
-per-graph table of neighbor counts above each vertex).  It also
-requires every new vertex to have a non-neighbor in CN(T), and applies
-the private-edge test above.  All three hold for every prefix of a
-critical set of size q, so no such set is pruned, and the first one
-found is the lexicographically first.  Run alone, with the best size
-rising from omega - 1 and the weaker test that every CN(T - t) is
-nonempty, the same DFS also ends with this set; each test of pass 2 is
-at least as strong at every node, so it visits a subset of those nodes.
+Pass 1 runs the search from the root with the best size at omega, since
+a maximum clique is critical, and a stop it cannot reach; it returns q.
+
+Pass 2 (`_first_critical_of_size`) fixes the certificate, the
+lexicographically first critical set of size q, one vertex at a time.
+With its first vertices P fixed, it tries each z above max(P) in
+ascending order and keeps the first z such that z and every member of P
+keep a private edge in P + z, and either CN(P + z) is empty and z is
+the q-th vertex, or the search started at (P + z, the vertices above z)
+with best size q - 1 and stop q returns q.  That search meets exactly
+the critical sets whose sorted order begins with P + z, and q is the
+largest size, so it returns q iff a critical set of size q begins with
+P + z.  The first z kept is therefore the next vertex of the
+lexicographically first one.
 
 Also here: the B(m, l) obstruction patterns whose absence certifies
 q(G) <= m-1, and the degeneracy / clique-number / max-degree bounds.
@@ -167,14 +168,19 @@ def max_clique(g: Graph) -> tuple[int, ...]:
 # Exact witness number
 # ---------------------------------------------------------------------------
 
-def _max_critical_size(g: Graph, omega: int) -> int:
-    """q(g): the size of a largest minimal transversal of {V - N(w)}."""
-    rows = g.rows
-    # a maximum clique is critical
-    best = omega
+def _largest_transversal(
+    rows: list[int], cn: int, dcs: list[int], cand: int, depth: int, best: int, stop: int
+) -> int:
+    """The larger of best and the size of the largest minimal transversal
+    of {V - N(w)} met below the node (S, cand); returns once that reaches
+    stop.
 
-    # cn = CN(S) marks the edges S misses, dcs[i] = CN(S - s_i); a member
-    # keeps a private edge iff its dc meets the complement of cn
+    S has depth members and misses some edge: cn = CN(S) marks the edges
+    S misses, and dcs[i] = CN(S - s_i), so a member keeps a private edge
+    iff its dc meets the complement of cn; each member must keep one.
+    The transversals met are those T ⊇ S with T - S ⊆ cand.
+    """
+
     def search(cn: int, dcs: list[int], cand: int, depth: int) -> None:
         nonlocal best
         # branch on the missed edge with the fewest candidates, ties to
@@ -214,66 +220,46 @@ def _max_critical_size(g: Graph, omega: int) -> int:
                 else:
                     new_dcs.append(cn)
                     search(new_cn, new_dcs, cand, depth + 1)
+                if best >= stop:
+                    return
             cand |= low
             branch ^= low
 
-    full = (1 << g.n) - 1
-    search(full, [], full, 0)
+    search(cn, dcs, cand, depth)
     return best
 
 
 def _first_critical_of_size(g: Graph, q: int) -> tuple[int, ...]:
-    """Lexicographically first critical set of size q, where q = q(g)."""
-    n = g.n
+    """Lexicographically first critical set of size q, where q = q(g),
+    fixed one vertex at a time."""
     rows = g.rows
-    # after[z][v] = |N(v) ∩ {z+1, ..., n-1}|, the cap bound's term for v
-    after = [[(row >> (z + 1)).bit_count() for row in rows] for z in range(n)]
-    path: list[int] = []
-
-    # dc[i] = common neighborhood of T minus its i-th element; a leaf is
-    # critical iff CN(T) = 0 while every dc entry is nonzero.  The search
-    # stops at its first leaf of size q, which is the certificate.
-    def extend(t_last: int, cn: int, dcs: list[int], depth: int) -> bool:
-        for z in range(t_last + 1, n):
+    full = (1 << g.n) - 1
+    cn, dcs, path = full, [], []
+    for depth in range(1, q + 1):
+        for z in range(path[-1] + 1 if path else 0, g.n):
             row = rows[z]
-            # z must have a non-neighbor inside CN(T) to earn a private
-            # witness later (z itself counts, z not being its own neighbor)
-            if not (cn & ~row):
-                continue
             new_cn = cn & row
-            if new_cn == 0:
-                if depth + 1 == q and all(dc & row for dc in dcs):
-                    path.append(z)
-                    return True
-                continue
-            # upper bound: each of the r = q - depth - 1 future additions
-            # needs its own private witness in new_cn, seeing the other
-            # r - 1 (all above z); the branch survives once r common
-            # neighbors leave that room
-            r = q - depth - 1
-            counts = after[z]
-            short = r
-            scan = new_cn
-            while short > 0 and scan:
-                low = scan & -scan
-                if counts[low.bit_length() - 1] >= r - 1:
-                    short -= 1
-                scan ^= low
-            if short > 0:
+            # z keeps a private edge iff it misses part of CN(path)
+            if new_cn == cn:
                 continue
             new_dcs = [dc & row for dc in dcs]
+            # a member with no private edge left never regains one
             if not all(dc & ~new_cn for dc in new_dcs):
-                # some member has no private witness left, and none comes
-                # back as T grows; no superset through here is minimal
                 continue
             new_dcs.append(cn)
-            path.append(z)
-            if extend(z, new_cn, new_dcs, depth + 1):
-                return True
-            path.pop()
-        return False
-
-    extend(-1, (1 << n) - 1, [], 0)
+            # keep z if path + z begins a critical set of size q: it is
+            # one, or the search over the vertices above z reaches q
+            if depth == q:
+                if not new_cn:
+                    break
+            elif new_cn and _largest_transversal(
+                rows, new_cn, new_dcs, full ^ ((2 << z) - 1), depth, q - 1, q
+            ) == q:
+                break
+        else:
+            raise InvariantViolation(f"no critical set of size {q} extends {tuple(path)}")
+        path.append(z)
+        cn, dcs = new_cn, new_dcs
     return tuple(path)
 
 
@@ -286,9 +272,10 @@ def witness_number(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> Witnes
             f"witness-number search limited to {ceilings.witness_vertices} vertices (got {g.n})"
         )
     checked_up_to = min(g.n, g.max_degree() + 1)
-    cert = _first_critical_of_size(g, _max_critical_size(g, len(max_clique(g))))
-    if not cert:
-        raise InvariantViolation("the search recorded no critical set")
+    full = (1 << g.n) - 1
+    # a maximum clique is critical, and no transversal reaches n + 1
+    q = _largest_transversal(g.rows, full, [], full, 0, len(max_clique(g)), g.n + 1)
+    cert = _first_critical_of_size(g, q)
     result = WitnessCertificate(q=len(cert), witness_set=cert, checked_up_to=checked_up_to)
     if not result.validate(g):
         raise InvariantViolation("witness certificate failed validation")

@@ -88,30 +88,27 @@ def brute_first_embedding(pattern: Graph, g: Graph):
     return None
 
 
-def brute_witness_q(g: Graph) -> int:
-    """Maximum size of an inclusion-minimal set with no common neighbor."""
+def brute_critical_sets(g: Graph):
+    """Every inclusion-minimal set with no common neighbor, by size and
+    then in `itertools.combinations` order."""
     assert 1 <= g.n <= 10
-    best = 0
     for size in range(1, g.n + 1):
         for t in combinations(range(g.n), size):
-            if common_neighbors(g, t):
-                continue
-            if all(common_neighbors(g, s) for s in combinations(t, size - 1)):
-                best = max(best, size)
-    return best
+            if not common_neighbors(g, t) and all(
+                common_neighbors(g, s) for s in combinations(t, size - 1)
+            ):
+                yield t
+
+
+def brute_witness_q(g: Graph) -> int:
+    """Maximum size of an inclusion-minimal set with no common neighbor."""
+    return max(map(len, brute_critical_sets(g)))
 
 
 def brute_first_critical(g: Graph) -> tuple[int, ...]:
     """First maximum-size inclusion-minimal empty-common-neighborhood set,
     in `itertools.combinations` order."""
-    assert 1 <= g.n <= 10
-    for size in range(g.n, 0, -1):
-        for t in combinations(range(g.n), size):
-            if common_neighbors(g, t):
-                continue
-            if all(common_neighbors(g, s) for s in combinations(t, size - 1)):
-                return t
-    raise AssertionError("every graph with a vertex has a critical set")
+    return max(brute_critical_sets(g), key=len)
 
 
 def reference_witness_search(g: Graph) -> tuple[int, ...]:

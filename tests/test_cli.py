@@ -483,12 +483,21 @@ def test_witness_ceiling_exit_code(files, capsys, tmp_path, monkeypatch):
     assert code == 2 and "desk scale" in err
 
 
-def test_witness_refuses_a_large_header_before_building_rows(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness",),
+        ("reduce", "--from", "nae-sat", "--cnf", "phi4.cnf", "--target"),
+        ("reduce", "--from", "list-hcol", "--instance", "lists.g", "--target"),
+    ],
+    ids=["witness", "reduce-nae-sat", "reduce-list-hcol"],
+)
+def test_witness_refuses_a_large_header_before_building_rows(argv, files, capsys, tmp_path):
     path = tmp_path / "huge.g"
     path.write_text("100000 0\n")
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "witness", str(path))
+        code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv), str(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

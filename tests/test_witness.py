@@ -1,9 +1,12 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 
 from conftest import (
+    brute_critical_sets,
     brute_first_critical,
     brute_first_embedding,
     brute_witness_q,
@@ -24,6 +27,7 @@ from hcolkit.graphs import (
 )
 from hcolkit.hom import compute_core
 from hcolkit.witness import (
+    _largest_transversal,
     b_pattern_edge_count,
     clique_number,
     degeneracy,
@@ -117,6 +121,54 @@ def test_agrees_with_brute_force_across_densities():
             cert = witness_number(g)
             assert cert.q == brute_witness_q(g), (density, g.rows)
             assert cert.witness_set == brute_first_critical(g), (density, g.rows)
+
+
+def test_restarted_search_meets_the_critical_sets_above_its_start():
+    # the certificate rests on this: started at S with the candidates above
+    # max(S), the search reaches t iff a critical T ⊇ S with |T| >= t has
+    # T - S above max(S)
+    rng = random.Random(43)
+    outcomes = set()
+    for density in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        for trial in range(4):
+            g = _graph_at_density(rng, rng.randrange(1, 10), density)
+            full = (1 << g.n) - 1
+            critical = [set(t) for t in brute_critical_sets(g)]
+            for size in range(g.n):
+                for s in combinations(range(g.n), size):
+                    cn = reduce(and_, (g.rows[v] for v in s), full)
+                    dcs = [
+                        reduce(and_, (g.rows[v] for v in s if v != u), full) for u in s
+                    ]
+                    if not cn or not all(dc & ~cn for dc in dcs):
+                        continue
+                    top = s[-1] if s else -1
+                    reach = max(
+                        (len(t) for t in critical if t >= set(s) and min(t - set(s)) > top),
+                        default=0,
+                    )
+                    cand = full >> (top + 1) << (top + 1)
+                    for target in range(1, g.n + 2):
+                        found = _largest_transversal(
+                            g.rows, cn, dcs, cand, size, target - 1, target
+                        ) >= target
+                        assert found == (reach >= target), (g.rows, s, target)
+                        outcomes.add((found, target > size + 1))
+    # either answer occurs, for targets one vertex past S and further
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize(
+    "n, density, q, witness_set",
+    [
+        (40, 0.8, 14, (4, 7, 13, 14, 15, 18, 19, 22, 23, 24, 25, 28, 33, 37)),
+        (48, 0.7, 12, (1, 3, 7, 13, 14, 15, 17, 22, 23, 29, 34, 36)),
+    ],
+)
+def test_pinned_certificate_on_dense_graphs(n, density, q, witness_set):
+    cert = witness_number(_graph_at_density(random.Random(0), n, density))
+    assert cert.q == q
+    assert cert.witness_set == witness_set
 
 
 def test_pinned_certificate_on_g40():
