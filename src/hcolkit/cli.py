@@ -182,8 +182,11 @@ def _load_normalized_rep(path: str, target: Graph, seed: int, ceilings: Ceilings
 
 
 def _cmd_kernelize(args, ceilings: Ceilings) -> int:
-    inst = read_instance(_read(args.instance))
-    target = read_graph(_read(args.target))
+    # the verify step's oracle refuses a larger instance or target anyway;
+    # refuse it before building its rows
+    limit = ceilings.oracle_vertices if args.verify else None
+    inst = read_instance(_read(args.instance), max_vertices=limit)
+    target = read_graph(_read(args.target), max_vertices=limit)
     if target.m == 0:
         raise ValueError(
             "target graph has no edges, so colorability just asks whether the "

@@ -106,9 +106,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((r.bit_count() for r in self.rows), default=0)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     # -- derived graphs -----------------------------------------------
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
@@ -236,12 +233,9 @@ def make_kneser(m: int, r: int) -> Graph:
     """
     if not (r >= 1 and m >= 2 * r):
         raise ValueError(f"Kneser graph needs m >= 2r >= 2, got m={m}, r={r}")
-    subsets = list(combinations(range(1, m + 1), r))
-    index = {s: i for i, s in enumerate(subsets)}
-    edges = []
-    for a, b in combinations(subsets, 2):
-        if not set(a) & set(b):
-            edges.append((index[a], index[b]))
+    subsets = kneser_vertex_subsets(m, r)
+    pairs = combinations(enumerate(subsets), 2)
+    edges = [(i, j) for (i, a), (j, b) in pairs if not set(a) & set(b)]
     labels = {i: "{" + ",".join(map(str, s)) + "}" for i, s in enumerate(subsets)}
     return Graph(len(subsets), edges, labels)
 

@@ -34,10 +34,13 @@ modules, without affecting exactness:
 * low-degree "clusters" (connected sets of vertices attached to the
   rest of the graph through at most two higher-degree vertices) are
   compiled into unary/binary constraint tables between their boundary
-  vertices and re-expanded after the main search.  Gadget interiors and
-  kernel pendant vertices disappear from the search this way, and
-  clusters whose re-expansion has equal rows and domains (gadget copies)
-  share one search.
+  vertices and re-expanded after the main search.  One search,
+  ``_cluster_solver``, does both: compilation runs it at every image of
+  the boundary, re-expansion at the images the main search chose.  The
+  binary tables enter the main search as constraint groups beside the
+  edge group.  Gadget interiors and kernel pendant vertices disappear
+  from the search this way, and clusters with equal signatures and
+  boundary images (gadget copies) share one re-expansion.
 
 The residual search orders vertices by descending total constraint
 tightness, which is plain descending degree on uncompiled graphs;
@@ -233,6 +236,29 @@ def _search(
         del assign[v]
 
 
+def _cluster_solver(h_rows: tuple[int, ...], sig: tuple):
+    """``solve(images)``: the member images of the first solution of the
+    cluster with signature ``sig`` (member domains, local rows, boundary
+    positions each member is adjacent to, boundary size) into the graph
+    with rows ``h_rows`` once its boundary takes ``images``, or None.
+    Every call shares one constraint set and its supports."""
+    doms, rows, attach, _ = sig
+    order, cons = _edge_constraints(rows, h_rows)
+
+    def solve(images: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        dom = []
+        for d, ends in zip(doms, attach):
+            for b in ends:
+                d &= h_rows[images[b]]
+            if not d:
+                return None
+            dom.append(d)
+        found = next(_search(order, dom, cons), None)
+        return None if found is None else tuple(found[i] for i in range(len(dom)))
+
+    return solve
+
+
 class _ComponentSolver:
     """Solves one connected component of the instance graph."""
 
@@ -241,11 +267,12 @@ class _ComponentSolver:
         self.h = h
         self.comp = comp
         self.dom = {v: doms[v] for v in comp}
-        self.clusters: list[tuple[list[int], list[int]]] = []  # (members, boundary)
+        self.clusters: list[tuple] = []  # (members, boundary, signature)
         self.residual: list[int] = []
-        # per-variable constraint list: (partner, table); table[a] is the
-        # mask of partner values compatible with value a.
-        self.constraints: dict[int, list[tuple[int, tuple[int, ...] | list[int]]]] = {}
+        # per boundary vertex, its cluster tables as ``_search`` groups
+        # keyed by id(table); a table's supports are shared by all its groups
+        self.tables: dict[int, dict[int, tuple]] = {}
+        self.supports: dict[int, dict[int, int]] = {}
 
     # -- preprocessing --------------------------------------------------
 
@@ -283,51 +310,20 @@ class _ComponentSolver:
         self.residual = sorted(pins) + residual_extra
         return True
 
-    def _cluster_tables(self, members: list[int], boundary: list[int]):
+    def _cluster_tables(self, sig: tuple):
         """Feasibility table of a cluster with one or two boundary
-        vertices, cached by structural signature (see ``_cluster_cache``)."""
-        g, h = self.g, self.h
-        index = {v: i for i, v in enumerate(members)}
-        local_rows = []
-        attach = []
-        for v in members:
-            row = 0
-            for u in _bits(g.rows[v]):
-                if u in index:
-                    row |= 1 << index[u]
-            local_rows.append(row)
-            attach.append(tuple(b for b in range(len(boundary)) if g.has_edge(v, boundary[b])))
-        sig = (
-            tuple(self.dom[v] for v in members),
-            tuple(local_rows),
-            tuple(attach),
-            len(boundary),
-        )
+        vertices, cached by its signature (see ``_cluster_cache``)."""
+        h = self.h
         key = (h.rows, sig)
         hit = _cluster_cache.get(key)
         if hit is not None:
             return hit
-
-        order, cons = _edge_constraints(local_rows, h.rows)
-
-        def feasible(images: tuple[int, ...]) -> bool:
-            dom = []
-            for i, d in enumerate(sig[0]):
-                for b in attach[i]:
-                    d &= h.rows[images[b]]
-                if not d:
-                    return False
-                dom.append(d)
-            return next(_search(order, dom, cons), None) is not None
-
-        if len(boundary) == 1:
-            result = 0
-            for a in range(h.n):
-                if feasible((a,)):
-                    result |= 1 << a
+        solve = _cluster_solver(h.rows, sig)
+        if sig[3] == 1:
+            result = sum(1 << a for a in range(h.n) if solve((a,)) is not None)
         else:
             table = tuple(
-                sum(1 << b for b in range(h.n) if feasible((a, b)))
+                sum(1 << b for b in range(h.n) if solve((a, b)) is not None)
                 for a in range(h.n)
             )
             back = [0] * h.n
@@ -341,7 +337,14 @@ class _ComponentSolver:
         return result
 
     def _compile_cluster(self, members: list[int], boundary: list[int]) -> bool:
-        compiled = self._cluster_tables(members, boundary)
+        g = self.g
+        index = {v: i for i, v in enumerate(members)}
+        rows, attach = [], []
+        for v in members:
+            rows.append(sum(1 << index[u] for u in _bits(g.rows[v]) if u in index))
+            attach.append(tuple(b for b, x in enumerate(boundary) if g.has_edge(v, x)))
+        sig = (tuple(self.dom[v] for v in members), tuple(rows), tuple(attach), len(boundary))
+        compiled = self._cluster_tables(sig)
         if len(boundary) == 1:
             x = boundary[0]
             self.dom[x] &= compiled
@@ -356,9 +359,13 @@ class _ComponentSolver:
             self.dom[y] &= sum(1 << b for b in range(self.h.n) if back[b] & self.dom[x])
             if not self.dom[x] or not self.dom[y]:
                 return False
-            self.constraints.setdefault(x, []).append((y, table))
-            self.constraints.setdefault(y, []).append((x, back))
-        self.clusters.append((members, boundary))
+            for u, w, t in ((x, y, table), (y, x, back)):
+                groups = self.tables.setdefault(u, {})
+                group = groups.get(id(t))
+                if group is None:
+                    group = groups[id(t)] = (t, [], self.supports.setdefault(id(t), {}))
+                group[1].append(w)
+        self.clusters.append((members, boundary, sig))
         return True
 
     # -- residual search ------------------------------------------------
@@ -367,24 +374,15 @@ class _ComponentSolver:
         if not self.split_clusters():
             return None
         g, h = self.g, self.h
-        # graph-edge constraints among residual vertices, then the cluster
-        # tables, grouped by table; equal clusters share their tables
+        # graph-edge constraints among residual vertices, then the groups
+        # of the cluster tables
         residual_mask = sum(1 << v for v in self.residual)
         edge_supports: dict[int, int] = {}
-        table_supports: dict[int, dict[int, int]] = {}
         cons: dict[int, list] = {}
         for v in self.residual:
             neighbors = list(_bits(g.rows[v] & residual_mask))
-            groups = [(h.rows, neighbors, edge_supports)] if neighbors else []
-            by_table: dict[int, list[int]] = {}
-            for u, table in self.constraints.get(v, ()):
-                partners = by_table.get(id(table))
-                if partners is None:
-                    partners = by_table[id(table)] = []
-                    supports = table_supports.setdefault(id(table), {})
-                    groups.append((table, partners, supports))
-                partners.append(u)
-            cons[v] = groups
+            cons[v] = [(h.rows, neighbors, edge_supports)] if neighbors else []
+            cons[v].extend(self.tables.get(v, {}).values())
 
         # Order by total constraint tightness (forbidden pairs summed over
         # incident constraint tables), descending, ties by id.  On plain
@@ -407,33 +405,18 @@ class _ComponentSolver:
         assign = next(_search(order, self.dom, cons), None)
         if assign is None:
             return None
-        # re-expand the compiled clusters; the search is deterministic, so
-        # clusters with equal rows and domains (gadget copies) share one
+        # re-expand the compiled clusters at the boundary images; the
+        # search is deterministic, so clusters with equal signatures and
+        # boundary images (gadget copies) share one
         expanded: dict[tuple, tuple[int, ...]] = {}
-        for members, boundary in self.clusters:
-            index = {v: i for i, v in enumerate(members)}
-            rows = []
-            dom = []
-            for v in members:
-                row = 0
-                d = self.dom[v]
-                for u in _bits(g.rows[v]):
-                    if u in index:
-                        row |= 1 << index[u]
-                    elif u in assign:
-                        d &= h.rows[assign[u]]
-                rows.append(row)
-                dom.append(d)
-            key = (tuple(rows), tuple(dom))
+        for members, boundary, sig in self.clusters:
+            key = (sig, tuple(assign[x] for x in boundary))
             sub = expanded.get(key)
             if sub is None:
-                order, cons = _edge_constraints(rows, h.rows)
-                found = next(_search(order, dom, cons), None)
-                if found is None:
+                sub = expanded[key] = _cluster_solver(h.rows, sig)(key[1])
+                if sub is None:
                     raise InvariantViolation("compiled cluster lost its witness")
-                sub = expanded[key] = tuple(found[i] for i in range(len(members)))
-            for v, a in zip(members, sub):
-                assign[v] = a
+            assign.update(zip(members, sub))
         return assign
 
 

@@ -319,8 +319,8 @@ def write_instance(inst: VertexCoverInstance) -> str:
     return text + " ".join(["X", *map(str, inst.cover)]) + "\n"
 
 
-def read_instance(text: str) -> VertexCoverInstance:
-    g, extras = parse_graph_lines(text.splitlines())
+def read_instance(text: str, *, max_vertices: int | None = None) -> VertexCoverInstance:
+    g, extras = parse_graph_lines(text.splitlines(), max_vertices=max_vertices)
     cover = None
     for tokens in extras:
         if tokens[0] == "X":

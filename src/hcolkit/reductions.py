@@ -28,11 +28,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError
 from .graphs import Graph, make_complete, make_path, parse_graph_lines, write_graph
-from .graphs import common_neighbors
 from .hom import _check_oracle_size, _domains_from_lists, _edge_constraints, _search
 from .hom import find_homomorphism  # unused here; perfbench/tracing.py patches it by name
 from .kernels import VertexCoverInstance
-from .witness import witness_number
+from .witness import critical_set_fault, witness_number
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +298,9 @@ def reduce_naesat_to_hcol(
         raise ValueError("witness sets below size 3 give degenerate constructions")
     formula.require_width(q)
     anchors = tuple(sorted(tight_set))
-    # tightness re-check: no common neighbor overall, every drop-one has one
-    if common_neighbors(target, anchors):
-        raise ValueError("tight set has a common neighbor")
-    for drop in combinations(anchors, q - 1):
-        if not common_neighbors(target, drop):
-            raise ValueError("tight set is not tight: a proper subset lacks a common neighbor")
+    fault = critical_set_fault(target, anchors)
+    if fault:
+        raise ValueError(f"tight set {fault}")
     n = formula.n_vars
     h_n = target.n
 

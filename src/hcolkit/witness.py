@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError, InvariantViolation
@@ -79,14 +79,18 @@ class WitnessCertificate:
     checked_up_to: int
 
     def validate(self, g: Graph) -> bool:
-        if len(self.witness_set) != self.q:
-            return False
-        if common_neighbors(g, self.witness_set):
-            return False
-        return all(
-            common_neighbors(g, sub)
-            for sub in combinations(self.witness_set, self.q - 1)
-        )
+        return len(self.witness_set) == self.q and critical_set_fault(g, self.witness_set) is None
+
+
+def critical_set_fault(g: Graph, vertices: Sequence[int]) -> Optional[str]:
+    """None when ``vertices`` is a critical set of g: it has no common
+    neighbor, and each of its drop-one subsets has one.  Otherwise the
+    first condition that fails, as a predicate of the set."""
+    if common_neighbors(g, vertices):
+        return "has a common neighbor"
+    if not all(common_neighbors(g, sub) for sub in combinations(vertices, len(vertices) - 1)):
+        return "is not tight: a proper subset lacks a common neighbor"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,29 @@ def random_cover_instance(
     return VertexCoverInstance(Graph(n, edges), cover)
 
 
+def hub_and_path_graph(rng: random.Random) -> tuple[Graph, int]:
+    """Two hubs of degree at least 5 joined by 2-4 paths of 2-4 edges,
+    and maybe by an edge, so that every path is a cluster on the same two
+    pins; returns the graph and the number of hub and path vertices,
+    which come before the pendant vertices that lift the hub degrees."""
+    edges, n = [], 2
+    for _ in range(rng.randint(2, 4)):
+        last = 0
+        for _ in range(rng.randint(1, 3)):
+            edges.append((last, n))
+            last = n
+            n += 1
+        edges.append((last, 1))
+    core = n
+    for hub in (0, 1):
+        for _ in range(5):
+            edges.append((hub, n))
+            n += 1
+    if rng.random() < 0.5:
+        edges.append((0, 1))
+    return Graph(n, edges), core
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

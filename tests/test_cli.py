@@ -489,8 +489,10 @@ def test_witness_ceiling_exit_code(files, capsys, tmp_path, monkeypatch):
         ("witness",),
         ("reduce", "--from", "nae-sat", "--cnf", "phi4.cnf", "--target"),
         ("reduce", "--from", "list-hcol", "--instance", "lists.g", "--target"),
+        ("kernelize", "--target", "c5.g", "--mode", "combinatorial", "--q", "2", "--verify"),
+        ("kernelize", "inst.g", "--mode", "combinatorial", "--q", "2", "--verify", "--target"),
     ],
-    ids=["witness", "reduce-nae-sat", "reduce-list-hcol"],
+    ids=["witness", "reduce-nae-sat", "reduce-list-hcol", "kernelize-verify-instance", "kernelize-verify-target"],
 )
 def test_witness_refuses_a_large_header_before_building_rows(argv, files, capsys, tmp_path):
     path = tmp_path / "huge.g"
@@ -505,6 +507,17 @@ def test_witness_refuses_a_large_header_before_building_rows(argv, files, capsys
     assert "100000 vertices" in err and err.count("\n") == 1
     # one row per announced vertex would take well over a megabyte
     assert peak < 600_000
+
+
+def test_kernelize_reads_above_the_oracle_ceiling_only_without_verify(files, capsys, monkeypatch):
+    # the 6-vertex instance is above a 5-vertex oracle: --verify refuses
+    # it while reading, and a plain kernelize still builds its kernel
+    monkeypatch.setenv("HCOL_ORACLE_VERTICES", "5")
+    argv = ("kernelize", files["inst.g"], "--target", files["c5.g"], "--mode", "combinatorial", "--q", "2")
+    code, out, err = run(capsys, *argv, "--verify")
+    assert code == 2 and out == "" and "announces 6 vertices, above the limit of 5" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("6 ")
 
 
 def test_reduce_gadget_search_exhaustion(files, capsys, tmp_path, monkeypatch):

@@ -1,11 +1,21 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import brute_hom_exists, brute_homomorphisms, brute_network_solutions
+from conftest import brute_hom_exists, brute_homomorphisms, brute_network_solutions, hub_and_path_graph
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
-from hcolkit.graphs import Graph, make_complete, make_cycle, make_empty, make_petersen, make_random
+from hcolkit.graphs import (
+    Graph,
+    make_complete,
+    make_cycle,
+    make_empty,
+    make_kneser,
+    make_petersen,
+    make_random,
+)
 import hcolkit.hom
 from hcolkit.hom import (
     Homomorphism,
@@ -18,6 +28,7 @@ from hcolkit.hom import (
     is_core,
 )
 from hcolkit.kernels import VertexCoverInstance, combinatorial_kernel
+from hcolkit.reductions import find_edge_gadget, reduce_list_to_plain
 
 
 def test_identity_on_cycle():
@@ -149,19 +160,19 @@ def test_two_boundary_clusters_register_exact_transposes():
             lists[n] = rng.sample(range(h.n), 4)
             n += 2
         for solver in compiled_solvers(Graph(n, edges), h, lists)[0]:
-            for members, boundary in solver.clusters:
-                if len(boundary) != 2:
-                    continue
-                x, y = boundary
-                # each cluster on (x, y) appends one table at x and its reverse at y
-                forward = [t for u, t in solver.constraints[x] if u == y]
-                reverse = [t for u, t in solver.constraints[y] if u == x]
-                assert len(forward) == len(reverse)
-                for table, back in zip(forward, reverse):
-                    bits = [[table[a] >> b & 1 for b in range(h.n)] for a in range(h.n)]
-                    assert [[back[b] >> a & 1 for b in range(h.n)] for a in range(h.n)] == bits
-                    asymmetric += bits != [list(col) for col in zip(*bits)]
-                clusters += 1
+            on_pair = Counter(tuple(b) for _, b, _ in solver.clusters if len(b) == 2)
+            for (x, y), count in on_pair.items():
+                # each cluster on (x, y) puts y once more among the partners
+                # of its table at x, and x among those of its reverse at y
+                forward = [t for t, partners, _ in solver.tables[x].values() for u in partners if u == y]
+                reverse = [t for t, partners, _ in solver.tables[y].values() for u in partners if u == x]
+                assert len(forward) == len(reverse) == count
+                transposes = [
+                    tuple(sum((t[a] >> b & 1) << a for a in range(h.n)) for b in range(h.n)) for t in forward
+                ]
+                assert sorted(transposes) == sorted(reverse)
+                asymmetric += sum(t != back for t, back in zip(forward, transposes))
+                clusters += count
     assert clusters > 50 and asymmetric > 0
 
 
@@ -175,15 +186,55 @@ def test_cluster_cache_hit_registers_the_tables_of_a_miss():
     hit, hit_witness = compiled_solvers(g, h)
     assert len(hcolkit.hom._cluster_cache) == entries
     assert hit_witness == miss_witness and None not in miss_witness
-    assert [s.constraints for s in hit] == [s.constraints for s in missed]
+
+    def registered(solver):
+        return {v: [(t, partners) for t, partners, _ in groups.values()] for v, groups in solver.tables.items()}
+
+    assert [registered(s) for s in hit] == [registered(s) for s in missed]
     # a hit registers the cached tuples themselves
     for a, b in zip(missed, hit):
-        for v, cons in a.constraints.items():
-            assert all(t1 is t2 for (_, t1), (_, t2) in zip(cons, b.constraints[v]))
+        for v, groups in a.tables.items():
+            assert all(t1 is t2 for (t1, _, _), (t2, _, _) in zip(groups.values(), b.tables[v].values()))
     hcolkit.hom._cluster_cache.clear()
     witness = find_homomorphism(g, h)
     assert witness is not None and witness.check()
     assert find_homomorphism(g, h) == witness
+
+
+def clustered_corpus(rng):
+    """Seeded instances whose gadget and pendant vertices compile into
+    clusters, over C5, K4, the Petersen graph and K(6,2): list-to-plain
+    reductions of small random list instances, kernel-shaped graphs, and
+    hub-and-path graphs with lists on the hubs and paths."""
+    for h in (make_cycle(5), make_complete(4), make_petersen(), make_kneser(6, 2)):
+        gadget = find_edge_gadget(h).found
+        for _ in range(25):
+            n = rng.randint(3, 6)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+            lists = {v: rng.sample(range(h.n), rng.randint(2, h.n - 1)) for v in range(n)}
+            yield reduce_list_to_plain(g, lists, h, gadget), h, None
+        for _ in range(25):
+            yield kernel_shaped_graph(rng, k=rng.randint(5, 8), outside=rng.randint(10, 30)), h, None
+        for _ in range(25):
+            g, core = hub_and_path_graph(rng)
+            lists = {v: rng.sample(range(h.n), rng.randint(1, h.n)) for v in rng.sample(range(core), 3)}
+            yield g, h, lists
+
+
+def test_clustered_corpus_assignments_are_pinned():
+    # the witnesses themselves, not only their existence: a change to
+    # cluster compilation or re-expansion that moves any witness shows here
+    hcolkit.hom._cluster_cache.clear()
+    lines, satisfiable = [], 0
+    for g, h, lists in clustered_corpus(random.Random(131)):
+        f = find_homomorphism(g, h, lists=lists)
+        if f is not None:
+            assert f.check(lists)
+            satisfiable += 1
+        lines.append(repr(None if f is None else f.assignment))
+    assert len(lines) == 300 and 100 < satisfiable < 300
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "123759e101b500b1cbe94096000406738b7963323a5e73aa4d0029989b425ab4"
 
 
 def test_backtracking_restores_a_twice_narrowed_partner():

@@ -303,8 +303,13 @@ def test_naesat_requires_tight_set():
     # a 4-subset of K_5 still has a common neighbor, so it is not tight
     k5 = make_complete(5)
     gadget = find_edge_gadget(k5).found
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tight set has a common neighbor"):
         reduce_naesat_to_hcol(CnfFormula(1, ((1, 1, 1, -1),)), k5, (0, 1, 2, 3), gadget)
+    # K_4 plus an isolated vertex 4: {0, 1, 2, 4} has no common neighbor,
+    # but neither has {1, 2, 4}
+    k4_and_isolated = Graph(5, make_complete(4).edges())
+    with pytest.raises(ValueError, match="tight set is not tight: a proper subset lacks"):
+        reduce_naesat_to_hcol(CnfFormula(1, ((1, 1, 1, -1),)), k4_and_isolated, (0, 1, 2, 4), gadget)
 
 
 def test_naesat_width_3_allowed():

@@ -9,7 +9,7 @@ inputs exercises exactly the machinery the production solver adds.
 import random
 from itertools import combinations
 
-from conftest import reference_hom_exists
+from conftest import hub_and_path_graph, reference_hom_exists
 from hcolkit.graphs import Graph, make_complete, make_cycle, make_kneser, make_petersen, make_random
 from hcolkit.hom import find_homomorphism
 from hcolkit.witness import witness_number
@@ -75,29 +75,6 @@ def test_solver_agrees_with_reference_on_dense_random_graphs():
         expect = reference_hom_exists(g, h)
         got = find_homomorphism(g, h)
         assert (got is not None) == expect
-
-
-def hub_and_path_graph(rng: random.Random) -> tuple[Graph, int]:
-    """Two hubs of degree at least 5 joined by 2-4 paths of 2-4 edges,
-    and maybe by an edge, so that every path is a cluster on the same two
-    pins; returns the graph and the number of hub and path vertices,
-    which come before the pendant vertices that lift the hub degrees."""
-    edges, n = [], 2
-    for _ in range(rng.randint(2, 4)):
-        last = 0
-        for _ in range(rng.randint(1, 3)):
-            edges.append((last, n))
-            last = n
-            n += 1
-        edges.append((last, 1))
-    core = n
-    for hub in (0, 1):
-        for _ in range(5):
-            edges.append((hub, n))
-            n += 1
-    if rng.random() < 0.5:
-        edges.append((0, 1))
-    return Graph(n, edges), core
 
 
 def test_solver_agrees_with_reference_on_hub_and_path_graphs():

@@ -27,6 +27,7 @@ from hcolkit.graphs import (
 )
 from hcolkit.hom import compute_core
 from hcolkit.witness import (
+    WitnessCertificate,
     _largest_transversal,
     b_pattern_edge_count,
     clique_number,
@@ -77,6 +78,14 @@ def test_certificate_structure():
     assert common_neighbors(g, cert.witness_set) == ()
     for sub in combinations(cert.witness_set, cert.q - 1):
         assert common_neighbors(g, sub)
+    # validate refuses a set with a common neighbor, one with a drop-one
+    # subset that has none, and a q that is not the set's size
+    assert cert.validate(g)
+    k4_and_isolated = Graph(5, make_complete(4).edges())
+    for witness_set in ((0, 1, 2), (0, 1, 2, 4)):
+        assert not WitnessCertificate(len(witness_set), witness_set, 5).validate(k4_and_isolated)
+    assert WitnessCertificate(4, (0, 1, 2, 3), 5).validate(k4_and_isolated)
+    assert not WitnessCertificate(3, (0, 1, 2, 3), 5).validate(k4_and_isolated)
 
 
 def test_certificate_is_lexicographically_first():
