@@ -16,12 +16,13 @@ spirit of AC-3rm (Lecoutre & Hemery 2007).  Propagation removes only
 values that extend to no solution, so the solutions and their order are
 those of plain forward checking.  It has two uses:
 
-* first: ``find_homomorphism``, the cluster feasibility tables and the
-  re-expansion of compiled clusters take its first solution, and so do
-  two searches outside this module: ``witness.find_b_ml_copy`` (an
-  injective homomorphism from a B(m, l) pattern) and
-  ``reductions.verify_edge_gadget`` (one pinned search per ordered pair
-  of target vertices);
+* first: ``find_homomorphism``, the cluster feasibility tables, the
+  re-expansion of compiled clusters and the automorphism searches of
+  ``_orbits`` take its first solution, and so do two searches outside
+  this module: ``witness.find_b_ml_copy`` (an injective homomorphism
+  from a B(m, l) pattern) and ``reductions.verify_edge_gadget`` (one
+  pinned search per ordered pair of target vertices whose first vertex
+  is the least of its orbit under Aut(H));
 * all: ``enumerate_homomorphisms`` (and through it ``is_core``)
   iterates it to the end.
 
@@ -46,6 +47,20 @@ The residual search orders vertices by descending total constraint
 tightness, which is plain descending degree on uncompiled graphs;
 enumeration and cluster searches use descending degree.  Ties go by
 id, so every witness and every enumeration is deterministic.
+
+Root pruning by the symmetries of H.  When no list narrows a
+component, its edge constraints, its cluster tables (compiled from full
+member domains) and so its residual domains are all invariant under
+Aut(H): composing a solution with an automorphism s gives a solution.
+So if the first residual vertex has no solution at value a, it has none
+at s(a) either.  The solver branches on that vertex itself, one search
+per value in ascending order, and on such a component drops the whole
+orbit of a failed value (``_orbits``, computed on the first failure).
+Only values without a solution are dropped, so the first solution, and
+with it the returned witness, is the one a single search finds.  A
+component with lists tries every value and drops nothing.  This is
+value-symmetry breaking by dominance on failed values (Gent & Smith,
+ECAI 2000).
 """
 
 from __future__ import annotations
@@ -72,6 +87,11 @@ _CLUSTER_CAP = 64
 # bounded.
 _cluster_cache: dict = {}
 _CLUSTER_CACHE_CAP = 4096
+
+# H rows -> the orbit mask of each vertex of H under Aut(H) (``_orbits``),
+# emptied at its cap like ``_cluster_cache``.
+_orbit_cache: dict = {}
+_ORBIT_CACHE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -259,6 +279,79 @@ def _cluster_solver(h_rows: tuple[int, ...], sig: tuple):
     return solve
 
 
+def _orbits(h_rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The orbit under Aut(H) of each vertex of the graph H with rows
+    ``h_rows``, as a mask; cached like ``_cluster_cache``.
+
+    Colour refinement (1-WL; McKay & Piperno, J. Symb. Comput. 2014)
+    gives a colouring that every automorphism preserves, so vertices of
+    different colours lie in different orbits.
+    Within a colour class, the least vertex r not yet placed is tried
+    against each other vertex b that is not already known to share or
+    to miss its orbit: one first-solution search over H, with r pinned
+    to b, every vertex kept in its colour class, and edge and non-edge
+    tables between every pair (which force a bijection), finds an
+    automorphism with r -> b or proves there is none.  Every automorphism
+    found merges all of its cycles in a union-find.
+    """
+    hit = _orbit_cache.get(h_rows)
+    if hit is not None:
+        return hit
+    n = len(h_rows)
+    colour = [0] * n
+    classes = 1
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[u] for u in _bits(h_rows[v])))) for v in range(n)]
+        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colour = [ranks[s] for s in sig]
+        if len(ranks) == classes:
+            break
+        classes = len(ranks)
+    members = [0] * classes
+    for v in range(n):
+        members[colour[v]] |= 1 << v
+
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    degree_order, cons = _edge_constraints(h_rows, h_rows)
+    non_rows = [((1 << n) - 1) & ~row & ~(1 << v) for v, row in enumerate(h_rows)]
+    non_supports: dict[int, int] = {}
+    for v, groups in enumerate(cons):
+        groups.append((non_rows, list(_bits(non_rows[v])), non_supports))
+    for cls in members:
+        pending = list(_bits(cls))
+        while len(pending) > 1:
+            r = pending[0]
+            apart: list[int] = []  # vertices proved outside the orbit of r
+            order = [r] + [v for v in degree_order if v != r]
+            for b in pending[1:]:
+                root = find(b)
+                if root == find(r) or any(find(x) == root for x in apart):
+                    continue
+                dom = [members[c] for c in colour]
+                dom[r] = 1 << b
+                found = next(_search(order, dom, cons), None)
+                if found is None:
+                    apart.append(b)
+                    continue
+                for x, y in found.items():
+                    parent[find(x)] = find(y)
+            pending = [b for b in pending if find(b) != find(r)]
+    orbit_of: dict[int, int] = {}
+    for v in range(n):
+        orbit_of[find(v)] = orbit_of.get(find(v), 0) | 1 << v
+    result = tuple(orbit_of[find(v)] for v in range(n))
+    if len(_orbit_cache) >= _ORBIT_CACHE_CAP:
+        _orbit_cache.clear()
+    _orbit_cache[h_rows] = result
+    return result
+
+
 class _ComponentSolver:
     """Solves one connected component of the instance graph."""
 
@@ -267,6 +360,8 @@ class _ComponentSolver:
         self.h = h
         self.comp = comp
         self.dom = {v: doms[v] for v in comp}
+        # no list narrows the component, so Aut(H) acts on its solutions
+        self.symmetric = all(d == (1 << h.n) - 1 for d in self.dom.values())
         self.clusters: list[tuple] = []  # (members, boundary, signature)
         self.residual: list[int] = []
         # per boundary vertex, its cluster tables as ``_search`` groups
@@ -402,7 +497,18 @@ class _ComponentSolver:
             return total
 
         order = sorted(self.residual, key=lambda v: (-weight(v), v))
-        assign = next(_search(order, self.dom, cons), None)
+        # branch on the first vertex here, one search per value; without
+        # lists every table and domain is Aut(H)-invariant, so a failed
+        # value takes its whole orbit with it
+        root, values, assign = order[0], self.dom[order[0]], None
+        while values and assign is None:
+            low = values & -values
+            values ^= low
+            dom = dict(self.dom)
+            dom[root] = low
+            assign = next(_search(order, dom, cons), None)
+            if assign is None and self.symmetric:
+                values &= ~_orbits(h.rows)[low.bit_length() - 1]
         if assign is None:
             return None
         # re-expand the compiled clusters at the boundary images; the

@@ -85,10 +85,13 @@ class WitnessCertificate:
 def critical_set_fault(g: Graph, vertices: Sequence[int]) -> Optional[str]:
     """None when ``vertices`` is a critical set of g: it has no common
     neighbor, and each of its drop-one subsets has one.  Otherwise the
-    first condition that fails, as a predicate of the set."""
+    first condition that fails, as a predicate of the set.  The empty set
+    has no drop-one subsets."""
     if common_neighbors(g, vertices):
         return "has a common neighbor"
-    if not all(common_neighbors(g, sub) for sub in combinations(vertices, len(vertices) - 1)):
+    if vertices and not all(
+        common_neighbors(g, sub) for sub in combinations(vertices, len(vertices) - 1)
+    ):
         return "is not tight: a proper subset lacks a common neighbor"
     return None
 

@@ -88,6 +88,47 @@ def brute_first_embedding(pattern: Graph, g: Graph):
     return None
 
 
+def brute_automorphisms(g: Graph):
+    """Every permutation p of V(g) with p(u) ~ p(v) exactly when u ~ v,
+    built vertex by vertex in id order with images in ascending order;
+    a partial map is dropped as soon as a placed pair breaks this."""
+    image: list[int] = []
+
+    def extend():
+        v = len(image)
+        if v == g.n:
+            yield tuple(image)
+            return
+        for a in range(g.n):
+            if a not in image and all(
+                g.has_edge(a, image[u]) == g.has_edge(v, u) for u in range(v)
+            ):
+                image.append(a)
+                yield from extend()
+                image.pop()
+
+    return extend()
+
+
+def brute_orbits(g: Graph) -> tuple[int, ...]:
+    """The orbit of each vertex under every automorphism, as a mask."""
+    orbit = [0] * g.n
+    for p in brute_automorphisms(g):
+        for v in range(g.n):
+            orbit[v] |= 1 << p[v]
+    return tuple(orbit)
+
+
+def reference_edge_gadget(target: Graph, gadget: Graph, a: int, b: int) -> bool:
+    """The disequality test on every ordered pin pair (u, v), each by
+    ``reference_hom_exists`` with a pinned to u and b to v."""
+    return all(
+        reference_hom_exists(gadget, target, {a: (u,), b: (v,)}) == (u != v)
+        for u in range(target.n)
+        for v in range(target.n)
+    )
+
+
 def brute_critical_sets(g: Graph):
     """Every inclusion-minimal set with no common neighbor, by size and
     then in `itertools.combinations` order."""

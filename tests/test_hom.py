@@ -4,7 +4,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import brute_hom_exists, brute_homomorphisms, brute_network_solutions, hub_and_path_graph
+from conftest import (
+    brute_hom_exists,
+    brute_homomorphisms,
+    brute_network_solutions,
+    brute_orbits,
+    hub_and_path_graph,
+)
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import (
@@ -21,6 +27,7 @@ from hcolkit.hom import (
     Homomorphism,
     _ComponentSolver,
     _domains_from_lists,
+    _orbits,
     _search,
     compute_core,
     enumerate_homomorphisms,
@@ -28,7 +35,14 @@ from hcolkit.hom import (
     is_core,
 )
 from hcolkit.kernels import VertexCoverInstance, combinatorial_kernel
-from hcolkit.reductions import find_edge_gadget, reduce_list_to_plain
+from hcolkit.reductions import (
+    CnfFormula,
+    find_edge_gadget,
+    find_tight_witness_set,
+    nae_sat_brute,
+    reduce_list_to_plain,
+    reduce_naesat_to_hcol,
+)
 
 
 def test_identity_on_cycle():
@@ -349,3 +363,110 @@ def test_core_ceiling():
         compute_core(make_empty(13))
     with pytest.raises(ValueError):
         compute_core(make_empty(0))
+
+
+# -- automorphism orbits and root pruning --------------------------------------
+
+def frucht_graph() -> Graph:
+    """Cubic and asymmetric: colour refinement leaves one class, and
+    every pinned search in it must fail."""
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    return Graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + d) % 12) for i, d in enumerate(lcf)])
+
+
+ORBIT_GRAPHS = {
+    "C5": make_cycle(5),
+    "K4": make_complete(4),
+    "P4": Graph(4, [(0, 1), (1, 2), (2, 3)]),
+    "star": Graph(6, [(0, v) for v in range(1, 6)]),
+    "petersen": make_petersen(),
+    "asymmetric6": Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)]),
+    # 2-regular, so one colour class, but C6 and the triangles are apart
+    "C6+2K3": make_cycle(6).disjoint_union(make_complete(3)).disjoint_union(make_complete(3)),
+    "frucht": frucht_graph(),
+    # an automorphism that swaps two components
+    "2C5": make_cycle(5).disjoint_union(make_cycle(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_GRAPHS))
+def test_orbits_match_brute_force_on_named_graphs(name):
+    g = ORBIT_GRAPHS[name]
+    hcolkit.hom._orbit_cache.clear()
+    assert _orbits(g.rows) == brute_orbits(g)
+    if name in ("asymmetric6", "frucht"):
+        assert _orbits(g.rows) == tuple(1 << v for v in range(g.n))
+
+
+def test_orbits_match_brute_force_on_seeded_graphs():
+    rng = random.Random(181)
+    nontrivial = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        expect = brute_orbits(g)
+        assert _orbits(g.rows) == expect, g.rows
+        nontrivial += expect != tuple(1 << v for v in range(n))
+    assert nontrivial > 100
+
+
+def count_searches(monkeypatch) -> list:
+    """Replace ``hom._search`` by a wrapper that logs each call's order."""
+    calls = []
+
+    def counted(order, dom, cons):
+        calls.append(list(order))
+        return _search(order, dom, cons)
+
+    monkeypatch.setattr(hcolkit.hom, "_search", counted)
+    return calls
+
+
+def test_random_target_orbits_need_no_pinned_search(monkeypatch):
+    calls = count_searches(monkeypatch)
+    hcolkit.hom._orbit_cache.clear()
+    assert _orbits(make_random(64, 0).rows) == tuple(1 << v for v in range(64))
+    assert calls == []
+
+
+def test_symmetric_no_instance_takes_one_root_search(monkeypatch):
+    # the first value of the first residual vertex fails, and Petersen is
+    # vertex-transitive, so its orbit is every other value
+    petersen = make_petersen()
+    gadget, tight = find_edge_gadget(petersen).found, find_tight_witness_set(petersen)
+    rng = random.Random(71)
+    while True:
+        phi = CnfFormula(4, tuple(tuple(rng.choice((1, -1)) * v for v in rng.sample(range(1, 5), 3)) for _ in range(8)))
+        if not nae_sat_brute(phi):
+            break
+    g = reduce_naesat_to_hcol(phi, petersen, tight, gadget).graph
+    assert len(g.connected_components()) == 1
+    # the first call compiles the clusters and the orbits; the second
+    # finds both cached and starts only its root searches
+    assert find_homomorphism(g, petersen) is None
+    calls = count_searches(monkeypatch)
+    assert find_homomorphism(g, petersen) is None
+    assert len(calls) == 1
+
+
+def test_list_instances_are_not_pruned(monkeypatch):
+    # K3 -> Petersen has no solution; with a list on vertex 0 the domains
+    # are not Aut(H)-invariant, so the solver tries each of its values
+    # and never reads the orbits
+    k3, petersen = make_complete(3), make_petersen()
+    _orbits(petersen.rows)
+    orbit_calls = []
+    monkeypatch.setattr(hcolkit.hom, "_orbits", lambda rows: orbit_calls.append(rows) or _orbits(rows))
+    calls = count_searches(monkeypatch)
+    assert find_homomorphism(k3, petersen, lists={0: (0, 1, 2)}) is None
+    assert len(calls) == 3 and orbit_calls == []
+    # a list on another vertex leaves the root domain full: ten searches
+    calls.clear()
+    assert find_homomorphism(k3, petersen, lists={2: (0, 1, 2)}) is None
+    assert len(calls) == 10 and orbit_calls == []
+    # without lists the same refutation takes one root search and drops
+    # the orbit of its value, which is every vertex
+    calls.clear()
+    assert find_homomorphism(k3, petersen) is None
+    assert len(calls) == 1 and orbit_calls == [petersen.rows]

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_hom_exists
+from conftest import brute_hom_exists, reference_edge_gadget, reference_hom_exists
 from hcolkit.config import Ceilings
 from hcolkit.graphs import (
     Graph,
@@ -32,6 +32,7 @@ from hcolkit.reductions import (
     write_dimacs,
     write_list_instance,
 )
+from hcolkit.reductions import _graphs_with_marked_pair
 from hcolkit.graphs import common_neighbors
 
 
@@ -80,6 +81,29 @@ def test_gadget_verdicts_match_brute_force_per_pin_pair(target):
             assert verify_edge_gadget(target, g, 0, 1) == expect, (n, mask)
             verdicts.add(expect)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        make_complete(3),
+        make_cycle(5),
+        make_complete(4),
+        make_petersen(),
+        Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]),
+    ],
+    ids=["K3", "C5", "K4", "petersen", "W5"],
+)
+def test_orbit_gadget_verdicts_match_all_pairs_reference(target):
+    # verify_edge_gadget pins a to one vertex per orbit; the reference
+    # pins it to every vertex.  The wheel W5 has two orbits, rim and hub.
+    verdicts = []
+    for n in range(2, 6):
+        for g in _graphs_with_marked_pair(n):
+            expect = reference_edge_gadget(target, g, 0, 1)
+            assert verify_edge_gadget(target, g, 0, 1) == expect, (n, g.rows)
+            verdicts.append(expect)
+    assert True in verdicts and False in verdicts
 
 
 def test_find_gadget_canonical_family():
@@ -256,6 +280,41 @@ def test_naesat_reduction_k4_sweep():
         inst = reduce_naesat_to_hcol(phi, k4, tight, gadget)
         assert inst.k == naesat_cover_size(phi, k4, 4, gadget)
         assert nae_sat_brute(phi) == (find_homomorphism(inst.graph, k4) is not None)
+
+
+@pytest.mark.parametrize("target", [make_complete(4), make_petersen()], ids=["K4", "petersen"])
+def test_naesat_oracle_matches_brute_force(target):
+    # the targets are vertex-transitive and the reductions carry no lists,
+    # so every no-instance here is refuted with root pruning; C5 has
+    # q = 2, below the construction's width, and is checked below
+    gadget = find_edge_gadget(target).found
+    tight = find_tight_witness_set(target)
+    rng = random.Random(61)
+    answers = []
+    for _ in range(16):
+        phi = random_formula(rng, len(tight), 3)
+        f = find_homomorphism(reduce_naesat_to_hcol(phi, target, tight, gadget).graph, target)
+        assert (f is not None) == nae_sat_brute(phi), phi
+        assert f is None or f.check()
+        answers.append(f is not None)
+    assert True in answers and False in answers
+
+
+def test_c5_list_reduction_oracle_matches_reference():
+    # the plain instances are refuted with root pruning, their list
+    # sources by plain backtracking
+    rng = random.Random(67)
+    c5 = make_cycle(5)
+    gadget = find_edge_gadget(c5).found
+    answers = []
+    for _ in range(30):
+        n = rng.randint(3, 6)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        lists = {v: tuple(rng.sample(range(5), rng.randint(1, 4))) for v in range(n)}
+        expect = reference_hom_exists(g, c5, lists)
+        assert (find_homomorphism(reduce_list_to_plain(g, lists, c5, gadget), c5) is not None) == expect
+        answers.append(expect)
+    assert True in answers and False in answers
 
 
 def test_naesat_cover_size_formula():

@@ -31,6 +31,7 @@ from hcolkit.witness import (
     _largest_transversal,
     b_pattern_edge_count,
     clique_number,
+    critical_set_fault,
     degeneracy,
     find_b_ml_copy,
     make_b_pattern,
@@ -86,6 +87,15 @@ def test_certificate_structure():
         assert not WitnessCertificate(len(witness_set), witness_set, 5).validate(k4_and_isolated)
     assert WitnessCertificate(4, (0, 1, 2, 3), 5).validate(k4_and_isolated)
     assert not WitnessCertificate(3, (0, 1, 2, 3), 5).validate(k4_and_isolated)
+
+
+def test_empty_set_certificate_returns_a_verdict():
+    # the empty set has no drop-one subsets: only its common neighbours,
+    # every vertex of the graph, decide
+    assert critical_set_fault(Graph(0), ()) is None
+    assert WitnessCertificate(0, (), 0).validate(Graph(0))
+    assert critical_set_fault(Graph(1), ()) == "has a common neighbor"
+    assert not WitnessCertificate(0, (), 0).validate(Graph(1))
 
 
 def test_certificate_is_lexicographically_first():
