@@ -231,13 +231,18 @@ def make_kneser(m: int, r: int) -> Graph:
     Vertices are ordered lexicographically by subset and labelled with it,
     e.g. ``{1,2}``.  Requires m >= 2r >= 2 so the graph has an edge form.
     """
-    if not (r >= 1 and m >= 2 * r):
-        raise ValueError(f"Kneser graph needs m >= 2r >= 2, got m={m}, r={r}")
+    check_kneser(m, r)
     subsets = kneser_vertex_subsets(m, r)
     pairs = combinations(enumerate(subsets), 2)
     edges = [(i, j) for (i, a), (j, b) in pairs if not set(a) & set(b)]
     labels = {i: "{" + ",".join(map(str, s)) + "}" for i, s in enumerate(subsets)}
     return Graph(len(subsets), edges, labels)
+
+
+def check_kneser(m: int, r: int) -> None:
+    """Refuse (m, r) unless m >= 2r >= 2."""
+    if not (r >= 1 and m >= 2 * r):
+        raise ValueError(f"Kneser graph needs m >= 2r >= 2, got m={m}, r={r}")
 
 
 def kneser_vertex_subsets(m: int, r: int) -> list[tuple[int, ...]]:

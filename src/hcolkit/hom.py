@@ -16,9 +16,9 @@ spirit of AC-3rm (Lecoutre & Hemery 2007).  Propagation removes only
 values that extend to no solution, so the solutions and their order are
 those of plain forward checking.  It has two uses:
 
-* first: ``find_homomorphism``, the cluster feasibility tables, the
-  re-expansion of compiled clusters and the automorphism searches of
-  ``_orbits`` take its first solution, and so do two searches outside
+* first: ``find_homomorphism``, the cluster searches of
+  ``_cluster_images`` and the automorphism searches of ``_orbits`` take
+  its first solution, and so do two searches outside
   this module: ``witness.find_b_ml_copy`` (an injective homomorphism
   from a B(m, l) pattern) and ``reductions.verify_edge_gadget`` (one
   pinned search per ordered pair of target vertices whose first vertex
@@ -35,13 +35,14 @@ modules, without affecting exactness:
 * low-degree "clusters" (connected sets of vertices attached to the
   rest of the graph through at most two higher-degree vertices) are
   compiled into unary/binary constraint tables between their boundary
-  vertices and re-expanded after the main search.  One search,
-  ``_cluster_solver``, does both: compilation runs it at every image of
-  the boundary, re-expansion at the images the main search chose.  The
-  binary tables enter the main search as constraint groups beside the
-  edge group.  Gadget interiors and kernel pendant vertices disappear
-  from the search this way, and clusters with equal signatures and
-  boundary images (gadget copies) share one re-expansion.
+  vertices and re-expanded after the main search.  Compilation,
+  ``_cluster_images``, searches the cluster once at every image of the
+  boundary and keeps the first solution at each feasible one; the tables
+  are read off those images, and re-expansion looks up the images the
+  main search chose.  The binary tables enter the main search as
+  constraint groups beside the edge group.  Gadget interiors and kernel
+  pendant vertices disappear from the search this way, and clusters
+  with equal signatures (gadget copies) share one compilation.
 
 The residual search orders vertices by descending total constraint
 tightness, which is plain descending degree on uncompiled graphs;
@@ -66,7 +67,7 @@ ECAI 2000).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
@@ -79,12 +80,11 @@ _PIN_DEGREE = 5
 # Largest cluster the compiler will fold into a constraint table.
 _CLUSTER_CAP = 64
 
-# (H rows, cluster signature) -> compiled table: the mask of feasible
-# images of a one-vertex boundary, or the feasibility table of a
-# two-vertex boundary together with its transpose.  Clusters repeat
-# heavily across gadget copies, so this cache collapses their cost.  It
-# is emptied whenever it reaches the cap, so a long-lived process stays
-# bounded.
+# (H rows, cluster signature) -> ``_cluster_images``: the first solution
+# at each feasible boundary image and the tables read off them.
+# Clusters repeat heavily across gadget copies, so on a hit neither
+# compilation nor re-expansion searches.  It is emptied whenever it
+# reaches the cap, so a long-lived process stays bounded.
 _cluster_cache: dict = {}
 _CLUSTER_CACHE_CAP = 4096
 
@@ -256,27 +256,46 @@ def _search(
         del assign[v]
 
 
-def _cluster_solver(h_rows: tuple[int, ...], sig: tuple):
-    """``solve(images)``: the member images of the first solution of the
-    cluster with signature ``sig`` (member domains, local rows, boundary
-    positions each member is adjacent to, boundary size) into the graph
-    with rows ``h_rows`` once its boundary takes ``images``, or None.
-    Every call shares one constraint set and its supports."""
-    doms, rows, attach, _ = sig
-    order, cons = _edge_constraints(rows, h_rows)
+def _cluster_images(h_rows: tuple[int, ...], sig: tuple) -> tuple[dict, object]:
+    """``(images, tables)`` of the cluster with signature ``sig`` (member
+    domains, local rows, boundary positions each member is adjacent to,
+    boundary size) into the graph with rows ``h_rows``; cached.
 
-    def solve(images: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    One search per boundary image: ``images`` maps each that extends to
+    the member images of its first solution.  ``tables`` is read off its
+    keys: the mask of feasible images of one boundary vertex, or for two,
+    ``(table, supports)`` in each direction, ``table[a]`` masking the
+    images of the other end compatible with ``a``.
+    """
+    key = (h_rows, sig)
+    hit = _cluster_cache.get(key)
+    if hit is not None:
+        return hit
+    doms, rows, attach, pins = sig
+    order, cons = _edge_constraints(rows, h_rows)
+    n = len(h_rows)
+    images: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for image in product(range(n), repeat=pins):
         dom = []
         for d, ends in zip(doms, attach):
             for b in ends:
-                d &= h_rows[images[b]]
-            if not d:
-                return None
+                d &= h_rows[image[b]]
             dom.append(d)
-        found = next(_search(order, dom, cons), None)
-        return None if found is None else tuple(found[i] for i in range(len(dom)))
-
-    return solve
+        found = next(_search(order, dom, cons), None) if all(dom) else None
+        if found is not None:
+            images[image] = tuple(found[i] for i in range(len(dom)))
+    if pins == 1:
+        tables: object = sum(1 << a for a, in images)
+    else:
+        table, back = [0] * n, [0] * n
+        for a, b in images:
+            table[a] |= 1 << b
+            back[b] |= 1 << a
+        tables = ((tuple(table), {}), (tuple(back), {}))
+    if len(_cluster_cache) >= _CLUSTER_CACHE_CAP:
+        _cluster_cache.clear()
+    hit = _cluster_cache[key] = (images, tables)
+    return hit
 
 
 def _orbits(h_rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -362,12 +381,11 @@ class _ComponentSolver:
         self.dom = {v: doms[v] for v in comp}
         # no list narrows the component, so Aut(H) acts on its solutions
         self.symmetric = all(d == (1 << h.n) - 1 for d in self.dom.values())
-        self.clusters: list[tuple] = []  # (members, boundary, signature)
+        self.clusters: list[tuple] = []  # (members, boundary, images)
         self.residual: list[int] = []
         # per boundary vertex, its cluster tables as ``_search`` groups
-        # keyed by id(table); a table's supports are shared by all its groups
+        # keyed by id(table)
         self.tables: dict[int, dict[int, tuple]] = {}
-        self.supports: dict[int, dict[int, int]] = {}
 
     # -- preprocessing --------------------------------------------------
 
@@ -405,32 +423,6 @@ class _ComponentSolver:
         self.residual = sorted(pins) + residual_extra
         return True
 
-    def _cluster_tables(self, sig: tuple):
-        """Feasibility table of a cluster with one or two boundary
-        vertices, cached by its signature (see ``_cluster_cache``)."""
-        h = self.h
-        key = (h.rows, sig)
-        hit = _cluster_cache.get(key)
-        if hit is not None:
-            return hit
-        solve = _cluster_solver(h.rows, sig)
-        if sig[3] == 1:
-            result = sum(1 << a for a in range(h.n) if solve((a,)) is not None)
-        else:
-            table = tuple(
-                sum(1 << b for b in range(h.n) if solve((a, b)) is not None)
-                for a in range(h.n)
-            )
-            back = [0] * h.n
-            for a in range(h.n):
-                for b in _bits(table[a]):
-                    back[b] |= 1 << a
-            result = (table, tuple(back))
-        if len(_cluster_cache) >= _CLUSTER_CACHE_CAP:
-            _cluster_cache.clear()
-        _cluster_cache[key] = result
-        return result
-
     def _compile_cluster(self, members: list[int], boundary: list[int]) -> bool:
         g = self.g
         index = {v: i for i, v in enumerate(members)}
@@ -439,28 +431,28 @@ class _ComponentSolver:
             rows.append(sum(1 << index[u] for u in _bits(g.rows[v]) if u in index))
             attach.append(tuple(b for b, x in enumerate(boundary) if g.has_edge(v, x)))
         sig = (tuple(self.dom[v] for v in members), tuple(rows), tuple(attach), len(boundary))
-        compiled = self._cluster_tables(sig)
+        images, tables = _cluster_images(self.h.rows, sig)
         if len(boundary) == 1:
             x = boundary[0]
-            self.dom[x] &= compiled
+            self.dom[x] &= tables
             if not self.dom[x]:
                 return False
         else:
             x, y = boundary
-            table, back = compiled
+            (table, _), (back, _) = tables
             # arc-consistency pass on the table, then register both
             # directions for the search.
             self.dom[x] &= sum(1 << a for a in range(self.h.n) if table[a] & self.dom[y])
             self.dom[y] &= sum(1 << b for b in range(self.h.n) if back[b] & self.dom[x])
             if not self.dom[x] or not self.dom[y]:
                 return False
-            for u, w, t in ((x, y, table), (y, x, back)):
+            for u, w, (t, supports) in ((x, y, tables[0]), (y, x, tables[1])):
                 groups = self.tables.setdefault(u, {})
                 group = groups.get(id(t))
                 if group is None:
-                    group = groups[id(t)] = (t, [], self.supports.setdefault(id(t), {}))
+                    group = groups[id(t)] = (t, [], supports)
                 group[1].append(w)
-        self.clusters.append((members, boundary, sig))
+        self.clusters.append((members, boundary, images))
         return True
 
     # -- residual search ------------------------------------------------
@@ -511,17 +503,12 @@ class _ComponentSolver:
                 values &= ~_orbits(h.rows)[low.bit_length() - 1]
         if assign is None:
             return None
-        # re-expand the compiled clusters at the boundary images; the
-        # search is deterministic, so clusters with equal signatures and
-        # boundary images (gadget copies) share one
-        expanded: dict[tuple, tuple[int, ...]] = {}
-        for members, boundary, sig in self.clusters:
-            key = (sig, tuple(assign[x] for x in boundary))
-            sub = expanded.get(key)
+        # re-expand each compiled cluster by the first solution its
+        # compilation found at the boundary images chosen here
+        for members, boundary, images in self.clusters:
+            sub = images.get(tuple(assign[x] for x in boundary))
             if sub is None:
-                sub = expanded[key] = _cluster_solver(h.rows, sig)(key[1])
-                if sub is None:
-                    raise InvariantViolation("compiled cluster lost its witness")
+                raise InvariantViolation("compiled cluster lost its witness")
             assign.update(zip(members, sub))
         return assign
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
@@ -46,7 +47,7 @@ from .gf import (
     int_vector,
     matrix_rank,
 )
-from .graphs import Graph, kneser_vertex_subsets, make_kneser
+from .graphs import Graph, check_kneser, kneser_vertex_subsets, make_kneser
 
 Vector = tuple[FieldElement, ...]
 
@@ -251,17 +252,14 @@ def kneser_field_threshold(m: int, r: int) -> int:
     The general-position projection must preserve the dimensions of one
     subspace per vertex plus one per ordered non-adjacent pair
     (diagonal included); a field larger than (m - t) * (count + 1)
-    guarantees such a projection exists.
+    guarantees such a projection exists.  With n = C(m, r) vertices, each
+    adjacent to the C(m - r, r) subsets disjoint from it, the count is
+    n + n * (n - C(m - r, r)).
     """
-    graph = make_kneser(m, r)
+    check_kneser(m, r)
     t = m - 2 * r + 2
-    non_adjacent_ordered = sum(
-        1
-        for a in range(graph.n)
-        for b in range(graph.n)
-        if not graph.has_edge(a, b)
-    )
-    count = graph.n + non_adjacent_ordered
+    n = comb(m, r)
+    count = n + n * (n - comb(m - r, r))
     return max((m - t) * (count + 1) + 1, m)
 
 

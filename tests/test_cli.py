@@ -404,6 +404,21 @@ def test_sweep_zero_trials(capsys):
     assert out.strip() == "n,trials,mean_q,threshold,fraction_within"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--experiment", "random-q", "--sizes", "8"), ("--experiment", "kernel-growth", "--ks", "4")],
+    ids=["random-q", "kernel-growth"],
+)
+def test_sweep_refuses_negative_trials(capsys, argv):
+    code, out, err = run(capsys, "sweep", *argv, "--trials", "-1")
+    assert (code, out, err) == (2, "", "hcol: --trials must be non-negative, got -1\n")
+
+
+def test_kneser_outside_its_range_is_one_line(capsys):
+    code, out, err = run(capsys, "represent", "--family", "kneser", "--m", "4", "--r", "0")
+    assert (code, out, err) == (2, "", "hcol: Kneser graph needs m >= 2r >= 2, got m=4, r=0\n")
+
+
 def test_commands_are_deterministic(files, capsys, tmp_path):
     args = ["--seed", "5", "sweep", "--experiment", "random-q", "--sizes", "10", "--trials", "3"]
     _, first, _ = run(capsys, *args)

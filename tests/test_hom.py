@@ -470,3 +470,21 @@ def test_list_instances_are_not_pruned(monkeypatch):
     calls.clear()
     assert find_homomorphism(k3, petersen) is None
     assert len(calls) == 1 and orbit_calls == [petersen.rows]
+
+
+def test_warm_cluster_cache_makes_no_cluster_search(monkeypatch):
+    # compilation keeps each cluster's first solutions, so once the cache
+    # is warm neither compilation nor re-expansion searches: every search
+    # of the second call is a root search over the residual vertices
+    c5 = make_cycle(5)
+    g = make_cycle(4)
+    lists = {0: (0, 1), 1: (1, 2, 3), 2: (0, 2), 3: (2, 3, 4)}
+    out = reduce_list_to_plain(g, lists, c5, find_edge_gadget(c5).found)
+    witness = find_homomorphism(out, c5)
+    assert witness is not None
+    solvers = compiled_solvers(out, c5)[0]
+    assert any(solver.clusters for solver in solvers)
+    residuals = {frozenset(solver.residual) for solver in solvers}
+    calls = count_searches(monkeypatch)
+    assert find_homomorphism(out, c5) == witness
+    assert calls and all(frozenset(order) in residuals for order in calls)

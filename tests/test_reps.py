@@ -162,6 +162,20 @@ def test_kneser_rep_dimensions_and_faithfulness():
         assert check_faithful(rep).ok
 
 
+def test_kneser_field_threshold_matches_pair_count():
+    # the closed form against counting vertices and ordered non-adjacent
+    # pairs (diagonal included) of the built graph
+    for m in range(2, 11):
+        for r in range(1, m // 2 + 1):
+            graph = make_kneser(m, r)
+            count = graph.n + sum(not graph.has_edge(a, b) for a in range(graph.n) for b in range(graph.n))
+            t = m - 2 * r + 2
+            assert kneser_field_threshold(m, r) == max((m - t) * (count + 1) + 1, m), (m, r)
+    for m, r in ((4, 0), (3, 2), (1, 1)):
+        with pytest.raises(ValueError, match=rf"^Kneser graph needs m >= 2r >= 2, got m={m}, r={r}$"):
+            kneser_field_threshold(m, r)
+
+
 def test_kneser_bipartite_case_is_two_dimensional():
     # K(4, 2) is a perfect matching, hence bipartite, hence 2-dimensional
     spec = field_make(smallest_prime_at_least(kneser_field_threshold(4, 2)), 1)
