@@ -35,14 +35,19 @@ modules, without affecting exactness:
 * low-degree "clusters" (connected sets of vertices attached to the
   rest of the graph through at most two higher-degree vertices) are
   compiled into unary/binary constraint tables between their boundary
-  vertices and re-expanded after the main search.  Compilation,
-  ``_cluster_images``, searches the cluster once at every image of the
-  boundary and keeps the first solution at each feasible one; the tables
-  are read off those images, and re-expansion looks up the images the
-  main search chose.  The binary tables enter the main search as
-  constraint groups beside the edge group.  Gadget interiors and kernel
-  pendant vertices disappear from the search this way, and clusters
-  with equal signatures (gadget copies) share one compilation.
+  vertices and re-expanded after the main search.  One walk over each
+  member's neighbours finds a cluster; its signature is the member
+  domains, each member's row over the members and then the boundary,
+  and the boundary size.  Compilation, ``_cluster_images``, searches
+  the cluster once at every image of the boundary and keeps the first
+  solution at each feasible one; the tables are read off those images,
+  and re-expansion looks up the images the main search chose.  A
+  cluster with no feasible image refutes its component at once, a
+  one-pin table narrows its pin's domain, and a two-pin table enters
+  the main search as one constraint group per direction beside the
+  edge group, where arc consistency prunes by it.  Gadget interiors and
+  kernel pendant vertices disappear from the search this way, and
+  clusters with equal signatures (gadget copies) share one compilation.
 
 The residual search orders vertices by descending total constraint
 tightness, which is plain descending degree on uncompiled graphs;
@@ -258,8 +263,10 @@ def _search(
 
 def _cluster_images(h_rows: tuple[int, ...], sig: tuple) -> tuple[dict, object]:
     """``(images, tables)`` of the cluster with signature ``sig`` (member
-    domains, local rows, boundary positions each member is adjacent to,
-    boundary size) into the graph with rows ``h_rows``; cached.
+    domains, local rows, boundary size) into the graph with rows
+    ``h_rows``; cached.  The members are numbered first and the boundary
+    after them, so the bits of a member's row at or above the member
+    count are its attachments.
 
     One search per boundary image: ``images`` maps each that extends to
     the member images of its first solution.  ``tables`` is read off its
@@ -271,19 +278,20 @@ def _cluster_images(h_rows: tuple[int, ...], sig: tuple) -> tuple[dict, object]:
     hit = _cluster_cache.get(key)
     if hit is not None:
         return hit
-    doms, rows, attach, pins = sig
-    order, cons = _edge_constraints(rows, h_rows)
+    doms, rows, pins = sig
+    m = len(doms)
+    order, cons = _edge_constraints([row & ((1 << m) - 1) for row in rows], h_rows)
     n = len(h_rows)
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
     for image in product(range(n), repeat=pins):
         dom = []
-        for d, ends in zip(doms, attach):
-            for b in ends:
+        for d, row in zip(doms, rows):
+            for b in _bits(row >> m):
                 d &= h_rows[image[b]]
             dom.append(d)
         found = next(_search(order, dom, cons), None) if all(dom) else None
         if found is not None:
-            images[image] = tuple(found[i] for i in range(len(dom)))
+            images[image] = tuple(found[i] for i in range(m))
     if pins == 1:
         tables: object = sum(1 << a for a, in images)
     else:
@@ -384,8 +392,7 @@ class _ComponentSolver:
         self.clusters: list[tuple] = []  # (members, boundary, images)
         self.residual: list[int] = []
         # per boundary vertex, its cluster tables as ``_search`` groups
-        # keyed by id(table)
-        self.tables: dict[int, dict[int, tuple]] = {}
+        self.tables: dict[int, list[tuple]] = {}
 
     # -- preprocessing --------------------------------------------------
 
@@ -402,56 +409,44 @@ class _ComponentSolver:
         for start in soft:
             if start in seen:
                 continue
-            members = [start]
             seen.add(start)
             queue = [start]
+            adj: dict[int, list[int]] = {}  # member -> its neighbours
             boundary: set[int] = set()
             while queue:
                 v = queue.pop()
-                for u in _bits(g.rows[v]):
+                adj[v] = nbrs = list(_bits(g.rows[v]))
+                for u in nbrs:
                     if u in pins:
                         boundary.add(u)
                     elif u not in seen:
                         seen.add(u)
-                        members.append(u)
                         queue.append(u)
-            if len(boundary) <= 2 and len(members) <= _CLUSTER_CAP:
-                if not self._compile_cluster(sorted(members), sorted(boundary)):
+            if len(boundary) <= 2 and len(adj) <= _CLUSTER_CAP:
+                if not self._compile_cluster(adj, sorted(boundary)):
                     return False
             else:
-                residual_extra.extend(members)
+                residual_extra.extend(adj)
         self.residual = sorted(pins) + residual_extra
         return True
 
-    def _compile_cluster(self, members: list[int], boundary: list[int]) -> bool:
-        g = self.g
-        index = {v: i for i, v in enumerate(members)}
-        rows, attach = [], []
-        for v in members:
-            rows.append(sum(1 << index[u] for u in _bits(g.rows[v]) if u in index))
-            attach.append(tuple(b for b, x in enumerate(boundary) if g.has_edge(v, x)))
-        sig = (tuple(self.dom[v] for v in members), tuple(rows), tuple(attach), len(boundary))
+    def _compile_cluster(self, adj: dict[int, list[int]], boundary: list[int]) -> bool:
+        members = sorted(adj)
+        index = {v: i for i, v in enumerate(members + boundary)}
+        rows = tuple(sum(1 << index[u] for u in adj[v]) for v in members)
+        sig = (tuple(self.dom[v] for v in members), rows, len(boundary))
         images, tables = _cluster_images(self.h.rows, sig)
+        if not images:
+            return False
         if len(boundary) == 1:
             x = boundary[0]
             self.dom[x] &= tables
             if not self.dom[x]:
                 return False
         else:
-            x, y = boundary
-            (table, _), (back, _) = tables
-            # arc-consistency pass on the table, then register both
-            # directions for the search.
-            self.dom[x] &= sum(1 << a for a in range(self.h.n) if table[a] & self.dom[y])
-            self.dom[y] &= sum(1 << b for b in range(self.h.n) if back[b] & self.dom[x])
-            if not self.dom[x] or not self.dom[y]:
-                return False
-            for u, w, (t, supports) in ((x, y, tables[0]), (y, x, tables[1])):
-                groups = self.tables.setdefault(u, {})
-                group = groups.get(id(t))
-                if group is None:
-                    group = groups[id(t)] = (t, [], supports)
-                group[1].append(w)
+            # one group per direction; the search keeps arc consistency
+            for u, w, (t, supports) in zip(boundary, boundary[::-1], tables):
+                self.tables.setdefault(u, []).append((t, [w], supports))
         self.clusters.append((members, boundary, images))
         return True
 
@@ -469,7 +464,7 @@ class _ComponentSolver:
         for v in self.residual:
             neighbors = list(_bits(g.rows[v] & residual_mask))
             cons[v] = [(h.rows, neighbors, edge_supports)] if neighbors else []
-            cons[v].extend(self.tables.get(v, {}).values())
+            cons[v].extend(self.tables.get(v, ()))
 
         # Order by total constraint tightness (forbidden pairs summed over
         # incident constraint tables), descending, ties by id.  On plain

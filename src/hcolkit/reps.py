@@ -161,18 +161,15 @@ def vandermonde_rep(g: Graph, spec: FieldSpec) -> Representation:
 
 def _complete_to_invertible(spec: FieldSpec, first_row: Vector, d: int) -> list[list[FieldElement]]:
     """Rows of an invertible d x d matrix with the given first row,
-    completed greedily by standard basis vectors."""
-    rows = [list(first_row)]
-    basis = SpanBasis(spec)
-    if not basis.add(first_row):
+    followed by every standard basis vector e_i except the one at the
+    last nonzero index of the first row (the only e_i in the span of the
+    rows before it)."""
+    nonzero = [i for i, x in enumerate(first_row) if not x.is_zero()]
+    if not nonzero:
         raise ValueError("first row must be nonzero")
-    for i in range(d):
-        e = [spec.one if j == i else spec.zero for j in range(d)]
-        if basis.add(e):
-            rows.append(e)
-        if len(rows) == d:
-            break
-    return rows
+    return [list(first_row)] + [
+        [spec.one if j == i else spec.zero for j in range(d)] for i in range(d) if i != nonzero[-1]
+    ]
 
 
 def normalize_first_entry(
@@ -370,8 +367,8 @@ def ortho_graph(
     Each vertex carries its own vector, so the identity assignment is a
     faithful orthogonal representation by construction.  With
     ``projective=True``, vectors are collapsed to one representative per
-    scalar class (the one of least enumeration index), which preserves
-    homomorphism equivalence.
+    scalar class (the one of least enumeration index, whose last nonzero
+    coordinate is 1), which preserves homomorphism equivalence.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -382,7 +379,6 @@ def ortho_graph(
             f"{ceilings.ortho_vertices}"
         )
     vectors: list[Vector] = []
-    seen_classes: set[tuple[int, ...]] = set()
     for idx in range(total):
         rem = idx
         vec = []
@@ -392,15 +388,9 @@ def ortho_graph(
         vec = tuple(vec)
         if inner_product(vec, vec).is_zero():
             continue
-        if projective:
-            cls = min(
-                tuple(x.to_index() for x in (s * v for v in vec))
-                for s in spec.elements()
-                if not s.is_zero()
-            )
-            if cls in seen_classes:
-                continue
-            seen_classes.add(cls)
+        # the last coordinate is the most significant digit of the index
+        if projective and next(x for x in reversed(vec) if not x.is_zero()) != spec.one:
+            continue
         vectors.append(vec)
     if len(vectors) > ceilings.ortho_vertices:
         raise CeilingError(

@@ -206,6 +206,18 @@ def test_bare_tag_line_is_one_line(files, capsys, tmp_path, argv, text, message)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["A 7 0 1", "A -1 2"])
+def test_list_line_outside_the_graph_is_refused(files, capsys, tmp_path, line):
+    # the oracle refuses such lists, so the reduction must not drop them
+    bad = tmp_path / "bad.lst"
+    bad.write_text(f"3 1\n0 1\n{line}\n")
+    code, out, err = run(
+        capsys, "reduce", "--from", "list-hcol", "--instance", str(bad), "--target", files["c5.g"],
+    )
+    assert code == 2 and out == ""
+    assert err == f"hcol: list line needs a vertex of the graph: {line!r}\n"
+
+
 def test_rep_above_degree_ceiling_is_refused(files, capsys, tmp_path):
     # a C5 representation over GF(163) rewritten to GF(163^12) with an
     # irreducible modulus: refused for its degree, before the modulus is tested

@@ -178,8 +178,8 @@ def test_two_boundary_clusters_register_exact_transposes():
             for (x, y), count in on_pair.items():
                 # each cluster on (x, y) puts y once more among the partners
                 # of its table at x, and x among those of its reverse at y
-                forward = [t for t, partners, _ in solver.tables[x].values() for u in partners if u == y]
-                reverse = [t for t, partners, _ in solver.tables[y].values() for u in partners if u == x]
+                forward = [t for t, partners, _ in solver.tables[x] for u in partners if u == y]
+                reverse = [t for t, partners, _ in solver.tables[y] for u in partners if u == x]
                 assert len(forward) == len(reverse) == count
                 transposes = [
                     tuple(sum((t[a] >> b & 1) << a for a in range(h.n)) for b in range(h.n)) for t in forward
@@ -202,13 +202,13 @@ def test_cluster_cache_hit_registers_the_tables_of_a_miss():
     assert hit_witness == miss_witness and None not in miss_witness
 
     def registered(solver):
-        return {v: [(t, partners) for t, partners, _ in groups.values()] for v, groups in solver.tables.items()}
+        return {v: [(t, partners) for t, partners, _ in groups] for v, groups in solver.tables.items()}
 
     assert [registered(s) for s in hit] == [registered(s) for s in missed]
     # a hit registers the cached tuples themselves
     for a, b in zip(missed, hit):
         for v, groups in a.tables.items():
-            assert all(t1 is t2 for (t1, _, _), (t2, _, _) in zip(groups.values(), b.tables[v].values()))
+            assert all(t1 is t2 for (t1, _, _), (t2, _, _) in zip(groups, b.tables[v]))
     hcolkit.hom._cluster_cache.clear()
     witness = find_homomorphism(g, h)
     assert witness is not None and witness.check()
@@ -421,6 +421,24 @@ def count_searches(monkeypatch) -> list:
 
     monkeypatch.setattr(hcolkit.hom, "_search", counted)
     return calls
+
+
+def test_two_pin_cluster_without_a_feasible_image_refutes_its_component(monkeypatch):
+    # hubs 0 and 1 (degree 6) and the cluster {2, 3}: 2 -> 0 and 3 -> 1 in
+    # C5 leave hub 0 a common neighbour of 0 and 1, which C5 lacks, so no
+    # boundary image is feasible and compilation refutes the component
+    # before any search, cluster or residual
+    pendants = [(hub, v) for hub in (0, 1) for v in range(4 + 5 * hub, 9 + 5 * hub)]
+    g = Graph(14, [(0, 2), (0, 3), (2, 3), (1, 3)] + pendants)
+    lists = {2: (0,), 3: (1,)}
+    c5 = make_cycle(5)
+    assert not brute_hom_exists(g.induced_subgraph(range(4)), c5, lists)
+    hcolkit.hom._cluster_cache.clear()
+    calls = count_searches(monkeypatch)
+    solver = _ComponentSolver(g, c5, tuple(range(14)), _domains_from_lists(g, c5, lists))
+    assert solver.split_clusters() is False
+    assert find_homomorphism(g, c5, lists=lists) is None
+    assert calls == []
 
 
 def test_random_target_orbits_need_no_pinned_search(monkeypatch):

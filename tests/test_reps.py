@@ -4,9 +4,10 @@ import pytest
 
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
-from hcolkit.gf import field_make, is_prime, matrix_rank
+from hcolkit.gf import SpanBasis, field_make, is_prime, matrix_rank
 from hcolkit.graphs import Graph, make_complete, make_cycle, make_kneser, make_path, make_petersen, make_random
 from hcolkit.reps import (
+    _complete_to_invertible,
     _neighborhood_ranks,
     PETERSEN_FIXTURE_VECTORS,
     Representation,
@@ -230,6 +231,60 @@ def test_ortho_graph_projective_reduction():
     quotient = ortho_graph(field_make(3, 1), 2, projective=True)
     assert quotient.graph.n * 2 == full.graph.n  # scalar classes of size p-1 = 2
     assert check_faithful(quotient).ok
+
+
+def reference_projective_vectors(spec, d):
+    """The scalar-class representatives of the non-self-orthogonal vectors
+    of F^d by the original rule: enumerate the vectors, and keep one
+    unless a vector with the same least scaling was kept before it."""
+    kept, seen = [], set()
+    for idx in range(spec.order**d):
+        vec = tuple(spec.from_index(idx // spec.order**i % spec.order) for i in range(d))
+        if inner_product(vec, vec).is_zero():
+            continue
+        cls = min(tuple((s * x).to_index() for x in vec) for s in spec.elements() if not s.is_zero())
+        if cls not in seen:
+            seen.add(cls)
+            kept.append(vec)
+    return kept
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_ortho_graph_projective_keeps_the_first_vector_of_each_class(p, m, d):
+    spec = field_make(p, m)
+    assert list(ortho_graph(spec, d, projective=True).vectors) == reference_projective_vectors(spec, d)
+
+
+def reference_completion(spec, first_row, d):
+    """Greedy completion: the first row, then each standard basis vector
+    in index order that is not in the span of the rows before it."""
+    rows, basis = [list(first_row)], SpanBasis(spec)
+    basis.add(first_row)
+    for i in range(d):
+        e = [spec.one if j == i else spec.zero for j in range(d)]
+        if basis.add(e):
+            rows.append(e)
+        if len(rows) == d:
+            break
+    return rows
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 3), (3, 2), (163, 1)])
+def test_completion_to_invertible_matches_greedy_span_completion(p, m):
+    spec = field_make(p, m)
+    rng = random.Random(p * 10 + m)
+    for d in range(1, 6):
+        for _ in range(50):
+            # a random vector whose last nonzero entry sits at a random index
+            last = rng.randrange(d)
+            y = [spec.from_index(rng.randrange(spec.order)) for _ in range(last)]
+            y += [spec.from_index(rng.randrange(1, spec.order))] + [spec.zero] * (d - 1 - last)
+            rows = _complete_to_invertible(spec, y, d)
+            assert rows == reference_completion(spec, y, d)
+            assert matrix_rank(spec, rows) == d
+    with pytest.raises(ValueError):
+        _complete_to_invertible(spec, [spec.zero] * 3, 3)
 
 
 def test_ortho_graph_ceiling():
