@@ -44,7 +44,6 @@ from .reps import (
     kneser_rep,
     normalize_first_entry,
     ortho_graph,
-    petersen_orthogonal_rep,
     vandermonde_rep,
 )
 from .kernels import (

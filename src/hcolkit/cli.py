@@ -14,6 +14,7 @@ variables (e.g. HCOL_SEED, HCOL_ORACLE_VERTICES); explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -63,11 +64,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+_FORMATS = ("text", "json")
+
+
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # built once; the HCOL_SEED and HCOL_FORMAT defaults are read per call in main
     parser = _Parser(prog="hcol", description=__doc__)
-    parser.add_argument("--seed", type=int, default=env_int("SEED", 0))
-    formats = ("text", "json")
-    parser.add_argument("--format", choices=formats, default=env_choice("FORMAT", "text", formats))
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--format", choices=_FORMATS, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("witness", help="exact non-adjacency witness number")
@@ -370,8 +375,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # the parser's defaults and the ceilings read HCOL_* settings
+        # HCOL_* settings are read before the flags, so a bad one exits 2 first
+        seed, fmt = env_int("SEED", 0), env_choice("FORMAT", "text", _FORMATS)
         args = _build_parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = seed
+        if args.format is None:
+            args.format = fmt
         ceilings = ceilings_from_env()
         try:
             return _COMMANDS[args.command](args, ceilings)

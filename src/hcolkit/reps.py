@@ -13,13 +13,17 @@ Constructions provided:
   dimension max-degree + 1; any d of them are linearly independent, so
   faithfulness is automatic.
 * ``normalize_first_entry`` - an invertible change of basis over a
-  large enough extension field making every first entry 1, by seeded
-  sample-and-verify of a vector non-orthogonal to all representation
-  vectors.
-* ``kneser_rep`` - vectors supported exactly on each r-subset lying in
-  the kernel of a Vandermonde-type matrix, compressed to dimension
-  m - 2r + 2 by a seeded projection, accepted when every neighborhood
-  span keeps its rank and every non-neighbor's vector stays outside it.
+  large enough extension field making every first entry 1: the first
+  coordinate becomes <y, x> for a y non-orthogonal to all
+  representation vectors (e_1, or found by seeded sample-and-verify),
+  the others are kept except the one at y's last nonzero index.
+* ``kneser_rep`` - for each r-subset A the divided-difference weights
+  w_a = 1 / prod_{b in A - a} (alpha_a - alpha_b), the vector on A
+  killed by the rows alpha^i (i <= r - 2); every neighborhood spans
+  that matrix's whole kernel on the other m - r points, of dimension
+  t - 1 with t = m - 2r + 2.  A seeded projection to dimension t is
+  accepted when every neighborhood span keeps rank t - 1 and every
+  non-neighbor's vector stays outside it.
 * ``ortho_graph`` - the orthogonality graph on all non-self-orthogonal
   vectors of F^d, carrying its identity representation.
 
@@ -33,20 +37,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError, InvariantViolation
-from .gf import (
-    FieldElement,
-    FieldSpec,
-    SpanBasis,
-    field_extension_above,
-    greedy_basis,
-    int_vector,
-    matrix_rank,
-)
+from .gf import FieldElement, FieldSpec, SpanBasis, field_extension_above
+from .gf import matrix_rank  # unused here; perfbench/tracing.py patches it by name
 from .graphs import Graph, check_kneser, kneser_vertex_subsets, make_kneser
 
 Vector = tuple[FieldElement, ...]
@@ -159,19 +156,6 @@ def vandermonde_rep(g: Graph, spec: FieldSpec) -> Representation:
     return rep
 
 
-def _complete_to_invertible(spec: FieldSpec, first_row: Vector, d: int) -> list[list[FieldElement]]:
-    """Rows of an invertible d x d matrix with the given first row,
-    followed by every standard basis vector e_i except the one at the
-    last nonzero index of the first row (the only e_i in the span of the
-    rows before it)."""
-    nonzero = [i for i, x in enumerate(first_row) if not x.is_zero()]
-    if not nonzero:
-        raise ValueError("first row must be nonzero")
-    return [list(first_row)] + [
-        [spec.one if j == i else spec.zero for j in range(d)] for i in range(d) if i != nonzero[-1]
-    ]
-
-
 def normalize_first_entry(
     rep: Representation,
     *,
@@ -182,9 +166,11 @@ def normalize_first_entry(
 
     Moves to the smallest extension field K with |K| > n, finds y with
     <y, x_v> != 0 for all v (e_1 is tried first, then seeded random
-    sampling with verification), applies an invertible matrix whose
-    first row is y, and rescales each image to unit first entry.  Fails
-    hard when the retry cap is exhausted.
+    sampling with verification), and maps each x to <y, x> followed by
+    the entries of x except the one at y's last nonzero index: the
+    invertible matrix whose rows are y and the other standard basis
+    vectors.  Each image is rescaled to unit first entry.  Fails hard
+    when the retry cap is exhausted.
     """
     if rep.kind != INDEPENDENT:
         raise ValueError("normalization expects an independent representation")
@@ -208,10 +194,10 @@ def normalize_first_entry(
                 f"no normalizing vector found in {ceilings.retry_cap} seeded trials "
                 f"(seed={seed}); rerun with another seed"
             )
-    a = _complete_to_invertible(ext, y, d)
+    last = max(i for i, x in enumerate(y) if not x.is_zero())
     out = []
     for vec in vecs:
-        image = [inner_product(row, vec) for row in a]
+        image = [inner_product(y, vec)] + [x for i, x in enumerate(vec) if i != last]
         scale = image[0].inverse()
         out.append(tuple(x * scale for x in image))
     result = Representation(g, ext, d, tuple(out), INDEPENDENT)
@@ -224,24 +210,6 @@ def normalize_first_entry(
 # ---------------------------------------------------------------------------
 # Kneser construction
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KneserSystem:
-    """Intermediate data of the Kneser construction, before projection.
-
-    support_vectors[i] is the full-length vector of vertex i (support
-    exactly its r-subset, killed by the Vandermonde-type matrix);
-    neighborhood_dims[i] is the dimension of the span of the neighbors'
-    vectors of vertex i.
-    """
-
-    graph: Graph
-    m: int
-    r: int
-    spec: FieldSpec
-    support_vectors: tuple[Vector, ...]
-    neighborhood_dims: tuple[int, ...]
-
 
 def kneser_field_threshold(m: int, r: int) -> int:
     """Smallest field order the construction accepts for K(m, r).
@@ -260,35 +228,30 @@ def kneser_field_threshold(m: int, r: int) -> int:
     return max((m - t) * (count + 1) + 1, m)
 
 
-def kneser_system(m: int, r: int, spec: FieldSpec) -> KneserSystem:
-    """Support vectors x_A with M x_A = 0 and the neighborhood subspace dims."""
-    graph = make_kneser(m, r)
-    subsets = kneser_vertex_subsets(m, r)
+def kneser_support_vectors(m: int, r: int, spec: FieldSpec) -> tuple[Vector, ...]:
+    """The vector of each vertex of K(m, r), in vertex order.
+
+    For the r-subset A, entry a (alpha_a = spec.from_index(a)) is
+    w_a / w_min(A) with w_a = 1 / prod_{b in A - a} (alpha_a - alpha_b):
+    the divided-difference weights, the one vector on A with first entry
+    1 that the rows alpha^i (i <= r - 2) send to zero.  No entry on A is
+    zero.
+    """
     if spec.order < m:
         raise ValueError("field too small for distinct evaluation points")
-    # rows i = 0..r-2 of the constraint matrix: alpha_j^i for column j
     alphas = [spec.from_index(j) for j in range(m)]
-    rows = []
-    for i in range(r - 1):
-        rows.append([alpha**i for alpha in alphas])
     vectors = []
-    for subset in subsets:
+    for subset in kneser_vertex_subsets(m, r):
         cols = [c - 1 for c in subset]  # elements are 1-based
-        # first unknown = 1; the others are minus the coordinates of the
-        # first support column over the remaining r - 1, which are independent
-        columns = [[row[c] for row in rows] for c in cols[1:] + cols[:1]]
-        coords = greedy_basis(spec, map(int_vector, columns))[1].get(r - 1, {})
-        solution = [spec.one] + [-spec.from_index(coords.get(j, 0)) for j in range(r - 1)]
-        if any(x.is_zero() for x in solution):
-            raise InvariantViolation("support vector acquired a zero entry")
+        # 1 / w_a for each a in A
+        inv_w = [
+            prod((alphas[a] - alphas[b] for b in cols if b != a), start=spec.one) for a in cols
+        ]
         full = [spec.zero] * m
-        for c, val in zip(cols, solution):
-            full[c] = val
+        for c, x in zip(cols, inv_w):
+            full[c] = inv_w[0] * x.inverse()
         vectors.append(tuple(full))
-    dims, bad = _neighborhood_ranks(spec, graph, vectors)
-    if bad is not None:
-        raise InvariantViolation("support vectors are not faithful")
-    return KneserSystem(graph, m, r, spec, tuple(vectors), dims)
+    return tuple(vectors)
 
 
 def _neighborhood_ranks(
@@ -320,10 +283,10 @@ def kneser_rep(
 ) -> Representation:
     """Faithful independent representation of K(m, r) in dimension m - 2r + 2.
 
-    Pipeline: support vectors from the nullspace system, then a seeded
-    random linear map to t = m - 2r + 2 coordinates, accepted only when
-    every vertex's neighborhood span keeps its rank and every
-    non-neighbor's vector stays outside that span.
+    Pipeline: the support vectors of :func:`kneser_support_vectors`,
+    then a seeded random linear map to t = m - 2r + 2 coordinates,
+    accepted only when every vertex's neighborhood span keeps its rank
+    t - 1 and every non-neighbor's vector stays outside that span.
     """
     if not (r >= 1 and m >= 2 * r):
         raise ValueError(f"need m >= 2r >= 2, got m={m}, r={r}")
@@ -333,17 +296,20 @@ def kneser_rep(
             f"field order {spec.order} below the required threshold {threshold} "
             f"for K({m},{r})"
         )
-    system = kneser_system(m, r, spec)
-    graph = system.graph
+    graph = make_kneser(m, r)
+    vectors = kneser_support_vectors(m, r, spec)
     t = m - 2 * r + 2
+    # the neighbors of A are the r-subsets of the other m - r points; their
+    # vectors, the circuits of that Vandermonde matrix, span its kernel
+    dims = (t - 1,) * graph.n
     rng = random.Random(seed)
     for _ in range(ceilings.retry_cap):
         phi = [[spec.from_index(rng.randrange(spec.order)) for _ in range(m)] for _ in range(t)]
         projected = [
-            tuple(inner_product(row, vec) for row in phi) for vec in system.support_vectors
+            tuple(inner_product(row, vec) for row in phi) for vec in vectors
         ]
         # accepted ranks come with no non-neighbor in any span: faithful as is
-        if _neighborhood_ranks(spec, graph, projected)[0] == system.neighborhood_dims:
+        if _neighborhood_ranks(spec, graph, projected)[0] == dims:
             return Representation(graph, spec, t, tuple(projected), INDEPENDENT)
     raise CeilingError(
         f"no dimension-preserving projection found in {ceilings.retry_cap} "
@@ -410,127 +376,6 @@ def ortho_graph(
     }
     graph = Graph(n, edges, labels)
     return Representation(graph, spec, d, tuple(vectors), ORTHOGONAL)
-
-
-# ---------------------------------------------------------------------------
-# The classical Petersen fixture
-# ---------------------------------------------------------------------------
-
-# Outer 5-cycle 0-4, inner 5-cycle (pentagram) 5-9, spokes i -- i+5.
-PETERSEN_FIXTURE_EDGES = (
-    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-    (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-)
-
-# Integer entries of a classical faithful 3-dimensional orthogonal
-# representation of the Petersen graph; usable over any field where no
-# non-edge inner product happens to vanish.
-PETERSEN_FIXTURE_VECTORS = (
-    (1, 0, 0),
-    (0, 1, 0),
-    (1, 0, 1),
-    (1, 1, -1),
-    (0, 1, 1),
-    (0, 1, 2),
-    (1, 0, -3),
-    (1, 2, -1),
-    (3, -2, 1),
-    (3, -1, 1),
-)
-
-
-def petersen_fixture_graph() -> Graph:
-    return Graph(10, PETERSEN_FIXTURE_EDGES)
-
-
-def petersen_orthogonal_rep(spec: FieldSpec) -> Representation:
-    """The integer Petersen vectors reduced into `spec` (orthogonal kind).
-
-    The caller should check per-pair that no integer inner product
-    vanishes modulo the characteristic unless it vanishes over the
-    integers; `check_faithful` reports any accidental collision.
-    """
-    vectors = tuple(
-        tuple(spec.from_int(x) for x in vec) for vec in PETERSEN_FIXTURE_VECTORS
-    )
-    return Representation(petersen_fixture_graph(), spec, 3, vectors, ORTHOGONAL)
-
-
-# ---------------------------------------------------------------------------
-# Low-rank adjacency matrix bridge
-# ---------------------------------------------------------------------------
-
-def adjacency_rank_matrix(
-    rep: Representation,
-    *,
-    seed: int = 0,
-    ceilings: Ceilings = DEFAULT_CEILINGS,
-) -> tuple[tuple[FieldElement, ...], ...]:
-    """Rows of an n x n matrix M of rank <= d with M[u][v] = 0 exactly on
-    edges.
-
-    Built from a faithful independent representation over a field with
-    order > n: for each vertex v a dual vector y_v orthogonal to the
-    neighbors' span with <x_u, y_v> != 0 for all non-neighbors u is
-    found by seeded sampling inside the orthogonal complement, verified
-    before acceptance; then M[u][v] = <x_u, y_v>.  The rank and the
-    zero pattern are checked before M is returned.
-    """
-    g = rep.graph
-    spec = rep.spec
-    if spec.order <= g.n:
-        raise ValueError("field order must exceed the vertex count")
-    if rep.kind != INDEPENDENT:
-        raise ValueError("expects an independent representation")
-    rng = random.Random(seed)
-    duals: list[Vector] = []
-    for v in range(g.n):
-        neighbor_rows = [rep.vectors[w] for w in g.neighbors(v)]
-        complement = _nullspace_basis(spec, neighbor_rows, rep.d)
-        non_neighbors = [u for u in range(g.n) if not g.has_edge(u, v)]
-        found = None
-        for _ in range(ceilings.retry_cap):
-            y = [spec.zero] * rep.d
-            for basis_vec in complement:
-                c = spec.from_index(rng.randrange(spec.order))
-                y = [a + c * b for a, b in zip(y, basis_vec)]
-            if all(not inner_product(rep.vectors[u], y).is_zero() for u in non_neighbors):
-                found = tuple(y)
-                break
-        if found is None:
-            raise CeilingError(
-                f"no dual vector for vertex {v} in {ceilings.retry_cap} trials"
-            )
-        duals.append(found)
-    matrix = tuple(
-        tuple(inner_product(rep.vectors[u], duals[v]) for v in range(g.n))
-        for u in range(g.n)
-    )
-    if matrix_rank(spec, matrix) > rep.d:
-        raise InvariantViolation("adjacency matrix rank exceeds the dimension")
-    for u in range(g.n):
-        for v in range(g.n):
-            if matrix[u][v].is_zero() != g.has_edge(u, v):
-                raise InvariantViolation("adjacency matrix zero pattern broken")
-    return matrix
-
-
-def _nullspace_basis(
-    spec: FieldSpec, rows: list[Vector], d: int
-) -> list[list[FieldElement]]:
-    """Basis of the right nullspace of the given row vectors in F^d: e_f
-    minus the coordinates of column f over the pivot columns, for each
-    non-pivot f."""
-    _, certificates = greedy_basis(spec, (int_vector([row[f] for row in rows]) for f in range(d)))
-    basis = []
-    for f, coords in certificates.items():
-        vec = [spec.zero] * d
-        vec[f] = spec.one
-        for p, c in coords.items():
-            vec[p] = -spec.from_index(c)
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from hcolkit.config import Ceilings, DEFAULT_CEILINGS
+from hcolkit.errors import CeilingError, InvariantViolation
+from hcolkit.gf import FieldElement, FieldSpec, greedy_basis, int_vector, matrix_rank
 from hcolkit.graphs import Graph, common_neighbors
 from hcolkit.kernels import VertexCoverInstance
+from hcolkit.reps import INDEPENDENT, ORTHOGONAL, Representation, Vector, inner_product
 from hcolkit.witness import max_clique
 
 
@@ -355,6 +359,119 @@ def hub_and_path_graph(rng: random.Random) -> tuple[Graph, int]:
     if rng.random() < 0.5:
         edges.append((0, 1))
     return Graph(n, edges), core
+
+
+# Outer 5-cycle 0-4, inner 5-cycle (pentagram) 5-9, spokes i -- i+5.
+PETERSEN_FIXTURE_EDGES = (
+    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+    (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+)
+
+# Integer entries of a classical faithful 3-dimensional orthogonal
+# representation of the Petersen graph; usable over any field where no
+# non-edge inner product happens to vanish.
+PETERSEN_FIXTURE_VECTORS = (
+    (1, 0, 0),
+    (0, 1, 0),
+    (1, 0, 1),
+    (1, 1, -1),
+    (0, 1, 1),
+    (0, 1, 2),
+    (1, 0, -3),
+    (1, 2, -1),
+    (3, -2, 1),
+    (3, -1, 1),
+)
+
+
+def petersen_fixture_graph() -> Graph:
+    return Graph(10, PETERSEN_FIXTURE_EDGES)
+
+
+def petersen_orthogonal_rep(spec: FieldSpec) -> Representation:
+    """The integer Petersen vectors reduced into `spec` (orthogonal kind).
+
+    The caller should check per-pair that no integer inner product
+    vanishes modulo the characteristic unless it vanishes over the
+    integers; `check_faithful` reports any accidental collision.
+    """
+    vectors = tuple(
+        tuple(spec.from_int(x) for x in vec) for vec in PETERSEN_FIXTURE_VECTORS
+    )
+    return Representation(petersen_fixture_graph(), spec, 3, vectors, ORTHOGONAL)
+
+
+def adjacency_rank_matrix(
+    rep: Representation,
+    *,
+    seed: int = 0,
+    ceilings: Ceilings = DEFAULT_CEILINGS,
+) -> tuple[tuple[FieldElement, ...], ...]:
+    """Rows of an n x n matrix M of rank <= d with M[u][v] = 0 exactly on
+    edges.
+
+    Built from a faithful independent representation over a field with
+    order > n: for each vertex v a dual vector y_v orthogonal to the
+    neighbors' span with <x_u, y_v> != 0 for all non-neighbors u is
+    found by seeded sampling inside the orthogonal complement, verified
+    before acceptance; then M[u][v] = <x_u, y_v>.  The rank and the
+    zero pattern are checked before M is returned.
+    """
+    g = rep.graph
+    spec = rep.spec
+    if spec.order <= g.n:
+        raise ValueError("field order must exceed the vertex count")
+    if rep.kind != INDEPENDENT:
+        raise ValueError("expects an independent representation")
+    rng = random.Random(seed)
+    duals: list[Vector] = []
+    for v in range(g.n):
+        neighbor_rows = [rep.vectors[w] for w in g.neighbors(v)]
+        complement = _nullspace_basis(spec, neighbor_rows, rep.d)
+        non_neighbors = [u for u in range(g.n) if not g.has_edge(u, v)]
+        found = None
+        for _ in range(ceilings.retry_cap):
+            y = [spec.zero] * rep.d
+            for basis_vec in complement:
+                c = spec.from_index(rng.randrange(spec.order))
+                y = [a + c * b for a, b in zip(y, basis_vec)]
+            if all(not inner_product(rep.vectors[u], y).is_zero() for u in non_neighbors):
+                found = tuple(y)
+                break
+        if found is None:
+            raise CeilingError(
+                f"no dual vector for vertex {v} in {ceilings.retry_cap} trials"
+            )
+        duals.append(found)
+    matrix = tuple(
+        tuple(inner_product(rep.vectors[u], duals[v]) for v in range(g.n))
+        for u in range(g.n)
+    )
+    if matrix_rank(spec, matrix) > rep.d:
+        raise InvariantViolation("adjacency matrix rank exceeds the dimension")
+    for u in range(g.n):
+        for v in range(g.n):
+            if matrix[u][v].is_zero() != g.has_edge(u, v):
+                raise InvariantViolation("adjacency matrix zero pattern broken")
+    return matrix
+
+
+def _nullspace_basis(
+    spec: FieldSpec, rows: list[Vector], d: int
+) -> list[list[FieldElement]]:
+    """Basis of the right nullspace of the given row vectors in F^d: e_f
+    minus the coordinates of column f over the pivot columns, for each
+    non-pivot f."""
+    _, certificates = greedy_basis(spec, (int_vector([row[f] for row in rows]) for f in range(d)))
+    basis = []
+    for f, coords in certificates.items():
+        vec = [spec.zero] * d
+        vec[f] = spec.one
+        for p, c in coords.items():
+            vec[p] = -spec.from_index(c)
+        basis.append(vec)
+    return basis
 
 
 @pytest.fixture

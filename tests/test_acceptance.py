@@ -9,9 +9,9 @@ import random
 import time
 from math import comb, log2
 
-from conftest import leibniz_determinant, random_cover_instance
+from conftest import leibniz_determinant, petersen_orthogonal_rep, random_cover_instance
 from hcolkit.cli import main as cli_main
-from hcolkit.gf import field_make, is_prime
+from hcolkit.gf import field_make, is_prime, matrix_rank
 from hcolkit.graphs import (
     Graph,
     make_complete,
@@ -49,10 +49,9 @@ from hcolkit.reps import (
     check_faithful,
     kneser_field_threshold,
     kneser_rep,
-    kneser_system,
+    kneser_support_vectors,
     normalize_first_entry,
     ortho_graph,
-    petersen_orthogonal_rep,
     vandermonde_rep,
 )
 from hcolkit.witness import clique_number, max_degree, witness_number
@@ -207,8 +206,9 @@ def test_criterion_05_representation_suite():
     spec = field_make(smallest_prime_at_least(kneser_field_threshold(5, 2)), 1)
     rep = kneser_rep(5, 2, spec, seed=0)
     assert rep.d == 3 and check_faithful(rep).ok
-    system = kneser_system(5, 2, spec)
-    assert all(d <= 5 - 2 * 2 + 1 for d in system.neighborhood_dims)
+    vectors, graph = kneser_support_vectors(5, 2, spec), make_kneser(5, 2)
+    dims = [matrix_rank(spec, [vectors[c] for c in graph.neighbors(b)]) for b in range(graph.n)]
+    assert all(d <= 5 - 2 * 2 + 1 for d in dims)
     # the classical integer Petersen vectors over both primes
     for p in (17, 31):
         fixture_rep = petersen_orthogonal_rep(field_make(p, 1))

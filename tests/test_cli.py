@@ -261,59 +261,76 @@ def test_represent_vandermonde_and_ortho(files, capsys):
     assert code == 0 and json.loads(out)["n"] == 4
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ("represent", "--family", "kneser", "--m", "5", "--r", "2"),
-            "9ec953cc17ad2132d644cbb6652158d5bce014edb02f61c9f7507d362f4253e2",
-        ),
-        (
-            ("represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "2^8"),
-            "e78d075cd8f2cda3f63b23d98d05c3894008919bdf11de74745d546386d20332",
-        ),
-        (
-            ("represent", "--family", "vandermonde", "--graph", "c5.g", "--field", "7"),
-            "c5a6ed421b682886792e2d20d006d92805b419b05272a09e593c2c8510b48840",
-        ),
-        # seeds whose first projections are rejected (two or three trials)
-        (
-            ("--seed", "5", "represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "163"),
-            "0b76c7bc72ccc3ff9306f4cce2f5f7fc06e530d2917a7af4a90ae18badb983a2",
-        ),
-        (
-            ("--seed", "6", "represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "163"),
-            "2a8d5f10399bfd514b33baee0318a8814dec1b5efa69492e3a2073ac55738f28",
-        ),
-        (
-            ("--seed", "9", "represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "163"),
-            "d79e56896f066013991599882902774a9f821349b70cfe53a8e3d48fae111084",
-        ),
-        (
-            ("--seed", "1", "represent", "--family", "kneser", "--m", "6", "--r", "2", "--field", "307"),
-            "96e176924985a0b28a92c5287e290ba322d20249009942d799efdb8c5bd1c637",
-        ),
-        (
-            ("--seed", "8", "represent", "--family", "kneser", "--m", "7", "--r", "2", "--field", "509"),
-            "2f82d5728d56d6cde3499489965bcb71df0e02a7bb019fe6eb93c61afc90c460",
-        ),
-    ],
-    ids=(
-        "kneser-5-2",
-        "kneser-5-2-gf256",
-        "vandermonde-c5-gf7",
-        "kneser-5-2-seed5",
-        "kneser-5-2-seed6",
-        "kneser-5-2-seed9",
-        "kneser-6-2-gf307-seed1",
-        "kneser-7-2-gf509-seed8",
+PINNED_REPRESENT = {
+    "kneser-5-2": (
+        ("represent", "--family", "kneser", "--m", "5", "--r", "2"),
+        "9ec953cc17ad2132d644cbb6652158d5bce014edb02f61c9f7507d362f4253e2",
     ),
-)
+    "kneser-5-2-gf256": (
+        ("represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "2^8"),
+        "e78d075cd8f2cda3f63b23d98d05c3894008919bdf11de74745d546386d20332",
+    ),
+    "vandermonde-c5-gf7": (
+        ("represent", "--family", "vandermonde", "--graph", "c5.g", "--field", "7"),
+        "c5a6ed421b682886792e2d20d006d92805b419b05272a09e593c2c8510b48840",
+    ),
+    # seeds whose first projections are rejected (two or three trials)
+    "kneser-5-2-seed5": (
+        ("--seed", "5", "represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "163"),
+        "0b76c7bc72ccc3ff9306f4cce2f5f7fc06e530d2917a7af4a90ae18badb983a2",
+    ),
+    "kneser-5-2-seed6": (
+        ("--seed", "6", "represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "163"),
+        "2a8d5f10399bfd514b33baee0318a8814dec1b5efa69492e3a2073ac55738f28",
+    ),
+    "kneser-5-2-seed9": (
+        ("--seed", "9", "represent", "--family", "kneser", "--m", "5", "--r", "2", "--field", "163"),
+        "d79e56896f066013991599882902774a9f821349b70cfe53a8e3d48fae111084",
+    ),
+    "kneser-6-2-gf307-seed1": (
+        ("--seed", "1", "represent", "--family", "kneser", "--m", "6", "--r", "2", "--field", "307"),
+        "96e176924985a0b28a92c5287e290ba322d20249009942d799efdb8c5bd1c637",
+    ),
+    "kneser-7-2-gf509-seed8": (
+        ("--seed", "8", "represent", "--family", "kneser", "--m", "7", "--r", "2", "--field", "509"),
+        "2f82d5728d56d6cde3499489965bcb71df0e02a7bb019fe6eb93c61afc90c460",
+    ),
+    # r = 3 with three points per support, r = 1, and m = 2r (a matching)
+    "kneser-7-3": (
+        ("represent", "--family", "kneser", "--m", "7", "--r", "3"),
+        "bde280f18d4f77290aa7675fa0d59624973d0e0de14c9d523f6484056a9c17b2",
+    ),
+    "kneser-6-1": (
+        ("represent", "--family", "kneser", "--m", "6", "--r", "1"),
+        "812cd16c0e2c6784701b1a09742224f3a530b7d12715871bcda1e7ad425e0887",
+    ),
+    "kneser-6-3": (
+        ("represent", "--family", "kneser", "--m", "6", "--r", "3"),
+        "e9b8484bbcc528b4b0fb3fa296a232cfcfb7980fab02d30a2987817d13b8649b",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_REPRESENT.values(), ids=PINNED_REPRESENT)
 def test_represent_output_is_pinned(files, capsys, argv, digest):
     # representation JSON is part of the output contract: seeded and byte-stable
     code, out, _ = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_seed_and_format_from_the_environment_are_read_on_every_call(files, capsys, monkeypatch):
+    # the parser is built once, so HCOL_SEED and HCOL_FORMAT must not be frozen into it
+    for seed in ("5", "6"):
+        monkeypatch.setenv("HCOL_SEED", seed)
+        argv, digest = PINNED_REPRESENT[f"kneser-5-2-seed{seed}"]
+        code, out, _ = run(capsys, *argv[2:])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for fmt, start in (("json", "{"), ("text", "q=4 ")):
+        monkeypatch.setenv("HCOL_FORMAT", fmt)
+        code, out, _ = run(capsys, "witness", files["k4.g"])
+        assert code == 0 and out.startswith(start)
 
 
 def test_represent_graph_out_feeds_kernelize(files, capsys, tmp_path):

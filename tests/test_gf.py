@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _nullspace_basis,
     leibniz_determinant,
     reference_field_ops,
     reference_rank,
@@ -27,7 +28,7 @@ from hcolkit.gf import (
     is_prime,
     matrix_rank,
 )
-from hcolkit.reps import _nullspace_basis, inner_product
+from hcolkit.reps import inner_product
 
 FIELDS = [
     field_make(2, 1),

@@ -2,26 +2,44 @@ import random
 
 import pytest
 
+from conftest import (
+    PETERSEN_FIXTURE_VECTORS,
+    adjacency_rank_matrix,
+    petersen_fixture_graph,
+    petersen_orthogonal_rep,
+)
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
-from hcolkit.gf import SpanBasis, field_make, is_prime, matrix_rank
-from hcolkit.graphs import Graph, make_complete, make_cycle, make_kneser, make_path, make_petersen, make_random
+from hcolkit.gf import (
+    SpanBasis,
+    field_extension_above,
+    field_make,
+    greedy_basis,
+    int_vector,
+    is_prime,
+    matrix_rank,
+)
+from hcolkit.graphs import (
+    Graph,
+    kneser_vertex_subsets,
+    make_complete,
+    make_cycle,
+    make_kneser,
+    make_path,
+    make_petersen,
+    make_random,
+)
 from hcolkit.reps import (
-    _complete_to_invertible,
     _neighborhood_ranks,
-    PETERSEN_FIXTURE_VECTORS,
     Representation,
-    adjacency_rank_matrix,
     as_independent,
     check_faithful,
     inner_product,
     kneser_field_threshold,
     kneser_rep,
-    kneser_system,
+    kneser_support_vectors,
     normalize_first_entry,
     ortho_graph,
-    petersen_fixture_graph,
-    petersen_orthogonal_rep,
     rep_from_json,
     rep_to_json,
     vandermonde_rep,
@@ -204,17 +222,61 @@ def test_vandermonde_over_extension_field():
     assert check_faithful(rep).ok and rep.has_unit_first_entries()
 
 
-def test_kneser_system_support_and_dims():
+def neighborhood_dims(spec, graph, vectors):
+    return tuple(matrix_rank(spec, [vectors[c] for c in graph.neighbors(b)]) for b in range(graph.n))
+
+
+def test_kneser_support_vectors_support_and_dims():
     spec = field_make(163, 1)
-    system = kneser_system(5, 2, spec)
+    graph = make_kneser(5, 2)
+    vectors = kneser_support_vectors(5, 2, spec)
     subsets = [tuple(int(c) for c in label.strip("{}").split(",")) for label in
-               (system.graph.labels[i] for i in range(system.graph.n))]
-    for vec, subset in zip(system.support_vectors, subsets):
+               (graph.labels[i] for i in range(graph.n))]
+    for vec, subset in zip(vectors, subsets):
         support = {i + 1 for i, x in enumerate(vec) if not x.is_zero()}
         assert support == set(subset)
         # the constraint matrix kills the vector: row of ones, row of points
         assert sum(vec, spec.zero) == spec.zero
-    assert all(d <= 5 - 2 * 2 + 1 for d in system.neighborhood_dims)
+    assert all(d <= 5 - 2 * 2 + 1 for d in neighborhood_dims(spec, graph, vectors))
+
+
+def reference_support_vectors(m, r, spec):
+    """The original nullspace solve: on each r-subset, first entry 1 and
+    the others minus the coordinates of the first support column over the
+    remaining r - 1 columns of the rows alpha^i (i <= r - 2)."""
+    alphas = [spec.from_index(j) for j in range(m)]
+    rows = [[alpha**i for alpha in alphas] for i in range(r - 1)]
+    vectors = []
+    for subset in kneser_vertex_subsets(m, r):
+        cols = [c - 1 for c in subset]
+        columns = [[row[c] for row in rows] for c in cols[1:] + cols[:1]]
+        coords = greedy_basis(spec, map(int_vector, columns))[1].get(r - 1, {})
+        solution = [spec.one] + [-spec.from_index(coords.get(j, 0)) for j in range(r - 1)]
+        full = [spec.zero] * m
+        for c, val in zip(cols, solution):
+            full[c] = val
+        vectors.append(tuple(full))
+    return tuple(vectors)
+
+
+KNESER_SHAPES = [(m, r) for m in range(2, 9) for r in range(1, m // 2 + 1)] + [(10, 2), (10, 5)]
+
+
+@pytest.mark.parametrize("p, k", [(2, 8), (3, 5), (7, 3), (163, 1), (1009, 1)])
+def test_kneser_closed_forms_match_the_nullspace_solve_and_the_span_ranks(p, k):
+    spec = field_make(p, k)
+    for m, r in KNESER_SHAPES:
+        graph = make_kneser(m, r)
+        vectors = kneser_support_vectors(m, r, spec)
+        assert vectors == reference_support_vectors(m, r, spec), (m, r)
+        # no entry on the subset is zero
+        for vec, subset in zip(vectors, kneser_vertex_subsets(m, r)):
+            assert {c for c, x in enumerate(vec, 1) if not x.is_zero()} == set(subset)
+        # every neighborhood spans the whole kernel, of dimension t - 1, and
+        # the unprojected vectors are already faithful
+        t = m - 2 * r + 2
+        assert neighborhood_dims(spec, graph, vectors) == (t - 1,) * graph.n, (m, r)
+        assert _neighborhood_ranks(spec, graph, vectors) == ((t - 1,) * graph.n, None), (m, r)
 
 
 def test_ortho_graph_gf2_dim3():
@@ -270,21 +332,55 @@ def reference_completion(spec, first_row, d):
     return rows
 
 
-@pytest.mark.parametrize("p, m", [(7, 1), (2, 3), (3, 2), (163, 1)])
-def test_completion_to_invertible_matches_greedy_span_completion(p, m):
-    spec = field_make(p, m)
-    rng = random.Random(p * 10 + m)
-    for d in range(1, 6):
-        for _ in range(50):
-            # a random vector whose last nonzero entry sits at a random index
-            last = rng.randrange(d)
-            y = [spec.from_index(rng.randrange(spec.order)) for _ in range(last)]
-            y += [spec.from_index(rng.randrange(1, spec.order))] + [spec.zero] * (d - 1 - last)
-            rows = _complete_to_invertible(spec, y, d)
-            assert rows == reference_completion(spec, y, d)
-            assert matrix_rank(spec, rows) == d
-    with pytest.raises(ValueError):
-        _complete_to_invertible(spec, [spec.zero] * 3, 3)
+def reference_normalize(rep, seed):
+    """The original normalization: the same choice of y, then the greedy
+    completion of y to an invertible matrix applied to every vector, each
+    image rescaled to unit first entry; returns the result and its rows."""
+    ext, embed = field_extension_above(rep.spec, rep.graph.n)
+    vecs = [tuple(embed(x) for x in vec) for vec in rep.vectors]
+    y = tuple([ext.one] + [ext.zero] * (rep.d - 1))
+    rng = random.Random(seed)
+    while any(inner_product(y, vec).is_zero() for vec in vecs):
+        y = tuple(ext.from_index(rng.randrange(ext.order)) for _ in range(rep.d))
+    rows = reference_completion(ext, y, rep.d)
+    out = []
+    for vec in vecs:
+        image = [inner_product(row, vec) for row in rows]
+        out.append(tuple(x * image[0].inverse() for x in image))
+    return Representation(rep.graph, ext, rep.d, tuple(out), "independent"), rows
+
+
+def random_change_of_basis(rep, rng):
+    """`rep` under a random invertible matrix: faithful again, and its
+    first entries are no longer all nonzero."""
+    spec, d = rep.spec, rep.d
+    while True:
+        a = [[spec.from_index(rng.randrange(spec.order)) for _ in range(d)] for _ in range(d)]
+        if matrix_rank(spec, a) == d:
+            break
+    vectors = tuple(tuple(inner_product(row, vec) for row in a) for vec in rep.vectors)
+    return Representation(rep.graph, spec, d, vectors, "independent")
+
+
+def test_completion_to_invertible_matches_greedy_span_completion():
+    # normalization keeps the coordinates of x except the one at y's last
+    # nonzero index: the greedy completion of y applied to x
+    rng = random.Random(7)
+    bases = []
+    for spec in (field_make(p, m) for p, m in ((2, 1), (3, 1), (5, 1), (2, 2), (7, 1), (2, 3))):
+        bases += [as_independent(ortho_graph(spec, d, projective=True)) for d in (2, 3)]
+        for n in range(1, min(spec.order, 5) + 1):
+            bases.append(vandermonde_rep(make_random(n, rng.randrange(100)), spec))
+    lasts = set()
+    for base in (rep for rep in bases if rep.graph.n <= 12):
+        for seed in range(8):
+            rep = random_change_of_basis(base, rng)
+            expected, rows = reference_normalize(rep, seed)
+            assert matrix_rank(expected.spec, rows) == rep.d
+            assert normalize_first_entry(rep, seed=seed) == expected
+            lasts.add((rep.d, max(i for i, x in enumerate(rows[0]) if not x.is_zero())))
+    # y's last nonzero entry took every index up to dimension 3
+    assert {(d, i) for d in (2, 3) for i in range(d)} <= lasts
 
 
 def test_ortho_graph_ceiling():
@@ -380,22 +476,20 @@ def old_projection_test(spec, graph, vectors, dims):
 def test_neighborhood_ranks_accept_the_projections_the_rank_test_accepts(m, r, p):
     # a small field makes many projections fail, so both outcomes occur
     spec = field_make(p, 1)
-    system = kneser_system(m, r, spec)
-    graph = system.graph
-    assert system.neighborhood_dims == tuple(
-        matrix_rank(spec, [system.support_vectors[c] for c in graph.neighbors(b)])
-        for b in range(graph.n)
-    )
-    rng = random.Random(m * 100 + p)
+    graph = make_kneser(m, r)
+    vectors = kneser_support_vectors(m, r, spec)
     t = m - 2 * r + 2
+    dims = (t - 1,) * graph.n
+    assert dims == neighborhood_dims(spec, graph, vectors)
+    rng = random.Random(m * 100 + p)
     outcomes = set()
     for _ in range(40):
         phi = [[spec.from_index(rng.randrange(p)) for _ in range(m)] for _ in range(t)]
         projected = [
-            tuple(inner_product(row, vec) for row in phi) for vec in system.support_vectors
+            tuple(inner_product(row, vec) for row in phi) for vec in vectors
         ]
-        accepted = _neighborhood_ranks(spec, graph, projected)[0] == system.neighborhood_dims
-        assert accepted == old_projection_test(spec, graph, projected, system.neighborhood_dims)
+        accepted = _neighborhood_ranks(spec, graph, projected)[0] == dims
+        assert accepted == old_projection_test(spec, graph, projected, dims)
         outcomes.add(accepted)
     assert outcomes == {True, False}
 
