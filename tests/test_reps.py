@@ -350,35 +350,71 @@ def reference_normalize(rep, seed):
     return Representation(rep.graph, ext, rep.d, tuple(out), "independent"), rows
 
 
-def random_change_of_basis(rep, rng):
+def random_change_of_basis(rep, rng, hide_first=False):
     """`rep` under a random invertible matrix: faithful again, and its
-    first entries are no longer all nonzero."""
+    first entries are no longer all nonzero.  With `hide_first` (and d > 1)
+    the first row is orthogonal to the first vector, so e_1 cannot
+    normalize."""
     spec, d = rep.spec, rep.d
+    x0 = rep.vectors[0]
+    j = next(i for i, x in enumerate(x0) if not x.is_zero())
     while True:
         a = [[spec.from_index(rng.randrange(spec.order)) for _ in range(d)] for _ in range(d)]
+        if hide_first and d > 1:
+            shift = inner_product(a[0], x0) * x0[j].inverse()
+            a[0][j] = a[0][j] - shift
         if matrix_rank(spec, a) == d:
             break
     vectors = tuple(tuple(inner_product(row, vec) for row in a) for vec in rep.vectors)
     return Representation(rep.graph, spec, d, vectors, "independent")
 
 
-def test_completion_to_invertible_matches_greedy_span_completion():
+def normalization_bases(spec, rng):
+    """Small faithful independent representations over `spec`."""
+    bases = [vandermonde_rep(make_random(n, rng.randrange(100)), spec) for n in range(1, min(spec.order, 5) + 1)]
+    if spec.order <= 8:
+        bases += [as_independent(ortho_graph(spec, d, projective=True)) for d in (2, 3)]
+    return [rep for rep in bases if rep.graph.n <= 12]
+
+
+def compare_normalization(rep, seed, rng):
+    """Normalize a random change of basis of `rep` and compare it with the
+    greedy-completion reference; returns (d, last nonzero index of y)."""
+    moved = random_change_of_basis(rep, rng, hide_first=seed % 2 == 1)
+    expected, rows = reference_normalize(moved, seed)
+    assert matrix_rank(expected.spec, rows) == moved.d
+    assert normalize_first_entry(moved, seed=seed) == expected
+    return moved.d, max(i for i, x in enumerate(rows[0]) if not x.is_zero())
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 3), (3, 2), (163, 1)])
+def test_completion_to_invertible_matches_greedy_span_completion(p, m):
     # normalization keeps the coordinates of x except the one at y's last
     # nonzero index: the greedy completion of y applied to x
+    spec = field_make(p, m)
+    rng = random.Random(p * 10 + m)
+    for d in range(1, 6):
+        for _ in range(50):
+            # a random vector whose last nonzero entry sits at a random index
+            last = rng.randrange(d)
+            y = [spec.from_index(rng.randrange(spec.order)) for _ in range(last)]
+            y += [spec.from_index(rng.randrange(1, spec.order))] + [spec.zero] * (d - 1 - last)
+            rows = reference_completion(spec, y, d)
+            units = [[spec.one if j == i else spec.zero for j in range(d)] for i in range(d) if i != last]
+            assert rows == [y] + units
+            assert matrix_rank(spec, rows) == d
+    for base in normalization_bases(spec, rng):
+        for seed in range(4):
+            compare_normalization(base, seed, rng)
+
+
+def test_normalization_reaches_every_last_nonzero_index():
     rng = random.Random(7)
-    bases = []
-    for spec in (field_make(p, m) for p, m in ((2, 1), (3, 1), (5, 1), (2, 2), (7, 1), (2, 3))):
-        bases += [as_independent(ortho_graph(spec, d, projective=True)) for d in (2, 3)]
-        for n in range(1, min(spec.order, 5) + 1):
-            bases.append(vandermonde_rep(make_random(n, rng.randrange(100)), spec))
     lasts = set()
-    for base in (rep for rep in bases if rep.graph.n <= 12):
-        for seed in range(8):
-            rep = random_change_of_basis(base, rng)
-            expected, rows = reference_normalize(rep, seed)
-            assert matrix_rank(expected.spec, rows) == rep.d
-            assert normalize_first_entry(rep, seed=seed) == expected
-            lasts.add((rep.d, max(i for i, x in enumerate(rows[0]) if not x.is_zero())))
+    for spec in (field_make(p, m) for p, m in ((2, 1), (3, 1), (5, 1), (2, 2), (7, 1), (2, 3))):
+        for base in normalization_bases(spec, rng):
+            for seed in range(8):
+                lasts.add(compare_normalization(base, seed, rng))
     # y's last nonzero entry took every index up to dimension 3
     assert {(d, i) for d in (2, 3) for i in range(d)} <= lasts
 
