@@ -51,7 +51,6 @@ from .kernels import (
     VertexCoverInstance,
     algebraic_kernel,
     combinatorial_kernel,
-    greedy_cover_2approx,
     kernel_size_report,
     read_instance,
     verify_kernel_equivalence,

@@ -20,7 +20,9 @@ those of plain forward checking.  It has two uses:
   ``_cluster_images`` and the automorphism searches of ``_orbits`` take
   its first solution, and so do two searches outside
   this module: ``witness.find_b_ml_copy`` (an injective homomorphism
-  from a B(m, l) pattern) and ``reductions.verify_edge_gadget`` (one
+  from a B(m, l) pattern, whose interchangeable units are chained into
+  ascending images by order tables, which keeps the first solution)
+  and ``reductions.verify_edge_gadget`` (one
   pinned search per ordered pair of target vertices whose first vertex
   is the least of its orbit under Aut(H));
 * all: ``enumerate_homomorphisms`` (and through it ``is_core``)

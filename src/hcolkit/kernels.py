@@ -61,16 +61,6 @@ class VertexCoverInstance:
         return len(self.cover)
 
 
-def greedy_cover_2approx(g: Graph) -> tuple[int, ...]:
-    """Vertex cover of at most twice the optimum via maximal matching."""
-    cover: set[int] = set()
-    for u, v in g.edges():
-        if u not in cover and v not in cover:
-            cover.add(u)
-            cover.add(v)
-    return tuple(sorted(cover))
-
-
 @dataclass
 class KernelResult:
     """Output graph, the cover inside it, and the provenance of every

@@ -15,14 +15,15 @@ q(G) is the size of its largest one.
 
 One search (`_largest_transversal`) finds them by the MMCS rule for
 minimal transversals (Murakami & Uno, Discrete Appl. Math. 2014): a
-node holds the partial set S, CN(S) (the edges S misses), CN(S - s)
-for each member s, and a candidate mask.  It branches on the missed
-edge with the fewest candidates, taking the candidates out and giving
-each back after its branch, so every minimal transversal is met once.
-Member s keeps a private ("critical") edge iff CN(S - s) - CN(S) is
-nonempty; a child where some member has none is dropped, because that
-set only shrinks as S grows.  Started at a node (S, cand), the search
-meets exactly the minimal transversals T ⊇ S with T - S ⊆ cand, and it
+node holds the partial set S, CN(S) (the edges S misses), the private
+edges CN(S - s) - CN(S) of each member s, and a candidate mask.  It
+branches on the missed edge with the fewest candidates, taking the
+candidates out and giving each back after its branch, so every minimal
+transversal is met once.  Member s keeps a private ("critical") edge
+iff CN(S - s) - CN(S) is nonempty; a child where some member has none
+is dropped, because that set only shrinks as S grows: adding z
+intersects it with N(z).  Started at a node (S, cand), the search meets
+exactly the minimal transversals T ⊇ S with T - S ⊆ cand, and it
 returns as soon as its best size reaches a given stop.
 
 It prunes by counting private witnesses.  If a critical superset adds
@@ -32,7 +33,13 @@ pairwise distinct (w_z misses z, which every other w_z' sees), and each
 has at least |Z| - 1 neighbors among the candidates Z is drawn from.  A
 node can beat the best size only if at least need = best - |S| + 1
 members of CN(S) have |N(w) ∩ candidates| >= need - 1; the scan that
-picks the branching edge counts them.
+picks the branching edge counts them.  When need >= 2 a second count
+follows.  Each z in Z sees the |Z| - 1 >= need - 1 distinct witnesses
+of the other members of Z, all in CN(S), so Z lies inside
+Z' = {z in candidates : |N(z) ∩ CN(S)| >= need - 1}, and the node is
+dropped when |Z'| < need.  Each w_z misses z, a member of Z', and sees
+the rest of Z, so it misses between 1 and |Z'| - need + 1 members of
+Z'; the node is dropped when fewer than need members of CN(S) do.
 
 Pass 1 runs the search from the root with the best size at omega, since
 a maximum clique is critical, and a stop it cannot reach; it returns q.
@@ -185,10 +192,14 @@ def _largest_transversal(
     S has depth members and misses some edge: cn = CN(S) marks the edges
     S misses, and dcs[i] = CN(S - s_i), so a member keeps a private edge
     iff its dc meets the complement of cn; each member must keep one.
-    The transversals met are those T ⊇ S with T - S ⊆ cand.
+    The transversals met are those T ⊇ S with T - S ⊆ cand.  The search
+    carries the private edges dc - cn in place of the dcs.
     """
+    full = (1 << len(rows)) - 1
+    miss = [full ^ row for row in rows]
 
-    def search(cn: int, dcs: list[int], cand: int, depth: int) -> None:
+    def search(cn: int, crits: list[int], cand: int, depth: int) -> None:
+        # crits[i] = CN(S - s_i) - CN(S), the private edges of member i
         nonlocal best
         # branch on the missed edge with the fewest candidates, ties to
         # the lowest w; the same scan counts the possible private
@@ -203,7 +214,7 @@ def _largest_transversal(
         while scan:
             low = scan & -scan
             w = low.bit_length() - 1
-            k = (cand & ~rows[w]).bit_count()
+            k = (cand & miss[w]).bit_count()
             if k < fewest:
                 fewest, edge = k, w
             if k <= cap:
@@ -211,7 +222,30 @@ def _largest_transversal(
             scan ^= low
         if room < need:
             return
-        branch = cand & ~rows[edge]
+        if need >= 2:
+            # the added vertices come from Z', the candidates seeing at
+            # least need - 1 members of cn, and each one's witness in cn
+            # misses it and sees the other added vertices
+            zs = 0
+            scan = cand
+            while scan:
+                low = scan & -scan
+                if (rows[low.bit_length() - 1] & cn).bit_count() >= need - 1:
+                    zs |= low
+                scan ^= low
+            cap = zs.bit_count() - need + 1
+            if cap < 1:
+                return
+            room = 0
+            scan = cn
+            while scan:
+                low = scan & -scan
+                if 1 <= (zs & miss[low.bit_length() - 1]).bit_count() <= cap:
+                    room += 1
+                scan ^= low
+            if room < need:
+                return
+        branch = cand & miss[edge]
         # each branch's vertex is given back once its subtree is done, so
         # later siblings may take it and every transversal is met once
         cand ^= branch
@@ -219,20 +253,21 @@ def _largest_transversal(
             low = branch & -branch
             row = rows[low.bit_length() - 1]
             new_cn = cn & row
-            new_dcs = [dc & row for dc in dcs]
-            # a member with no private edge left never regains one
-            if all(dc & ~new_cn for dc in new_dcs):
+            # adding z leaves each member the private edges z sees, and
+            # one with none left never regains one
+            new_crits = [c & row for c in crits]
+            if 0 not in new_crits:
                 if not new_cn:
                     best = max(best, depth + 1)
                 else:
-                    new_dcs.append(cn)
-                    search(new_cn, new_dcs, cand, depth + 1)
+                    new_crits.append(cn ^ new_cn)
+                    search(new_cn, new_crits, cand, depth + 1)
                 if best >= stop:
                     return
             cand |= low
             branch ^= low
 
-    search(cn, dcs, cand, depth)
+    search(cn, [dc & ~cn for dc in dcs], cand, depth)
     return best
 
 
@@ -315,10 +350,6 @@ def make_b_pattern(m: int, l: int) -> Graph:
     return Graph(m + l, edges)
 
 
-def b_pattern_edge_count(m: int, l: int) -> int:
-    return (m * m - l * l + 2 * m * l - m - l) // 2
-
-
 def find_b_ml_copy(
     g: Graph, m: int, l: int, *, ceilings: Ceilings = DEFAULT_CEILINGS
 ) -> Optional[tuple[int, ...]]:
@@ -333,6 +364,14 @@ def find_b_ml_copy(
     differ already).  The first solution is returned: the one with the
     smallest images in that order.  Images are indexed by pattern
     vertex, pattern ids as in `make_b_pattern`.
+
+    Interchangeable units are chained into ascending images: the
+    vertices u_{l+1}..u_m, and the pairs (u_i, v_i) for i <= l through
+    their u_i (lex-leader symmetry breaking; Crawford, Ginsberg, Luks &
+    Roy, KR 1996).  This keeps the first solution: swapping two units of
+    a chain maps it to another solution, which first differs from it in
+    the order at the earlier u of the swap, and the first solution is
+    the smaller there, so it already meets every chain.
     """
     if m > ceilings.b_pattern_m:
         raise CeilingError(f"B-pattern search limited to m <= {ceilings.b_pattern_m}")
@@ -346,6 +385,15 @@ def find_b_ml_copy(
     p_full = (1 << pattern.n) - 1
     for pv, row in enumerate(pattern.rows):
         cons[pv].append((distinct, list(_bits(p_full ^ row ^ (1 << pv))), distinct_supports))
+    # lex-leader chains: consecutive units take ascending images
+    above = tuple(((1 << g.n) - 1) ^ ((2 << a) - 1) for a in range(g.n))
+    below = tuple((1 << a) - 1 for a in range(g.n))
+    above_supports: dict[int, int] = {}
+    below_supports: dict[int, int] = {}
+    for chain in (range(l, m), range(l)):
+        for a, b in zip(chain, chain[1:]):
+            cons[a].append((above, [b], above_supports))
+            cons[b].append((below, [a], below_supports))
     dom = [
         sum(1 << a for a in range(g.n) if g.degree(a) >= row.bit_count())
         for row in pattern.rows
@@ -359,7 +407,8 @@ def find_b_ml_copy(
 def witness_bound_via_b(g: Graph, q: int, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> bool:
     """True iff g contains no B(q, l) copy for any 0 <= l <= q.
 
-    A True answer certifies q(G) <= q - 1.
+    A True answer certifies q(G) <= q - 1.  A False answer certifies
+    nothing: ``make_random(28, 2)`` has a B(7, 5) copy although its q is 6.
     """
     if q < 1:
         raise ValueError("q must be at least 1")

@@ -92,6 +92,12 @@ def brute_first_embedding(pattern: Graph, g: Graph):
     return None
 
 
+def b_pattern_edge_count(m: int, l: int) -> int:
+    """Edges of B(m, l) in closed form: the u-pairs not both at most l,
+    plus the l(m - 1) v-edges."""
+    return (m * m - l * l + 2 * m * l - m - l) // 2
+
+
 def brute_automorphisms(g: Graph):
     """Every permutation p of V(g) with p(u) ~ p(v) exactly when u ~ v,
     built vertex by vertex in id order with images in ascending order;
@@ -319,6 +325,16 @@ def leibniz_determinant(matrix):
             term = term * matrix[i][perm[i]]
         total = total - term if inversions % 2 else total + term
     return total
+
+
+def greedy_cover_2approx(g: Graph) -> tuple[int, ...]:
+    """Vertex cover of at most twice the optimum via maximal matching."""
+    cover: set[int] = set()
+    for u, v in g.edges():
+        if u not in cover and v not in cover:
+            cover.add(u)
+            cover.add(v)
+    return tuple(sorted(cover))
 
 
 def random_cover_instance(

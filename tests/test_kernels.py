@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import random_cover_instance
+from conftest import greedy_cover_2approx, random_cover_instance
 from hcolkit.hom import find_homomorphism
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError, InvariantViolation
@@ -16,7 +16,6 @@ from hcolkit.kernels import (
     VertexCoverInstance,
     algebraic_kernel,
     combinatorial_kernel,
-    greedy_cover_2approx,
     kernel_size_report,
     read_instance,
     size_bounds,

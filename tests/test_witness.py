@@ -6,6 +6,7 @@ from operator import and_
 import pytest
 
 from conftest import (
+    b_pattern_edge_count,
     brute_critical_sets,
     brute_first_critical,
     brute_first_embedding,
@@ -29,7 +30,6 @@ from hcolkit.hom import compute_core
 from hcolkit.witness import (
     WitnessCertificate,
     _largest_transversal,
-    b_pattern_edge_count,
     clique_number,
     critical_set_fault,
     degeneracy,
@@ -130,6 +130,14 @@ def test_matches_single_pass_search_across_densities():
         for trial in range(30):
             g = _graph_at_density(rng, rng.randrange(1, 21), density)
             assert witness_number(g).witness_set == reference_witness_search(g), (density, g.rows)
+
+
+@pytest.mark.parametrize("n", [24, 28])
+def test_matches_single_pass_search_at_benchmark_sizes(n):
+    # the witness-gnp workload runs G(n, 1/2) for n = 24..32
+    for seed in range(3):
+        g = make_random(n, seed)
+        assert witness_number(g).witness_set == reference_witness_search(g), (n, seed)
 
 
 def test_agrees_with_brute_force_across_densities():
@@ -349,6 +357,12 @@ def test_b_copy_is_first_embedding_on_random_graphs():
                 found += expect is not None
                 missing += expect is None
     assert found and missing
+
+
+def test_symmetric_b_search_refutes_quickly():
+    # B(7, 7) has 7! automorphisms; without the lex-leader chains the
+    # search revisits every relabelling of a partial copy and takes minutes
+    assert find_b_ml_copy(make_random(20, 1), 7, 7) is None
 
 
 def test_b_ceiling():
