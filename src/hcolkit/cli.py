@@ -44,6 +44,7 @@ from .reductions import (
     reduce_naesat_to_hcol,
 )
 from .reps import (
+    as_independent,
     check_faithful,
     kneser_field_threshold,
     kneser_rep,
@@ -176,8 +177,6 @@ def _load_normalized_rep(path: str, target: Graph, seed: int, ceilings: Ceilings
     if not report:
         raise ValueError(f"representation in {path} is not faithful: {report.counterexample}")
     if rep.kind != "independent":
-        from .reps import as_independent
-
         rep = as_independent(rep)
         if not check_faithful(rep):
             raise ValueError("orthogonal representation fails as independent")
@@ -233,15 +232,10 @@ def _cmd_represent(args, ceilings: Ceilings) -> int:
     if args.family == "kneser":
         if args.m is None or args.r is None:
             raise ValueError("--family kneser needs --m and --r")
-        threshold = kneser_field_threshold(args.m, args.r)
         if args.field:
             spec = _parse_field(args.field, ceilings)
-            if spec.order < threshold:
-                raise ValueError(
-                    f"field order {spec.order} below required threshold {threshold}"
-                )
         else:
-            p = threshold
+            p = kneser_field_threshold(args.m, args.r)
             while not is_prime(p):
                 p += 1
             spec = field_make(p, 1, ceilings=ceilings)

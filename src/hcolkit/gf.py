@@ -7,9 +7,10 @@ first monic irreducible, so a spec is reproducible from (p, m) alone
 across runs and platforms; irreducibility is decided by Ben-Or's test,
 in time polynomial in m and log p.
 
-Extension fields come with an explicit embedding of the base field,
-computed by sending the base generator to a root of the base modulus
-inside the extension (trivial for prime base fields).
+Extension fields come with an explicit embedding of the base field: a
+function that evaluates each element's coefficients at the image of the
+base generator, a root of the base modulus inside the extension (1 for
+a prime base field, the generator itself when the base is returned).
 
 Everything here is desk scale: degrees up to 8, orders up to ~10^5 for
 root scans and exp/log tables.
@@ -17,8 +18,9 @@ root scans and exp/log tables.
 Field arithmetic is implemented once, on plain ints in the ``to_index``
 encoding: the base-p digits of an index are the element's coefficients,
 low first (0 is zero, 1 is one).  :func:`int_field` gives, per spec,
-add/sub/neg/mul/inv on such ints, and a :class:`FieldElement` is a view
-of one of them that calls these operations.  Prime fields compute
+four operations on such ints, add/neg/mul/inv, and a
+:class:`FieldElement` is a view of one of them that calls these
+operations (a difference is a sum with a negation).  Prime fields compute
 ``% p`` directly.  Extension fields of order at most
 ``_ROOT_SCAN_LIMIT`` look products up in exp/log tables over a
 primitive element g and sums in a Zech table (``zech[e]`` is the log of
@@ -30,11 +32,13 @@ index encodes, multiply with ``_poly_mulmod`` and invert as a^(q-2).
 All linear algebra runs on one routine, :class:`Elimination`: greedy
 incremental elimination of sparse int-encoded rows, pivoting on each
 kept row's least key.  It records the labels of the kept (independent)
-rows in input order and stores each kept row, monic, in a dict under
-its pivot.  A new row is reduced as in the standard column algorithm of
-persistence (Edelsbrunner, Letscher & Zomorodian, DCG 2002; PHAT,
-Bauer et al., JSC 2017): look up the stored row of its least key, clear
-that key, and stop at the first least key that has no stored row.
+rows in input order and stores each kept row in a dict under its
+pivot, scaled so that its pivot entry is -1.  A new row is reduced as in
+the standard column algorithm of persistence (Edelsbrunner, Letscher &
+Zomorodian, DCG 2002; PHAT, Bauer et al., JSC 2017): look up the stored
+row of its least key, clear that key by adding the row times the
+key's entry (one multiply-add per entry), and stop at the first least
+key that has no stored row.
 Elimination keeps no certificates, so :func:`greedy_kept` (the kept
 set alone) and :func:`matrix_rank` pay only for the reduction.
 :func:`greedy_basis` also returns for every dropped row its
@@ -240,12 +244,6 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 
-    def x(self) -> "FieldElement":
-        """The class of the variable, a generator of the extension over GF(p)."""
-        if self.m == 1:
-            raise ValueError("prime field has no extension generator")
-        return FieldElement(self, self.p)
-
     def elements(self):
         for i in range(self.order):
             yield self.from_index(i)
@@ -273,7 +271,8 @@ class FieldElement:
         return FieldElement(self.spec, self.spec.ops.add(self._index, other._index))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.spec, self.spec.ops.sub(self._index, other._index))
+        ops = self.spec.ops
+        return FieldElement(self.spec, ops.add(self._index, ops.neg(other._index)))
 
     def __neg__(self) -> "FieldElement":
         return FieldElement(self.spec, self.spec.ops.neg(self._index))
@@ -332,29 +331,15 @@ def _eval_base_poly(ops: "IntField", coeffs: Sequence[int], point: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class FieldEmbedding:
-    """Ring embedding of a base field into an extension with the same p."""
-
-    base: FieldSpec
-    ext: FieldSpec
-    generator_image: "FieldElement"  # image of the base field's x
-
-    def __call__(self, elt: FieldElement) -> FieldElement:
-        if elt.spec != self.base:
-            raise ValueError("element not from the base field")
-        image = _eval_base_poly(self.ext.ops, elt.coeffs, self.generator_image.to_index())
-        return FieldElement(self.ext, image)
-
-
 def field_extension_above(
     base: FieldSpec, threshold: int, *, ceilings: Ceilings = DEFAULT_CEILINGS
-) -> tuple[FieldSpec, FieldEmbedding]:
+) -> tuple[FieldSpec, Callable[[FieldElement], FieldElement]]:
     """Smallest extension GF(p^(m*l)) whose order exceeds `threshold`.
 
     Returns the extension spec together with an explicit embedding of
-    the base.  If the base order already exceeds the threshold, the
-    base itself is returned with the identity embedding.
+    the base, a function that refuses elements of any other field.  If
+    the base order already exceeds the threshold, the base itself is
+    returned with the identity embedding.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -366,21 +351,30 @@ def field_extension_above(
         raise CeilingError(
             f"extension degree {degree} exceeds ceiling {ceilings.field_degree}"
         )
-    if l == 1:
-        return base, FieldEmbedding(base, base, base.x() if base.m > 1 else base.one)
-    ext = field_make(base.p, degree, ceilings=ceilings)
+    ext = base if l == 1 else field_make(base.p, degree, ceilings=ceilings)
+    # the index of the image of the base generator
     if base.m == 1:
-        # constants embed as constants
-        return ext, FieldEmbedding(base, ext, ext.one)
-    if ext.order > _ROOT_SCAN_LIMIT:
-        raise CeilingError(
-            f"root scan for embedding limited to order {_ROOT_SCAN_LIMIT}"
-        )
-    # send the base generator to the first root of the base modulus in ext
-    for idx in range(ext.order):
-        if not _eval_base_poly(ext.ops, base.irreducible, idx):
-            return ext, FieldEmbedding(base, ext, ext.from_index(idx))
-    raise AssertionError("base modulus must split in a degree-multiple extension")
+        image = 1  # constants embed as constants
+    elif l == 1:
+        image = base.p  # the class of x: the identity
+    else:
+        if ext.order > _ROOT_SCAN_LIMIT:
+            raise CeilingError(
+                f"root scan for embedding limited to order {_ROOT_SCAN_LIMIT}"
+            )
+        # send the base generator to the first root of the base modulus in ext
+        for image in range(ext.order):
+            if not _eval_base_poly(ext.ops, base.irreducible, image):
+                break
+        else:
+            raise AssertionError("base modulus must split in a degree-multiple extension")
+
+    def embed(elt: FieldElement) -> FieldElement:
+        if elt.spec != base:
+            raise ValueError("element not from the base field")
+        return FieldElement(ext, _eval_base_poly(ext.ops, elt.coeffs, image))
+
+    return ext, embed
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +386,6 @@ class IntField(NamedTuple):
 
     spec: FieldSpec
     add: Callable[[int, int], int]
-    sub: Callable[[int, int], int]
     neg: Callable[[int], int]
     mul: Callable[[int, int], int]
     inv: Callable[[int], int]
@@ -430,7 +423,6 @@ def _prime_int_field(spec: FieldSpec) -> IntField:
     return IntField(
         spec,
         add=lambda a, b: (a + b) % p,
-        sub=lambda a, b: (a - b) % p,
         neg=lambda a: -a % p,
         mul=lambda a, b: a * b % p,
         inv=inv,
@@ -443,8 +435,8 @@ def _poly_int_field(spec: FieldSpec) -> IntField:
     as a^(q-2)."""
     p, m, modulus = spec.p, spec.m, spec.irreducible
 
-    def combine(a: int, b: int, sign: int) -> int:
-        return _index([(x + sign * y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
+    def add(a: int, b: int) -> int:
+        return _index([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
 
     def mul(a: int, b: int) -> int:
         return _index(_poly_mulmod(_digits(a, p, m), _digits(b, p, m), modulus, p), p)
@@ -456,9 +448,8 @@ def _poly_int_field(spec: FieldSpec) -> IntField:
 
     return IntField(
         spec,
-        add=lambda a, b: combine(a, b, 1),
-        sub=lambda a, b: combine(a, b, -1),
-        neg=lambda a: combine(0, a, -1),
+        add=add,
+        neg=lambda a: _index([-x % p for x in _digits(a, p, m)], p),
         mul=mul,
         inv=inv,
     )
@@ -501,16 +492,6 @@ def _table_int_field(spec: FieldSpec) -> IntField:
         z = zech[(log[b] - la) % n]
         return 0 if z is None else exp[la + z]
 
-    def sub(a: int, b: int) -> int:
-        if not b:
-            return a
-        lb = log[b] + minus_one  # log of -b
-        if not a:
-            return exp[lb]
-        la = log[a]
-        z = zech[(lb - la) % n]
-        return 0 if z is None else exp[la + z]
-
     def inv(a: int) -> int:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
@@ -519,7 +500,6 @@ def _table_int_field(spec: FieldSpec) -> IntField:
     return IntField(
         spec,
         add=add,
-        sub=sub,
         neg=lambda a: exp[log[a] + minus_one] if a else 0,
         mul=lambda a, b: exp[log[a] + log[b]] if a and b else 0,
         inv=inv,
@@ -536,9 +516,10 @@ class Elimination:
     A row is a dict from sortable keys (column indices, monomials) to
     nonzero ``to_index`` ints.  :meth:`insert` keeps a row exactly when it
     lies outside the span of the rows kept before it, and stores its
-    remainder monic under its pivot, its least key.  No record of how a
-    row was reduced is kept; :func:`greedy_basis` reads coordinates off
-    tag entries instead.
+    remainder under its pivot, its least key, scaled to pivot entry -1,
+    so that clearing a key c adds c times the stored row.  No record of
+    how a row was reduced is kept; :func:`greedy_basis` reads
+    coordinates off tag entries instead.
 
     Every stored row has all its keys at or above its pivot, and the
     pivots are distinct, so every nonzero vector in the span has a
@@ -552,12 +533,12 @@ class Elimination:
     def __init__(self, spec: FieldSpec):
         self.ops = int_field(spec)
         self.kept: list = []  # labels of the kept rows, in insertion order
-        self._rows: dict = {}  # pivot -> the monic reduced row
+        self._rows: dict = {}  # pivot -> the reduced row, pivot entry -1
 
     def reduce(self, row: dict) -> dict:
         """Clear the least key of `row` while a kept row pivots on it, and
         return the remainder, empty exactly when `row` lies in the span."""
-        sub, mul = self.ops.sub, self.ops.mul
+        add, mul = self.ops.add, self.ops.mul
         rows = self._rows
         rem = dict(row)
         while rem:
@@ -567,7 +548,7 @@ class Elimination:
                 break
             coeff = rem[pivot]
             for key, val in reduced.items():
-                acc = sub(rem.get(key, 0), mul(coeff, val))
+                acc = add(rem.get(key, 0), mul(coeff, val))
                 if acc:
                     rem[key] = acc
                 else:
@@ -582,9 +563,9 @@ class Elimination:
             return False
         mul = self.ops.mul
         pivot = min(rem)
-        lead_inv = self.ops.inv(rem[pivot])
+        scale = self.ops.neg(self.ops.inv(rem[pivot]))
         self.kept.append(label)
-        self._rows[pivot] = {k: mul(v, lead_inv) for k, v in rem.items()}
+        self._rows[pivot] = {k: mul(v, scale) for k, v in rem.items()}
         return True
 
 

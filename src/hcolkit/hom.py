@@ -25,8 +25,7 @@ those of plain forward checking.  It has two uses:
   and ``reductions.verify_edge_gadget`` (one
   pinned search per ordered pair of target vertices whose first vertex
   is the least of its orbit under Aut(H));
-* all: ``enumerate_homomorphisms`` (and through it ``is_core``)
-  iterates it to the end.
+* all: ``enumerate_homomorphisms`` iterates it to the end.
 
 Two sound preprocessing steps keep ``find_homomorphism`` tractable on
 the structured instances produced by the kernelization and reduction
@@ -122,9 +121,6 @@ class Homomorphism:
                 if self.assignment[v] not in set(allowed):
                     return False
         return True
-
-    def is_bijective(self) -> bool:
-        return len(set(self.assignment)) == self.source.n
 
 
 def _domains_from_lists(
@@ -574,9 +570,23 @@ def enumerate_homomorphisms(
 
 
 def is_core(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> bool:
-    """True iff every endomorphism of g is an automorphism."""
-    for f in enumerate_homomorphisms(g, g, ceilings=ceilings):
-        if not f.is_bijective():
+    """True iff every endomorphism of g is an automorphism.
+
+    An endomorphism that is not onto misses some v and so maps g into
+    g - v, and a map into g - v is an endomorphism that misses v.  An
+    automorphism s carries g - v onto g - s(v), so one homomorphism
+    search per orbit of Aut(g) decides it.  Guarded by ``core_vertices``.
+    """
+    if g.n > ceilings.core_vertices:
+        raise CeilingError(
+            f"core test limited to {ceilings.core_vertices} vertices (got {g.n})"
+        )
+    orbits = _orbits(g.rows)
+    for v in range(g.n):
+        if orbits[v] & ((1 << v) - 1):
+            continue  # a smaller vertex of its orbit was tried
+        rest = g.induced_subgraph(u for u in range(g.n) if u != v)
+        if find_homomorphism(g, rest, ceilings=ceilings) is not None:
             return False
     return True
 

@@ -36,7 +36,6 @@ from typing import Mapping, Optional
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError, InvariantViolation
 from .graphs import Graph, parse_graph_lines, vertex_set, write_graph
-from .gf import FieldSpec
 from .hom import find_homomorphism
 from .polys import BasisSelection, SparsePoly, boundary_basis_select, det_poly
 from .polys import poly_basis_select  # unused here; perfbench/tracing.py patches it by name
@@ -71,17 +70,15 @@ class KernelResult:
     graph: Graph
     cover: tuple[int, ...]
     provenance: dict[int, tuple[int, ...]]
-    cover_original: tuple[int, ...]
     stats: dict
     basis: Optional[BasisSelection] = None
     basis_traces: tuple[tuple[int, ...], ...] = ()
-    spec: Optional[FieldSpec] = None
 
     @cached_property
     def polys(self) -> Optional[list[SparsePoly]]:
         if self.basis is None:
             return None
-        return [det_poly(trace, len(trace), self.spec) for trace in self.basis_traces]
+        return [det_poly(trace, len(trace), self.basis.spec) for trace in self.basis_traces]
 
     def _mismatch(self) -> Optional[str]:
         """Where the graph disagrees with the cover or the provenance, or None."""
@@ -166,7 +163,7 @@ def _build_kernel(
     bounds = size_bounds(stats["mode"], k, stats[_exponent_key(stats)], out.n)
     stats = {**stats, "k": k, "vertices": out.n, "edges": out.m, **bounds}
     stats["elapsed"] = time.perf_counter() - started
-    result = KernelResult(out, tuple(range(k)), provenance, inst.cover, stats, **basis)
+    result = KernelResult(out, tuple(range(k)), provenance, stats, **basis)
     result.validate()
     if out.n > bounds["vertex_bound"]:
         raise InvariantViolation("vertex bound violated by construction")
@@ -246,7 +243,7 @@ def algebraic_kernel(
     traces = [t for t in traces if len(t) < d or t in kept]
     return _build_kernel(
         inst, cover_edges, traces, stats, started,
-        basis=selection, basis_traces=size_d_traces, spec=spec,
+        basis=selection, basis_traces=size_d_traces,
     )
 
 
@@ -364,13 +361,7 @@ def read_kernel_result(text: str) -> KernelResult:
     for key in ("k", _exponent_key(stats), "vertex_bound", "bit_size_estimate"):
         if type(stats.get(key)) is not int:
             raise ValueError(f"kernel file STATS needs an int {key!r}")
-    result = KernelResult(
-        graph=g,
-        cover=cover,
-        provenance=provenance,
-        cover_original=cover,
-        stats=stats,
-    )
+    result = KernelResult(graph=g, cover=cover, provenance=provenance, stats=stats)
     fault = result._mismatch()
     if fault is not None:
         raise ValueError(f"kernel file disagrees with its graph: {fault}")

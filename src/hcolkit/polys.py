@@ -144,13 +144,11 @@ class BasisSelection:
     kept: input indices forming the basis, in input order; selecting it
     builds no certificates.
     rows: regenerates the int-encoded rows the selection ran on.
-    coordinates: for each dropped input index, its exact coordinates over
-    the kept polynomials (kept index -> nonzero ``to_index`` int over
-    `spec`), computed from `rows` by :func:`~hcolkit.gf.greedy_basis` on
-    first read.
-    certificates: the same coordinates as field elements, also built on
-    first read, as ``KernelResult.polys`` is; the kernel path reads
-    neither and only counts the dropped indices.
+    certificates: for each dropped input index, its exact coordinates
+    over the kept polynomials (kept index -> nonzero field element),
+    computed from `rows` by :func:`~hcolkit.gf.greedy_basis` on first
+    read, as ``KernelResult.polys`` is; the kernel path never reads them
+    and only counts the dropped indices.
     """
 
     kept: tuple[int, ...]
@@ -158,13 +156,10 @@ class BasisSelection:
     rows: Callable[[], Iterable[dict]]
 
     @cached_property
-    def coordinates(self) -> dict[int, dict[int, int]]:
-        return greedy_basis(self.spec, self.rows())[1]
-
-    @cached_property
     def certificates(self) -> dict[int, dict[int, FieldElement]]:
         spec = self.spec
-        return {i: {k: spec.from_index(v) for k, v in c.items()} for i, c in self.coordinates.items()}
+        coordinates = greedy_basis(spec, self.rows())[1]
+        return {i: {k: spec.from_index(v) for k, v in c.items()} for i, c in coordinates.items()}
 
     def reconstruct(self, polys: Sequence[SparsePoly], dropped_index: int) -> SparsePoly:
         cert = self.certificates[dropped_index]

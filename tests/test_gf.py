@@ -113,6 +113,13 @@ def test_extension_above():
     same, emb = field_extension_above(gf5, 4)
     assert same == gf5
     assert emb(gf5.from_int(3)) == gf5.from_int(3)
+    # an extension base above the threshold embeds as the identity
+    gf8 = field_make(2, 3)
+    same, emb = field_extension_above(gf8, 7)
+    assert same == gf8
+    assert [emb(x) for x in gf8.elements()] == list(gf8.elements())
+    with pytest.raises(ValueError, match="not from the base field"):
+        emb(gf5.one)
 
 
 def test_embedding_is_a_homomorphism():
@@ -278,7 +285,8 @@ def _check_int_ops(spec, pairs):
     ops, ref = int_field(spec), reference_field_ops(spec)
     for a, b in pairs:
         assert ops.add(a, b) == ref.add(a, b)
-        assert ops.sub(a, b) == ref.sub(a, b)
+        assert ops.add(a, ops.neg(b)) == ref.sub(a, b)
+        assert (spec.from_index(a) - spec.from_index(b)).to_index() == ref.sub(a, b)
         assert ops.mul(a, b) == ref.mul(a, b)
     for a in sorted({a for pair in pairs for a in pair}):
         assert ops.neg(a) == ref.neg(a)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -342,6 +343,48 @@ def test_enumeration_order_matches_brute_force():
             assert find_homomorphism(g, h, lists).assignment == expect[0]
             first_checked += 1
     assert first_checked >= 40
+
+
+def _core_by_enumeration(g: Graph) -> bool:
+    """Whether every endomorphism of g is a bijection, over all of them."""
+    return all(len(set(f.assignment)) == g.n for f in enumerate_homomorphisms(g, g))
+
+
+def test_is_core_matches_endomorphism_enumeration():
+    graphs = []
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            graphs.append(Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+    rng = random.Random(29)
+    graphs += [make_random(rng.randrange(6, 10), rng.randrange(10**6)) for _ in range(100)]
+    # random graphs are seldom cores; these are, with one that is not
+    graphs += [make_complete(6), make_complete(7), make_cycle(7), make_cycle(9), make_petersen()]
+    graphs.append(make_cycle(5).disjoint_union(make_complete(3)))
+    verdicts = Counter()
+    for g in graphs:
+        verdict = is_core(g)
+        assert verdict == _core_by_enumeration(g), g.edges()
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 20 and verdicts[False] > 1000
+
+
+def test_is_core_searches_once_per_orbit(monkeypatch):
+    calls = []
+    search = hcolkit.hom.find_homomorphism
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(hcolkit.hom, "find_homomorphism", counted)
+    # K_10 has one orbit, and K_10 -> K_9 is the one search
+    assert is_core(make_complete(10))
+    assert len(calls) == 1
+    # above core_vertices it is refused before any search
+    with pytest.raises(CeilingError):
+        is_core(make_complete(13))
+    assert len(calls) == 1
 
 
 def test_cores():
