@@ -309,6 +309,8 @@ def _sample_seed(seed: int, major: int, trial: int) -> int:
 def _cmd_sweep(args, ceilings: Ceilings) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
+    if args.experiment == "kernel-growth" and args.q < 1:
+        raise ValueError(f"--q must be at least 1, got {args.q}")
     rows = []
     if args.experiment == "random-q":
         header = "n,trials,mean_q,threshold,fraction_within"

@@ -14,9 +14,13 @@ class HcolError(Exception):
 class CeilingError(HcolError):
     """A configured feasibility ceiling would be exceeded.
 
-    Raised *before* starting a search that cannot finish at desk scale
-    (exponential subset enumeration, oversized oracle instances, field
-    degrees out of range).  Never raised mid-way through a computation.
+    Mostly raised *before* starting a search that cannot finish at desk
+    scale (exponential subset enumeration, oversized oracle instances,
+    field degrees out of range).  It is also raised after bounded work
+    that found no answer: by the seeded samplers ``normalize_first_entry``
+    and ``kneser_rep`` after ``retry_cap`` failed trials, and by
+    ``hcol reduce`` when no edge gadget is found up to ``gadget_vertices``.
+    Such a refusal is inconclusive, never a negative answer.
     """
 
 

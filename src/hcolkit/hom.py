@@ -1,4 +1,5 @@
-"""Exact list-homomorphism search, endomorphism enumeration, and cores.
+"""Exact list-homomorphism search, endomorphism enumeration, and cores
+found by retraction.
 
 ``find_homomorphism`` is the universal correctness oracle of the
 package: a complete backtracking search over vertex images that
@@ -73,7 +74,7 @@ ECAI 2000).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
@@ -551,8 +552,8 @@ def enumerate_homomorphisms(
 ) -> Iterator[Homomorphism]:
     """Yield every homomorphism g -> h, in deterministic order.
 
-    Exhaustive generation is exponential; intended for the small graphs
-    involved in core computations (guarded by ``core_vertices``).
+    Exhaustive generation is exponential, so g is guarded by
+    ``core_vertices``; the core routines search one map at a time.
     """
     if g.n > ceilings.core_vertices:
         raise CeilingError(
@@ -581,23 +582,27 @@ def is_core(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> bool:
         raise CeilingError(
             f"core test limited to {ceilings.core_vertices} vertices (got {g.n})"
         )
+    return _retract(g, ceilings) is None
+
+
+def _retract(g: Graph, ceilings: Ceilings) -> Optional[Graph]:
+    """g - v for the first orbit representative v with g -> g - v, else None."""
     orbits = _orbits(g.rows)
     for v in range(g.n):
         if orbits[v] & ((1 << v) - 1):
             continue  # a smaller vertex of its orbit was tried
         rest = g.induced_subgraph(u for u in range(g.n) if u != v)
         if find_homomorphism(g, rest, ceilings=ceilings) is not None:
-            return False
-    return True
+            return rest
+    return None
 
 
 def compute_core(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> Graph:
     """A minimum induced subgraph homomorphically equivalent to g.
 
-    Searches induced subgraphs grouped by size, smallest first, subsets
-    in lexicographic order, and returns the first one g maps into (the
-    reverse map is the inclusion).  Exponential; guarded by the
-    ``core_vertices`` ceiling.
+    Retracts one vertex at a time (g maps into g - v, and g - v into g
+    by inclusion) until g is a core; cores are unique up to isomorphism,
+    so it is minimum.  Guarded by the ``core_vertices`` ceiling.
     """
     if g.n == 0:
         raise ValueError("core of the empty graph is undefined")
@@ -605,9 +610,6 @@ def compute_core(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> Graph:
         raise CeilingError(
             f"core computation limited to {ceilings.core_vertices} vertices (got {g.n})"
         )
-    for size in range(1, g.n):
-        for subset in combinations(range(g.n), size):
-            candidate = g.induced_subgraph(subset)
-            if find_homomorphism(g, candidate, ceilings=ceilings) is not None:
-                return candidate
+    while (rest := _retract(g, ceilings)) is not None:
+        g = rest
     return g

@@ -59,6 +59,18 @@ def reference_hom_exists(g: Graph, h: Graph, lists=None) -> bool:
     return rec(0)
 
 
+def reference_core(g: Graph) -> Graph:
+    """A smallest induced subgraph that g maps into: subsets by size,
+    smallest first, in lexicographic order, each decided by
+    `reference_hom_exists`."""
+    for size in range(1, g.n):
+        for subset in combinations(range(g.n), size):
+            candidate = g.induced_subgraph(subset)
+            if reference_hom_exists(g, candidate):
+                return candidate
+    return g
+
+
 def brute_network_solutions(order, dom, cons) -> list[dict[int, int]]:
     """Every assignment of vertices 0..len(dom)-1 within their domain masks
     that satisfies each constraint of ``cons`` (``_search`` groups

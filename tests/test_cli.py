@@ -443,6 +443,22 @@ def test_sweep_refuses_negative_trials(capsys, argv):
     assert (code, out, err) == (2, "", "hcol: --trials must be non-negative, got -1\n")
 
 
+@pytest.mark.parametrize("q", ["-2", "0"])
+@pytest.mark.parametrize("trials", ["0", "2"])
+def test_sweep_kernel_growth_refuses_q_below_one(capsys, q, trials):
+    argv = ("sweep", "--experiment", "kernel-growth", "--ks", "4", "--q", q)
+    code, out, err = run(capsys, *argv, "--trials", trials)
+    assert (code, out, err) == (2, "", f"hcol: --q must be at least 1, got {q}\n")
+    # the --trials check comes first
+    code, out, err = run(capsys, *argv, "--trials", "-1")
+    assert (code, out, err) == (2, "", "hcol: --trials must be non-negative, got -1\n")
+
+
+def test_sweep_random_q_ignores_q(capsys):
+    argv = ("sweep", "--experiment", "random-q", "--sizes", "8", "--trials", "2")
+    assert run(capsys, *argv, "--q", "-2") == run(capsys, *argv)
+
+
 def test_kneser_outside_its_range_is_one_line(capsys):
     code, out, err = run(capsys, "represent", "--family", "kneser", "--m", "4", "--r", "0")
     assert (code, out, err) == (2, "", "hcol: Kneser graph needs m >= 2r >= 2, got m=4, r=0\n")

@@ -11,6 +11,7 @@ from conftest import (
     brute_network_solutions,
     brute_orbits,
     hub_and_path_graph,
+    reference_core,
 )
 from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
@@ -350,12 +351,18 @@ def _core_by_enumeration(g: Graph) -> bool:
     return all(len(set(f.assignment)) == g.n for f in enumerate_homomorphisms(g, g))
 
 
-def test_is_core_matches_endomorphism_enumeration():
+def _all_graphs(sizes) -> list[Graph]:
+    """Every labelled graph on n vertices, for each n in sizes."""
     graphs = []
-    for n in range(6):
+    for n in sizes:
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             graphs.append(Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+    return graphs
+
+
+def test_is_core_matches_endomorphism_enumeration():
+    graphs = _all_graphs(range(6))
     rng = random.Random(29)
     graphs += [make_random(rng.randrange(6, 10), rng.randrange(10**6)) for _ in range(100)]
     # random graphs are seldom cores; these are, with one that is not
@@ -369,7 +376,9 @@ def test_is_core_matches_endomorphism_enumeration():
     assert verdicts[True] >= 20 and verdicts[False] > 1000
 
 
-def test_is_core_searches_once_per_orbit(monkeypatch):
+@pytest.fixture
+def search_calls(monkeypatch):
+    """The arguments of every `find_homomorphism` call made inside hom.py."""
     calls = []
     search = hcolkit.hom.find_homomorphism
 
@@ -378,13 +387,35 @@ def test_is_core_searches_once_per_orbit(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(hcolkit.hom, "find_homomorphism", counted)
+    return calls
+
+
+def test_is_core_searches_once_per_orbit(search_calls):
     # K_10 has one orbit, and K_10 -> K_9 is the one search
     assert is_core(make_complete(10))
-    assert len(calls) == 1
+    assert len(search_calls) == 1
     # above core_vertices it is refused before any search
     with pytest.raises(CeilingError):
         is_core(make_complete(13))
-    assert len(calls) == 1
+    assert len(search_calls) == 1
+
+
+def test_compute_core_matches_subset_reference():
+    graphs = _all_graphs(range(1, 6))
+    rng = random.Random(31)
+    graphs += [make_random(rng.randrange(6, 9), rng.randrange(10**6)) for _ in range(60)]
+    assert len(graphs) == 1099 + 60
+    for g in graphs:
+        core = compute_core(g)
+        expect = reference_core(g)
+        assert (core.n, core.m) == (expect.n, expect.m), g.edges()
+        assert is_core(core)
+
+
+def test_compute_core_of_a_core_searches_once(search_calls):
+    # K_10 has one orbit, and K_10 -> K_9 is the one search
+    assert compute_core(make_complete(10)) == make_complete(10)
+    assert len(search_calls) == 1
 
 
 def test_cores():
