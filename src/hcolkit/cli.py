@@ -306,6 +306,21 @@ def _sample_seed(seed: int, major: int, trial: int) -> int:
     return (seed * 1_000_003 + major * 9_176_941 + trial) & 0xFFFFFFFF
 
 
+def _counts(flag: str, text: str) -> list[int]:
+    """The comma-separated list given to ``flag``, each entry at least 1."""
+    counts = []
+    for item in text.split(","):
+        item = item.strip()
+        try:
+            count = int(item)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"{flag} must list integers of at least 1, got {item!r}")
+        counts.append(count)
+    return counts
+
+
 def _cmd_sweep(args, ceilings: Ceilings) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
@@ -314,8 +329,7 @@ def _cmd_sweep(args, ceilings: Ceilings) -> int:
     rows = []
     if args.experiment == "random-q":
         header = "n,trials,mean_q,threshold,fraction_within"
-        for n_text in args.sizes.split(","):
-            n = int(n_text.strip())
+        for n in _counts("--sizes", args.sizes):
             if args.trials == 0:
                 continue
             qs = []
@@ -330,8 +344,7 @@ def _cmd_sweep(args, ceilings: Ceilings) -> int:
             )
     else:
         header = "k,trial,vertices,vertex_bound,ratio"
-        for k_text in args.ks.split(","):
-            k = int(k_text.strip())
+        for k in _counts("--ks", args.ks):
             for trial in range(args.trials):
                 rng = random.Random(_sample_seed(args.seed, k, trial))
                 inst = _random_growth_instance(rng, k, args.q)

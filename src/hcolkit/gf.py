@@ -384,7 +384,6 @@ def field_extension_above(
 class IntField(NamedTuple):
     """Arithmetic of one field on ``to_index`` integers; see :func:`int_field`."""
 
-    spec: FieldSpec
     add: Callable[[int, int], int]
     neg: Callable[[int], int]
     mul: Callable[[int, int], int]
@@ -421,7 +420,6 @@ def _prime_int_field(spec: FieldSpec) -> IntField:
         return pow(a, -1, p)
 
     return IntField(
-        spec,
         add=lambda a, b: (a + b) % p,
         neg=lambda a: -a % p,
         mul=lambda a, b: a * b % p,
@@ -447,7 +445,6 @@ def _poly_int_field(spec: FieldSpec) -> IntField:
         return _int_pow(mul, a, spec.order - 2)
 
     return IntField(
-        spec,
         add=add,
         neg=lambda a: _index([-x % p for x in _digits(a, p, m)], p),
         mul=mul,
@@ -498,7 +495,6 @@ def _table_int_field(spec: FieldSpec) -> IntField:
         return exp[n - log[a]]
 
     return IntField(
-        spec,
         add=add,
         neg=lambda a: exp[log[a] + minus_one] if a else 0,
         mul=lambda a, b: exp[log[a] + log[b]] if a and b else 0,

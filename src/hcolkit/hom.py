@@ -25,7 +25,7 @@ those of plain forward checking.  It has two uses:
   ascending images by order tables, which keeps the first solution)
   and ``reductions.verify_edge_gadget`` (one
   pinned search per ordered pair of target vertices whose first vertex
-  is the least of its orbit under Aut(H));
+  is in ``_orbit_minima``);
 * all: ``enumerate_homomorphisms`` iterates it to the end.
 
 Two sound preprocessing steps keep ``find_homomorphism`` tractable on
@@ -56,19 +56,18 @@ tightness, which is plain descending degree on uncompiled graphs;
 enumeration and cluster searches use descending degree.  Ties go by
 id, so every witness and every enumeration is deterministic.
 
-Root pruning by the symmetries of H.  When no list narrows a
+Root restriction by the symmetries of H.  When no list narrows a
 component, its edge constraints, its cluster tables (compiled from full
 member domains) and so its residual domains are all invariant under
 Aut(H): composing a solution with an automorphism s gives a solution.
-So if the first residual vertex has no solution at value a, it has none
-at s(a) either.  The solver branches on that vertex itself, one search
-per value in ascending order, and on such a component drops the whole
-orbit of a failed value (``_orbits``, computed on the first failure).
-Only values without a solution are dropped, so the first solution, and
-with it the returned witness, is the one a single search finds.  A
-component with lists tries every value and drops nothing.  This is
-value-symmetry breaking by dominance on failed values (Gent & Smith,
-ECAI 2000).
+So if the first residual vertex has a solution at value b, it has one
+at the least vertex of b's orbit, and the least value with a solution
+is the least of its orbit.  On such a component the solver narrows the
+root's domain to those orbit minima (``_orbit_minima``) and runs one
+search.  No dropped value is the least with a solution, so the first
+solution, and with it the returned witness, is the one an unrestricted
+search finds.  A component with lists keeps its root domain.  This is
+value-symmetry breaking by dominance (Gent & Smith, ECAI 2000).
 """
 
 from __future__ import annotations
@@ -378,6 +377,11 @@ def _orbits(h_rows: tuple[int, ...]) -> tuple[int, ...]:
     return result
 
 
+def _orbit_minima(h_rows: tuple[int, ...]) -> int:
+    """The mask of the least vertex of each orbit of Aut(H) (``_orbits``)."""
+    return sum({orbit & -orbit for orbit in _orbits(h_rows)})
+
+
 class _ComponentSolver:
     """Solves one connected component of the instance graph."""
 
@@ -483,18 +487,11 @@ class _ComponentSolver:
             return total
 
         order = sorted(self.residual, key=lambda v: (-weight(v), v))
-        # branch on the first vertex here, one search per value; without
-        # lists every table and domain is Aut(H)-invariant, so a failed
-        # value takes its whole orbit with it
-        root, values, assign = order[0], self.dom[order[0]], None
-        while values and assign is None:
-            low = values & -values
-            values ^= low
-            dom = dict(self.dom)
-            dom[root] = low
-            assign = next(_search(order, dom, cons), None)
-            if assign is None and self.symmetric:
-                values &= ~_orbits(h.rows)[low.bit_length() - 1]
+        if self.symmetric:
+            # every table and domain is Aut(H)-invariant, so the least
+            # root value with a solution is the least of its orbit
+            self.dom[order[0]] &= _orbit_minima(h.rows)
+        assign = next(_search(order, self.dom, cons), None)
         if assign is None:
             return None
         # re-expand each compiled cluster by the first solution its
@@ -586,11 +583,8 @@ def is_core(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> bool:
 
 
 def _retract(g: Graph, ceilings: Ceilings) -> Optional[Graph]:
-    """g - v for the first orbit representative v with g -> g - v, else None."""
-    orbits = _orbits(g.rows)
-    for v in range(g.n):
-        if orbits[v] & ((1 << v) - 1):
-            continue  # a smaller vertex of its orbit was tried
+    """g - v for the least orbit minimum v with g -> g - v, else None."""
+    for v in _bits(_orbit_minima(g.rows)):
         rest = g.induced_subgraph(u for u in range(g.n) if u != v)
         if find_homomorphism(g, rest, ceilings=ceilings) is not None:
             return rest

@@ -27,8 +27,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError
-from .graphs import Graph, make_complete, make_path, parse_graph_lines, write_graph
-from .hom import _check_oracle_size, _domains_from_lists, _edge_constraints, _orbits, _search
+from .graphs import Graph, _bits, make_complete, make_path, parse_graph_lines, write_graph
+from .hom import _check_oracle_size, _domains_from_lists, _edge_constraints, _orbit_minima, _search
 from .hom import find_homomorphism  # unused here; perfbench/tracing.py patches it by name
 from .kernels import VertexCoverInstance
 from .witness import critical_set_fault, witness_number
@@ -75,7 +75,7 @@ def verify_edge_gadget(
 ) -> bool:
     """Exhaustively check the disequality behaviour over the ordered pins:
     one engine search per pair (u, v), a pinned to u and b to v, for u
-    one vertex of each orbit of Aut(target) and v every target vertex.
+    the least vertex of each orbit of Aut(target) and v every target vertex.
     An automorphism s maps the pinned maps of (u, v) onto those of
     (s(u), s(v)) and keeps u != v, so every pair has the verdict of one
     checked pair.  The pins are assigned first, so both propagate from
@@ -86,10 +86,7 @@ def verify_edge_gadget(
     _check_oracle_size(gadget, target, ceilings)
     order, cons = _edge_constraints(gadget.rows, target.rows)
     order = [a, b] + [x for x in order if x not in (a, b)]
-    orbits = _orbits(target.rows)
-    for u in range(target.n):
-        if orbits[u] & -orbits[u] != 1 << u:
-            continue  # not the least vertex of its orbit
+    for u in _bits(_orbit_minima(target.rows)):
         for v in range(target.n):
             # a fresh domain list each time: a taken solution leaves it narrowed
             dom = _domains_from_lists(gadget, target, {a: (u,), b: (v,)})

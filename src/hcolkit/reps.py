@@ -288,8 +288,6 @@ def kneser_rep(
     accepted only when every vertex's neighborhood span keeps its rank
     t - 1 and every non-neighbor's vector stays outside that span.
     """
-    if not (r >= 1 and m >= 2 * r):
-        raise ValueError(f"need m >= 2r >= 2, got m={m}, r={r}")
     threshold = kneser_field_threshold(m, r)
     if spec.order < threshold:
         raise ValueError(

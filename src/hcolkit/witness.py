@@ -46,15 +46,16 @@ a maximum clique is critical, and a stop it cannot reach; it returns q.
 
 Pass 2 (`_first_critical_of_size`) fixes the certificate, the
 lexicographically first critical set of size q, one vertex at a time.
-With its first vertices P fixed, it tries each z above max(P) in
-ascending order and keeps the first z such that z and every member of P
-keep a private edge in P + z, and either CN(P + z) is empty and z is
-the q-th vertex, or the search started at (P + z, the vertices above z)
-with best size q - 1 and stop q returns q.  That search meets exactly
-the critical sets whose sorted order begins with P + z, and q is the
-largest size, so it returns q iff a critical set of size q begins with
-P + z.  The first z kept is therefore the next vertex of the
-lexicographically first one.
+With its first vertices P fixed, it carries CN(P) and the private-edge
+masks of P, extends them to P + z by the search's own child rule, and
+tries each z above max(P) in ascending order.  It keeps the first z
+such that z and every member of P keep a private edge in P + z, and
+either CN(P + z) is empty and z is the q-th vertex, or the search
+started at (P + z, the vertices above z) with best size q - 1 and stop
+q returns q.  That search meets exactly the critical sets whose sorted
+order begins with P + z, and q is the largest size, so it returns q iff
+a critical set of size q begins with P + z.  The first z kept is
+therefore the next vertex of the lexicographically first one.
 
 Also here: the B(m, l) obstruction patterns whose absence certifies
 q(G) <= m-1, and the degeneracy / clique-number / max-degree bounds.
@@ -183,23 +184,21 @@ def max_clique(g: Graph) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _largest_transversal(
-    rows: list[int], cn: int, dcs: list[int], cand: int, depth: int, best: int, stop: int
+    rows: list[int], cn: int, crits: list[int], cand: int, depth: int, best: int, stop: int
 ) -> int:
     """The larger of best and the size of the largest minimal transversal
     of {V - N(w)} met below the node (S, cand); returns once that reaches
     stop.
 
     S has depth members and misses some edge: cn = CN(S) marks the edges
-    S misses, and dcs[i] = CN(S - s_i), so a member keeps a private edge
-    iff its dc meets the complement of cn; each member must keep one.
-    The transversals met are those T ⊇ S with T - S ⊆ cand.  The search
-    carries the private edges dc - cn in place of the dcs.
+    S misses, and crits[i] = CN(S - s_i) - CN(S) marks the private edges
+    of member s_i, each nonempty.  The transversals met are those T ⊇ S
+    with T - S ⊆ cand.
     """
     full = (1 << len(rows)) - 1
     miss = [full ^ row for row in rows]
 
     def search(cn: int, crits: list[int], cand: int, depth: int) -> None:
-        # crits[i] = CN(S - s_i) - CN(S), the private edges of member i
         nonlocal best
         # branch on the missed edge with the fewest candidates, ties to
         # the lowest w; the same scan counts the possible private
@@ -267,7 +266,7 @@ def _largest_transversal(
             cand |= low
             branch ^= low
 
-    search(cn, [dc & ~cn for dc in dcs], cand, depth)
+    search(cn, crits, cand, depth)
     return best
 
 
@@ -276,7 +275,7 @@ def _first_critical_of_size(g: Graph, q: int) -> tuple[int, ...]:
     fixed one vertex at a time."""
     rows = g.rows
     full = (1 << g.n) - 1
-    cn, dcs, path = full, [], []
+    cn, crits, path = full, [], []
     for depth in range(1, q + 1):
         for z in range(path[-1] + 1 if path else 0, g.n):
             row = rows[z]
@@ -284,24 +283,25 @@ def _first_critical_of_size(g: Graph, q: int) -> tuple[int, ...]:
             # z keeps a private edge iff it misses part of CN(path)
             if new_cn == cn:
                 continue
-            new_dcs = [dc & row for dc in dcs]
-            # a member with no private edge left never regains one
-            if not all(dc & ~new_cn for dc in new_dcs):
+            # the search's child rule: each member keeps the private
+            # edges z sees, and one with none left never regains one
+            new_crits = [c & row for c in crits]
+            if 0 in new_crits:
                 continue
-            new_dcs.append(cn)
+            new_crits.append(cn ^ new_cn)
             # keep z if path + z begins a critical set of size q: it is
             # one, or the search over the vertices above z reaches q
             if depth == q:
                 if not new_cn:
                     break
             elif new_cn and _largest_transversal(
-                rows, new_cn, new_dcs, full ^ ((2 << z) - 1), depth, q - 1, q
+                rows, new_cn, new_crits, full ^ ((2 << z) - 1), depth, q - 1, q
             ) == q:
                 break
         else:
             raise InvariantViolation(f"no critical set of size {q} extends {tuple(path)}")
         path.append(z)
-        cn, dcs = new_cn, new_dcs
+        cn, crits = new_cn, new_crits
     return tuple(path)
 
 

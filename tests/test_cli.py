@@ -459,9 +459,26 @@ def test_sweep_random_q_ignores_q(capsys):
     assert run(capsys, *argv, "--q", "-2") == run(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--experiment", "kernel-growth", "--ks"), ("--experiment", "random-q", "--sizes")],
+    ids=["ks", "sizes"],
+)
+@pytest.mark.parametrize("value, item", [("-1", "-1"), ("0", "0"), ("x", "x"), ("4,,6", "")])
+def test_sweep_refuses_a_count_list_entry_below_one(capsys, argv, value, item):
+    flag = argv[-1]
+    code, out, err = run(capsys, "sweep", *argv, value, "--trials", "1")
+    assert (code, out, err) == (2, "", f"hcol: {flag} must list integers of at least 1, got {item!r}\n")
+    # the --trials check comes first
+    code, out, err = run(capsys, "sweep", *argv, value, "--trials", "-1")
+    assert (code, out, err) == (2, "", "hcol: --trials must be non-negative, got -1\n")
+
+
 def test_kneser_outside_its_range_is_one_line(capsys):
-    code, out, err = run(capsys, "represent", "--family", "kneser", "--m", "4", "--r", "0")
-    assert (code, out, err) == (2, "", "hcol: Kneser graph needs m >= 2r >= 2, got m=4, r=0\n")
+    expect = (2, "", "hcol: Kneser graph needs m >= 2r >= 2, got m=4, r=0\n")
+    argv = ("represent", "--family", "kneser", "--m", "4", "--r", "0")
+    assert run(capsys, *argv) == expect
+    assert run(capsys, *argv, "--field", "7") == expect
 
 
 def test_commands_are_deterministic(files, capsys, tmp_path):

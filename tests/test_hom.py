@@ -523,8 +523,8 @@ def test_random_target_orbits_need_no_pinned_search(monkeypatch):
 
 
 def test_symmetric_no_instance_takes_one_root_search(monkeypatch):
-    # the first value of the first residual vertex fails, and Petersen is
-    # vertex-transitive, so its orbit is every other value
+    # Petersen is vertex-transitive, so the root's domain narrows to its
+    # one orbit minimum and the refutation is one search
     petersen = make_petersen()
     gadget, tight = find_edge_gadget(petersen).found, find_tight_witness_set(petersen)
     rng = random.Random(71)
@@ -535,7 +535,7 @@ def test_symmetric_no_instance_takes_one_root_search(monkeypatch):
     g = reduce_naesat_to_hcol(phi, petersen, tight, gadget).graph
     assert len(g.connected_components()) == 1
     # the first call compiles the clusters and the orbits; the second
-    # finds both cached and starts only its root searches
+    # finds both cached and starts only the residual search
     assert find_homomorphism(g, petersen) is None
     calls = count_searches(monkeypatch)
     assert find_homomorphism(g, petersen) is None
@@ -543,25 +543,70 @@ def test_symmetric_no_instance_takes_one_root_search(monkeypatch):
 
 
 def test_list_instances_are_not_pruned(monkeypatch):
-    # K3 -> Petersen has no solution; with a list on vertex 0 the domains
-    # are not Aut(H)-invariant, so the solver tries each of its values
-    # and never reads the orbits
+    # K3 -> Petersen has no solution, and each case is one search; with a
+    # list the domains are not Aut(H)-invariant, so the root keeps its
+    # domain and the orbits are never read
     k3, petersen = make_complete(3), make_petersen()
     _orbits(petersen.rows)
     orbit_calls = []
     monkeypatch.setattr(hcolkit.hom, "_orbits", lambda rows: orbit_calls.append(rows) or _orbits(rows))
-    calls = count_searches(monkeypatch)
+    roots = []
+
+    def recorded(order, dom, cons):
+        roots.append(dom[order[0]])
+        return _search(order, dom, cons)
+
+    monkeypatch.setattr(hcolkit.hom, "_search", recorded)
+    # vertex 0 is the root, so its list is the root domain
     assert find_homomorphism(k3, petersen, lists={0: (0, 1, 2)}) is None
-    assert len(calls) == 3 and orbit_calls == []
-    # a list on another vertex leaves the root domain full: ten searches
-    calls.clear()
+    assert roots == [0b111] and orbit_calls == []
+    # a list on another vertex leaves the root domain full
+    roots.clear()
     assert find_homomorphism(k3, petersen, lists={2: (0, 1, 2)}) is None
-    assert len(calls) == 10 and orbit_calls == []
-    # without lists the same refutation takes one root search and drops
-    # the orbit of its value, which is every vertex
-    calls.clear()
+    assert roots == [(1 << 10) - 1] and orbit_calls == []
+    # without lists the root domain is Petersen's orbit minima: vertex 0
+    roots.clear()
     assert find_homomorphism(k3, petersen) is None
-    assert len(calls) == 1 and orbit_calls == [petersen.rows]
+    assert roots == [1] and orbit_calls == [petersen.rows]
+
+
+ROOT_TARGETS = {
+    "K2+K3": make_complete(2).disjoint_union(make_complete(3)),
+    "star": Graph(5, [(0, v) for v in range(1, 5)]),
+    "P4": ORBIT_GRAPHS["P4"],
+    "asymmetric6": ORBIT_GRAPHS["asymmetric6"],
+    "C5+K3": make_cycle(5).disjoint_union(make_complete(3)),
+}
+
+
+def test_root_restriction_keeps_the_lex_least_witness():
+    # connected sources on 2..5 vertices reach no pin degree, so no
+    # cluster forms and the search order is (-degree, id); whichever orbit
+    # holds the root's value, the witness is the least solution read in
+    # that order, as a search over the full root domain returns it
+    rng = random.Random(251)
+    sources = []
+    while len(sources) < 60:
+        n = rng.randint(2, 5)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        if len(g.connected_components()) == 1:
+            sources.append(g)
+    cases = moved = 0
+    for g in sources:
+        order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        at = {v: i for i, v in enumerate(order)}
+        relabelled = Graph(g.n, [(at[u], at[v]) for u, v in g.edges()])
+        for h in ROOT_TARGETS.values():
+            least = next(brute_homomorphisms(relabelled, h), None)
+            found = find_homomorphism(g, h)
+            if least is None:
+                assert found is None, (g.edges(), h.edges())
+                continue
+            assert found is not None, (g.edges(), h.edges())
+            assert tuple(found.assignment[v] for v in order) == least, (g.edges(), h.edges())
+            cases += 1
+            moved += least[0] != 0
+    assert cases > 200 and moved > 50
 
 
 def test_warm_cluster_cache_makes_no_cluster_search(monkeypatch):
