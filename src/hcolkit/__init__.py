@@ -17,7 +17,6 @@ from .graphs import (
     common_neighbors,
     make_complete,
     make_cycle,
-    make_empty,
     make_kneser,
     make_path,
     make_petersen,
@@ -25,14 +24,13 @@ from .graphs import (
     read_graph,
     write_graph,
 )
-from .hom import Homomorphism, compute_core, enumerate_homomorphisms, find_homomorphism, is_core
+from .hom import Homomorphism, compute_core, find_homomorphism, is_core
 from .witness import (
     WitnessCertificate,
     clique_number,
     degeneracy,
     find_b_ml_copy,
     make_b_pattern,
-    max_degree,
     witness_bound_via_b,
     witness_number,
 )

@@ -190,6 +190,10 @@ def _cmd_kernelize(args, ceilings: Ceilings) -> int:
     # refuse it before building its rows
     limit = ceilings.oracle_vertices if args.verify else None
     inst = read_instance(_read(args.instance), max_vertices=limit)
+    if args.mode == "combinatorial":
+        # --q is checked against q(target), which is certified only up to
+        # the witness ceiling
+        limit = min(limit or ceilings.witness_vertices, ceilings.witness_vertices)
     target = read_graph(_read(args.target), max_vertices=limit)
     if target.m == 0:
         raise ValueError(
@@ -201,6 +205,12 @@ def _cmd_kernelize(args, ceilings: Ceilings) -> int:
             raise ValueError("--mode combinatorial needs --q")
         if args.rep is not None:
             raise ValueError("--rep applies to the algebraic mode only")
+        q = witness_number(target, ceilings=ceilings).q
+        if args.q < q:
+            raise ValueError(
+                f"--q {args.q} is below the witness number {q} of the target; "
+                "the kernel would not preserve target-colorability"
+            )
         result = combinatorial_kernel(inst, args.q, ceilings=ceilings)
     else:
         if args.rep is None:
@@ -280,24 +290,24 @@ def _cmd_reduce(args, ceilings: Ceilings) -> int:
             raise ValueError(
                 f"clause width must equal the witness number {len(tight)} of the target"
             )
-        search = find_edge_gadget(target, ceilings=ceilings)
-        if search.found is None:
+        gadget = find_edge_gadget(target, ceilings=ceilings)
+        if gadget is None:
             raise CeilingError(
-                f"no edge gadget found within {search.searched_up_to} vertices "
+                f"no edge gadget found within {ceilings.gadget_vertices} vertices "
                 "(inconclusive; the target may still be projective)"
             )
-        inst = reduce_naesat_to_hcol(formula, target, tight, search.found)
+        inst = reduce_naesat_to_hcol(formula, target, tight, gadget)
         _emit(write_instance(inst), args.out)
     else:
         if not args.instance:
             raise ValueError("--from list-hcol needs --instance")
         graph, lists = read_list_instance(_read(args.instance))
-        search = find_edge_gadget(target, ceilings=ceilings)
-        if search.found is None:
+        gadget = find_edge_gadget(target, ceilings=ceilings)
+        if gadget is None:
             raise CeilingError(
-                f"no edge gadget found within {search.searched_up_to} vertices"
+                f"no edge gadget found within {ceilings.gadget_vertices} vertices"
             )
-        out = reduce_list_to_plain(graph, lists, target, search.found)
+        out = reduce_list_to_plain(graph, lists, target, gadget)
         _emit(write_graph(out), args.out)
     return 0
 

@@ -244,10 +244,6 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 
-    def elements(self):
-        for i in range(self.order):
-            yield self.from_index(i)
-
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
 

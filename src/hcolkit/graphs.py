@@ -63,11 +63,11 @@ class Graph:
         self.labels: dict[int, str] = dict(labels) if labels else {}
 
     @classmethod
-    def from_rows(cls, rows: Sequence[int], labels=None) -> "Graph":
+    def from_rows(cls, rows: Sequence[int]) -> "Graph":
         g = cls.__new__(cls)
         g.n = len(rows)
         g.rows = tuple(rows)
-        g.labels = dict(labels) if labels else {}
+        g.labels = {}
         g._check_rows()
         return g
 
@@ -119,12 +119,6 @@ class Graph:
         ]
         labels = {index[v]: self.labels[v] for v in vs if v in self.labels}
         return Graph(len(vs), edges, labels)
-
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        rows = list(self.rows) + [r << self.n for r in other.rows]
-        labels = dict(self.labels)
-        labels.update({v + self.n: s for v, s in other.labels.items()})
-        return Graph.from_rows(rows, labels)
 
     def is_vertex_cover(self, vertices: Iterable[int]) -> bool:
         mask = vertex_mask(vertices, self.n)
@@ -219,10 +213,6 @@ def make_path(m: int) -> Graph:
     if m < 1:
         raise ValueError("path graphs need at least one vertex")
     return Graph(m, [(i, i + 1) for i in range(m - 1)])
-
-
-def make_empty(n: int) -> Graph:
-    return Graph(n)
 
 
 def make_kneser(m: int, r: int) -> Graph:

@@ -1,5 +1,4 @@
-"""Exact list-homomorphism search, endomorphism enumeration, and cores
-found by retraction.
+"""Exact list-homomorphism search and cores found by retraction.
 
 ``find_homomorphism`` is the universal correctness oracle of the
 package: a complete backtracking search over vertex images that
@@ -15,18 +14,15 @@ consistency from every vertex whose domain shrank (MAC, Sabin & Freuder
 1994), with the supports of a table cached per domain mask in the
 spirit of AC-3rm (Lecoutre & Hemery 2007).  Propagation removes only
 values that extend to no solution, so the solutions and their order are
-those of plain forward checking.  It has two uses:
-
-* first: ``find_homomorphism``, the cluster searches of
-  ``_cluster_images`` and the automorphism searches of ``_orbits`` take
-  its first solution, and so do two searches outside
-  this module: ``witness.find_b_ml_copy`` (an injective homomorphism
-  from a B(m, l) pattern, whose interchangeable units are chained into
-  ascending images by order tables, which keeps the first solution)
-  and ``reductions.verify_edge_gadget`` (one
-  pinned search per ordered pair of target vertices whose first vertex
-  is in ``_orbit_minima``);
-* all: ``enumerate_homomorphisms`` iterates it to the end.
+those of plain forward checking.  Every caller takes its first
+solution: ``find_homomorphism``, the cluster searches of
+``_cluster_images`` and the automorphism searches of ``_orbits``, and
+two searches outside this module, ``witness.find_b_ml_copy`` (an
+injective homomorphism from a B(m, l) pattern, whose interchangeable
+units are chained into ascending images by order tables, which keeps
+the first solution) and ``reductions.verify_edge_gadget`` (one pinned
+search per ordered pair of target vertices whose first vertex is in
+``_orbit_minima``).
 
 Two sound preprocessing steps keep ``find_homomorphism`` tractable on
 the structured instances produced by the kernelization and reduction
@@ -53,8 +49,8 @@ modules, without affecting exactness:
 
 The residual search orders vertices by descending total constraint
 tightness, which is plain descending degree on uncompiled graphs;
-enumeration and cluster searches use descending degree.  Ties go by
-id, so every witness and every enumeration is deterministic.
+cluster and automorphism searches use descending degree.  Ties go by
+id, so every witness is deterministic.
 
 Root restriction by the symmetries of H.  When no list narrows a
 component, its edge constraints, its cluster tables (compiled from full
@@ -538,33 +534,6 @@ def find_homomorphism(
             return None
         total.update(sol)
     return Homomorphism(g, h, tuple(total[v] for v in range(g.n)))
-
-
-def enumerate_homomorphisms(
-    g: Graph,
-    h: Graph,
-    lists: Mapping[int, Iterable[int]] | None = None,
-    *,
-    ceilings: Ceilings = DEFAULT_CEILINGS,
-) -> Iterator[Homomorphism]:
-    """Yield every homomorphism g -> h, in deterministic order.
-
-    Exhaustive generation is exponential, so g is guarded by
-    ``core_vertices``; the core routines search one map at a time.
-    """
-    if g.n > ceilings.core_vertices:
-        raise CeilingError(
-            f"endomorphism enumeration limited to {ceilings.core_vertices} vertices"
-        )
-    doms = _domains_from_lists(g, h, lists)
-    if g.n == 0:
-        yield Homomorphism(g, h, ())
-        return
-    if h.n == 0 or 0 in doms:
-        return
-    order, cons = _edge_constraints(g.rows, h.rows)
-    for assign in _search(order, doms, cons):
-        yield Homomorphism(g, h, tuple(assign[v] for v in range(g.n)))
 
 
 def is_core(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> bool:

@@ -53,13 +53,6 @@ class EdgeGadget:
             if not 0 <= v < self.gadget.n:
                 raise ValueError("marked vertex outside the gadget")
 
-    @classmethod
-    def verified(cls, target: Graph, gadget: Graph, a: int, b: int,
-                 *, ceilings: Ceilings = DEFAULT_CEILINGS) -> "EdgeGadget":
-        if not verify_edge_gadget(target, gadget, a, b, ceilings=ceilings):
-            raise ValueError("candidate is not an edge gadget for this target")
-        return cls(gadget, a, b)
-
     @property
     def interior_size(self) -> int:
         return self.gadget.n - 2
@@ -121,14 +114,6 @@ def _canonical_gadget_candidates() -> list[tuple[Graph, int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class GadgetSearch:
-    """Search outcome; a missing gadget within the ceiling proves nothing."""
-
-    found: Optional[EdgeGadget]
-    searched_up_to: int
-
-
 def _graphs_with_marked_pair(n: int) -> Iterable[Graph]:
     """Connected graphs on n vertices with marked pair (0, 1), every edge
     mask in ascending order.
@@ -148,24 +133,24 @@ def _graphs_with_marked_pair(n: int) -> Iterable[Graph]:
 
 def find_edge_gadget(
     target: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS
-) -> GadgetSearch:
+) -> Optional[EdgeGadget]:
     """Search for an edge gadget: canonical family first, then all small
-    connected marked graphs in increasing size.
+    connected marked graphs in increasing size, up to ``gadget_vertices``.
 
-    The target should be a core (check with `is_core`); the outcome for
-    non-cores is still sound but gadgets typically do not exist.
+    ``None`` proves nothing: a gadget may need more vertices.  The target
+    should be a core (check with `is_core`); the outcome for non-cores
+    is still sound but gadgets typically do not exist.
     """
-    limit = ceilings.gadget_vertices
     # canonical candidates are constant-time to verify and exempt from
     # the ceiling, which only guards the exponential enumeration below
     for gadget, a, b in _canonical_gadget_candidates():
         if verify_edge_gadget(target, gadget, a, b, ceilings=ceilings):
-            return GadgetSearch(EdgeGadget(gadget, a, b), limit)
-    for n in range(2, limit + 1):
+            return EdgeGadget(gadget, a, b)
+    for n in range(2, ceilings.gadget_vertices + 1):
         for gadget in _graphs_with_marked_pair(n):
             if verify_edge_gadget(target, gadget, 0, 1, ceilings=ceilings):
-                return GadgetSearch(EdgeGadget(gadget, 0, 1), limit)
-    return GadgetSearch(None, limit)
+                return EdgeGadget(gadget, 0, 1)
+    return None
 
 
 def find_tight_witness_set(

@@ -108,12 +108,6 @@ def critical_set_fault(g: Graph, vertices: Sequence[int]) -> Optional[str]:
 # Fundamental invariants
 # ---------------------------------------------------------------------------
 
-def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise ValueError("max_degree of the empty graph is undefined")
-    return g.max_degree()
-
-
 def degeneracy(g: Graph) -> int:
     """Least d such that every subgraph has a vertex of degree <= d (min-degree peeling)."""
     if g.n == 0:

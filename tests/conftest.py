@@ -22,6 +22,14 @@ from hcolkit.reps import INDEPENDENT, ORTHOGONAL, Representation, Vector, inner_
 from hcolkit.witness import max_clique
 
 
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, each relabelled past the ones before it."""
+    rows: list[int] = []
+    for g in graphs:
+        rows += [row << len(rows) for row in g.rows]
+    return Graph.from_rows(rows)
+
+
 def brute_homomorphisms(g: Graph, h: Graph, lists=None):
     """Yield every list-respecting assignment that keeps all edges of g,
     trying all of them in `itertools.product` order."""

@@ -16,7 +16,6 @@ from hcolkit.graphs import (
     Graph,
     make_complete,
     make_cycle,
-    make_empty,
     make_kneser,
     make_path,
     make_petersen,
@@ -54,7 +53,7 @@ from hcolkit.reps import (
     ortho_graph,
     vandermonde_rep,
 )
-from hcolkit.witness import clique_number, max_degree, witness_number
+from hcolkit.witness import clique_number, witness_number
 
 
 def _report(number: int, message: str) -> None:
@@ -78,7 +77,7 @@ def test_criterion_01_witness_regression_table():
     for m, r in ((4, 2), (5, 2), (6, 2), (7, 3)):
         assert witness_number(make_kneser(m, r)).q == m - 2 * r + 2
     for n in (1, 4, 7):
-        assert witness_number(make_empty(n)).q == 1
+        assert witness_number(Graph(n)).q == 1
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"regression table took {elapsed:.1f}s"
     _report(1, f"witness-number regression table exact in {elapsed:.2f}s (< 10s)")
@@ -90,7 +89,7 @@ def test_criterion_02_sandwich_and_core_monotonicity():
     for _ in range(200):
         g = make_random(rng.randrange(1, 11), rng.randrange(2**32))
         q = witness_number(g).q
-        if not clique_number(g) <= q <= max_degree(g) + 1:
+        if not clique_number(g) <= q <= g.max_degree() + 1:
             violations += 1
     assert violations == 0
     core_rng = random.Random(2002)
@@ -170,7 +169,7 @@ def _vandermonde_fixture_graphs():
     graphs += [make_cycle(m) for m in (3, 4, 5, 6, 7, 8)]
     graphs += [make_path(m) for m in (2, 5, 8)]
     graphs += [make_kneser(4, 2), make_petersen()]
-    graphs += [make_random(6, 1), make_random(8, 2), make_random(10, 3), make_empty(5)]
+    graphs += [make_random(6, 1), make_random(8, 2), make_random(10, 3), Graph(5)]
     return graphs
 
 
@@ -244,7 +243,7 @@ def _random_formula(rng, q, n_max):
 
 def test_criterion_07_reduction_equivalence():
     k4 = make_complete(4)
-    gadget4 = find_edge_gadget(k4).found
+    gadget4 = find_edge_gadget(k4)
     tight4 = find_tight_witness_set(k4)
     rng = random.Random(700)
     for _ in range(20):
@@ -254,7 +253,7 @@ def test_criterion_07_reduction_equivalence():
         assert nae_sat_brute(phi) == (find_homomorphism(inst.graph, k4) is not None)
 
     k62 = make_kneser(6, 2)
-    gadget62 = find_edge_gadget(k62).found
+    gadget62 = find_edge_gadget(k62)
     tight62 = find_tight_witness_set(k62)
     assert len(tight62) == 4
     rng = random.Random(701)
@@ -265,7 +264,7 @@ def test_criterion_07_reduction_equivalence():
         assert nae_sat_brute(phi) == (find_homomorphism(inst.graph, k62) is not None)
 
     c5 = make_cycle(5)
-    gadget5 = find_edge_gadget(c5).found
+    gadget5 = find_edge_gadget(c5)
     assert gadget5.gadget.n == 4  # the 4-vertex path
     rng = random.Random(702)
     for _ in range(30):

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from hcolkit.cli import main
-from hcolkit.graphs import Graph, make_complete, make_cycle, make_empty, make_petersen, write_graph
+from hcolkit.graphs import Graph, make_complete, make_cycle, make_petersen, write_graph
 from hcolkit.kernels import VertexCoverInstance, read_kernel_result, write_instance
 from hcolkit.reductions import CnfFormula, write_dimacs, write_list_instance
 from hcolkit.gf import field_make
@@ -25,7 +25,7 @@ def files(tmp_path):
     put("petersen.g", write_graph(make_petersen()))
     put("k4.g", write_graph(make_complete(4)))
     put("c5.g", write_graph(make_cycle(5)))
-    put("empty4.g", write_graph(make_empty(4)))
+    put("empty4.g", write_graph(Graph(4)))
     inst = VertexCoverInstance(
         Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]), (0, 1, 2)
     )
@@ -104,6 +104,36 @@ def test_kernelize_rejects_edgeless_target(files, capsys):
         "--mode", "combinatorial", "--q", "2",
     )
     assert code == 2 and "no edges" in err
+
+
+def test_kernelize_refuses_q_below_the_target_witness_number(files, capsys, tmp_path):
+    # K4 with cover {0, 1, 2} is not 3-colourable, but its kernel at q = 2
+    # against K3 (q(K3) = 3) is; q = 3 keeps the answer
+    k4_path = str(tmp_path / "k4_inst.g")
+    open(k4_path, "w").write(write_instance(VertexCoverInstance(make_complete(4), (0, 1, 2))))
+    k3_path = str(tmp_path / "k3.g")
+    open(k3_path, "w").write(write_graph(make_complete(3)))
+    argv = ("kernelize", k4_path, "--target", k3_path, "--mode", "combinatorial")
+    for extra in ((), ("--verify",)):
+        code, out, err = run(capsys, *argv, "--q", "2", *extra)
+        assert (code, out) == (2, "")
+        assert err == (
+            "hcol: --q 2 is below the witness number 3 of the target; "
+            "the kernel would not preserve target-colorability\n"
+        )
+    code, out, _ = run(capsys, *argv, "--q", "3", "--verify")
+    assert code == 0 and out.startswith("10 ")
+
+
+def test_kernelize_combinatorial_reads_target_under_the_witness_ceiling(files, capsys, monkeypatch):
+    # q(target) cannot be certified above the witness ceiling, so such a
+    # target is refused while reading, with or without --verify
+    monkeypatch.setenv("HCOL_WITNESS_VERTICES", "4")
+    argv = ("kernelize", files["inst.g"], "--target", files["c5.g"], "--mode", "combinatorial", "--q", "2")
+    for extra in ((), ("--verify",)):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert "announces 5 vertices, above the limit of 4" in err
 
 
 def test_kernelize_flag_validation(files, capsys):
@@ -597,7 +627,16 @@ def test_kernelize_reads_above_the_oracle_ceiling_only_without_verify(files, cap
     assert code == 0 and out.startswith("6 ")
 
 
-def test_reduce_gadget_search_exhaustion(files, capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("nae-sat", "no edge gadget found within 3 vertices "
+                    "(inconclusive; the target may still be projective)"),
+        ("list-hcol", "no edge gadget found within 3 vertices"),
+    ],
+    ids=["nae-sat", "list-hcol"],
+)
+def test_reduce_gadget_search_exhaustion(files, capsys, tmp_path, monkeypatch, source, message):
     # C_6 is not a core, so no edge gadget exists; a tiny enumeration
     # ceiling makes the inconclusive search fast and the abort visible
     monkeypatch.setenv("HCOL_GADGET_VERTICES", "3")
@@ -605,11 +644,10 @@ def test_reduce_gadget_search_exhaustion(files, capsys, tmp_path, monkeypatch):
     open(c6_path, "w").write(write_graph(make_cycle(6)))
     cnf_path = str(tmp_path / "w3.cnf")
     open(cnf_path, "w").write(write_dimacs(CnfFormula(2, ((1, 2, -1),))))
-    code, _, err = run(
-        capsys, "reduce", "--from", "nae-sat", "--cnf", cnf_path,
-        "--target", c6_path,
-    )
-    assert code == 2 and "inconclusive" in err
+    given = ("--cnf", cnf_path) if source == "nae-sat" else ("--instance", files["lists.g"])
+    code, out, err = run(capsys, "reduce", "--from", source, *given, "--target", c6_path)
+    assert (code, out) == (2, "")
+    assert err == f"hcol: infeasible at desk scale: {message}\n"
 
 
 @pytest.mark.parametrize(

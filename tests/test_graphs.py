@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import disjoint_union
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import (
     Graph,
     common_neighbors,
     make_complete,
     make_cycle,
-    make_empty,
     make_kneser,
     make_petersen,
     make_random,
@@ -93,7 +93,7 @@ def test_common_neighbors_antitone(n, seed, data):
 
 
 def test_text_format_round_trip():
-    for g in (make_petersen(), make_empty(4), make_complete(1), make_kneser(6, 2)):
+    for g in (make_petersen(), Graph(4), make_complete(1), make_kneser(6, 2)):
         text = write_graph(g)
         back = read_graph(text)
         assert back == g
@@ -125,12 +125,15 @@ def test_comments_and_labels():
     assert g.labels == {0: "origin"}
 
 
-def test_induced_subgraph_and_union():
+def test_induced_subgraph():
     p = make_petersen()
     sub = p.induced_subgraph([0, 1, 2, 5])
     assert sub.n == 4
     assert sub.has_edge(0, 1) == p.has_edge(0, 1)
-    both = make_complete(2).disjoint_union(make_complete(3))
+
+
+def test_disjoint_union_helper():
+    both = disjoint_union(make_complete(2), make_complete(3))
     assert (both.n, both.m) == (5, 4)
     assert not both.has_edge(1, 2)
 
@@ -139,4 +142,4 @@ def test_vertex_cover_check():
     k4 = make_complete(4)
     assert k4.is_vertex_cover((0, 1, 2))
     assert not k4.is_vertex_cover((0, 1))
-    assert make_empty(3).is_vertex_cover(())
+    assert Graph(3).is_vertex_cover(())

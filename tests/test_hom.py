@@ -10,6 +10,7 @@ from conftest import (
     brute_homomorphisms,
     brute_network_solutions,
     brute_orbits,
+    disjoint_union,
     hub_and_path_graph,
     reference_core,
 )
@@ -19,7 +20,6 @@ from hcolkit.graphs import (
     Graph,
     make_complete,
     make_cycle,
-    make_empty,
     make_kneser,
     make_petersen,
     make_random,
@@ -29,10 +29,10 @@ from hcolkit.hom import (
     Homomorphism,
     _ComponentSolver,
     _domains_from_lists,
+    _edge_constraints,
     _orbits,
     _search,
     compute_core,
-    enumerate_homomorphisms,
     find_homomorphism,
     is_core,
 )
@@ -97,17 +97,17 @@ def make_kneserish():
 
 
 def test_disconnected_and_empty_inputs():
-    g = make_complete(3).disjoint_union(make_empty(2))
+    g = disjoint_union(make_complete(3), Graph(2))
     f = find_homomorphism(g, make_complete(3))
     assert f is not None and f.check()
-    assert find_homomorphism(make_empty(0), make_complete(3)) is not None
-    assert find_homomorphism(make_complete(1), make_empty(0)) is None
+    assert find_homomorphism(Graph(0), make_complete(3)) is not None
+    assert find_homomorphism(make_complete(1), Graph(0)) is None
 
 
 def test_oracle_ceiling():
     with pytest.raises(CeilingError):
         find_homomorphism(
-            make_empty(10), make_complete(3), ceilings=Ceilings(oracle_vertices=5)
+            Graph(10), make_complete(3), ceilings=Ceilings(oracle_vertices=5)
         )
 
 
@@ -223,7 +223,7 @@ def clustered_corpus(rng):
     reductions of small random list instances, kernel-shaped graphs, and
     hub-and-path graphs with lists on the hubs and paths."""
     for h in (make_cycle(5), make_complete(4), make_petersen(), make_kneser(6, 2)):
-        gadget = find_edge_gadget(h).found
+        gadget = find_edge_gadget(h)
         for _ in range(25):
             n = rng.randint(3, 6)
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
@@ -310,14 +310,21 @@ def test_engine_yields_every_solution_in_order():
     assert repeated > 50 and solved > 100
 
 
+def all_homomorphisms(g: Graph, h: Graph, lists=None):
+    """Every homomorphism g -> h as an image tuple, in the engine's order."""
+    order, cons = _edge_constraints(g.rows, h.rows)
+    for assign in _search(order, _domains_from_lists(g, h, lists), cons):
+        yield tuple(assign[v] for v in range(g.n))
+
+
 def test_enumerate_homomorphisms_counts():
     # C_4 -> K_2: exactly the 2 proper 2-colorings
     c4, k2 = make_cycle(4), make_complete(2)
-    homs = list(enumerate_homomorphisms(c4, k2))
+    homs = list(all_homomorphisms(c4, k2))
     assert len(homs) == 2
     # K_3 endomorphisms: the 6 permutations
     k3 = make_complete(3)
-    assert len(list(enumerate_homomorphisms(k3, k3))) == 6
+    assert len(list(all_homomorphisms(k3, k3))) == 6
 
 
 def test_enumeration_order_matches_brute_force():
@@ -338,7 +345,7 @@ def test_enumeration_order_matches_brute_force():
             }
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         expect = sorted(brute_homomorphisms(g, h, lists), key=lambda a: [a[v] for v in order])
-        assert [f.assignment for f in enumerate_homomorphisms(g, h, lists)] == expect
+        assert list(all_homomorphisms(g, h, lists)) == expect
         connected = len(g.connected_components()) == 1
         if expect and connected and max(map(g.degree, range(g.n))) < 5:
             assert find_homomorphism(g, h, lists).assignment == expect[0]
@@ -348,7 +355,7 @@ def test_enumeration_order_matches_brute_force():
 
 def _core_by_enumeration(g: Graph) -> bool:
     """Whether every endomorphism of g is a bijection, over all of them."""
-    return all(len(set(f.assignment)) == g.n for f in enumerate_homomorphisms(g, g))
+    return all(len(set(images)) == g.n for images in all_homomorphisms(g, g))
 
 
 def _all_graphs(sizes) -> list[Graph]:
@@ -367,7 +374,7 @@ def test_is_core_matches_endomorphism_enumeration():
     graphs += [make_random(rng.randrange(6, 10), rng.randrange(10**6)) for _ in range(100)]
     # random graphs are seldom cores; these are, with one that is not
     graphs += [make_complete(6), make_complete(7), make_cycle(7), make_cycle(9), make_petersen()]
-    graphs.append(make_cycle(5).disjoint_union(make_complete(3)))
+    graphs.append(disjoint_union(make_cycle(5), make_complete(3)))
     verdicts = Counter()
     for g in graphs:
         verdict = is_core(g)
@@ -425,7 +432,7 @@ def test_cores():
     assert is_core(make_cycle(5))
     assert not is_core(make_cycle(6))
     # core outputs are homomorphically equivalent cores
-    g = make_cycle(6).disjoint_union(make_complete(3))
+    g = disjoint_union(make_cycle(6), make_complete(3))
     core = compute_core(g)
     assert is_core(core)
     assert find_homomorphism(g, core) is not None
@@ -434,9 +441,9 @@ def test_cores():
 
 def test_core_ceiling():
     with pytest.raises(CeilingError):
-        compute_core(make_empty(13))
+        compute_core(Graph(13))
     with pytest.raises(ValueError):
-        compute_core(make_empty(0))
+        compute_core(Graph(0))
 
 
 # -- automorphism orbits and root pruning --------------------------------------
@@ -456,10 +463,10 @@ ORBIT_GRAPHS = {
     "petersen": make_petersen(),
     "asymmetric6": Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)]),
     # 2-regular, so one colour class, but C6 and the triangles are apart
-    "C6+2K3": make_cycle(6).disjoint_union(make_complete(3)).disjoint_union(make_complete(3)),
+    "C6+2K3": disjoint_union(make_cycle(6), make_complete(3), make_complete(3)),
     "frucht": frucht_graph(),
     # an automorphism that swaps two components
-    "2C5": make_cycle(5).disjoint_union(make_cycle(5)),
+    "2C5": disjoint_union(make_cycle(5), make_cycle(5)),
 }
 
 
@@ -526,7 +533,7 @@ def test_symmetric_no_instance_takes_one_root_search(monkeypatch):
     # Petersen is vertex-transitive, so the root's domain narrows to its
     # one orbit minimum and the refutation is one search
     petersen = make_petersen()
-    gadget, tight = find_edge_gadget(petersen).found, find_tight_witness_set(petersen)
+    gadget, tight = find_edge_gadget(petersen), find_tight_witness_set(petersen)
     rng = random.Random(71)
     while True:
         phi = CnfFormula(4, tuple(tuple(rng.choice((1, -1)) * v for v in rng.sample(range(1, 5), 3)) for _ in range(8)))
@@ -571,11 +578,11 @@ def test_list_instances_are_not_pruned(monkeypatch):
 
 
 ROOT_TARGETS = {
-    "K2+K3": make_complete(2).disjoint_union(make_complete(3)),
+    "K2+K3": disjoint_union(make_complete(2), make_complete(3)),
     "star": Graph(5, [(0, v) for v in range(1, 5)]),
     "P4": ORBIT_GRAPHS["P4"],
     "asymmetric6": ORBIT_GRAPHS["asymmetric6"],
-    "C5+K3": make_cycle(5).disjoint_union(make_complete(3)),
+    "C5+K3": disjoint_union(make_cycle(5), make_complete(3)),
 }
 
 
@@ -616,7 +623,7 @@ def test_warm_cluster_cache_makes_no_cluster_search(monkeypatch):
     c5 = make_cycle(5)
     g = make_cycle(4)
     lists = {0: (0, 1), 1: (1, 2, 3), 2: (0, 2), 3: (2, 3, 4)}
-    out = reduce_list_to_plain(g, lists, c5, find_edge_gadget(c5).found)
+    out = reduce_list_to_plain(g, lists, c5, find_edge_gadget(c5))
     witness = find_homomorphism(out, c5)
     assert witness is not None
     solvers = compiled_solvers(out, c5)[0]

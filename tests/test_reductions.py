@@ -14,12 +14,10 @@ from hcolkit.graphs import (
     make_petersen,
     make_random,
 )
-from hcolkit import hom
+from hcolkit import hom, reductions
 from hcolkit.hom import find_homomorphism, is_core
 from hcolkit.reductions import (
     CnfFormula,
-    EdgeGadget,
-    GadgetSearch,
     find_edge_gadget,
     find_tight_witness_set,
     nae_sat_brute,
@@ -107,9 +105,9 @@ def test_orbit_gadget_verdicts_match_all_pairs_reference(target):
 
 
 def test_find_gadget_canonical_family():
-    assert find_edge_gadget(make_cycle(7)).found.gadget.n == 6
-    assert find_edge_gadget(make_complete(4)).found.gadget.n == 2
-    petersen = find_edge_gadget(make_petersen()).found
+    assert find_edge_gadget(make_cycle(7)).gadget.n == 6
+    assert find_edge_gadget(make_complete(4)).gadget.n == 2
+    petersen = find_edge_gadget(make_petersen())
     assert petersen is not None and petersen.gadget.n == 4
 
 
@@ -122,32 +120,37 @@ def test_find_gadget_for_kneser_6_2():
     fold = (0, 1, 2, 2, 2, 5, 8, 8, 8, 10, 10, 10)
     assert all(sub.has_edge(fold[u], fold[v]) for u, v in sub.edges())
     assert not is_core(sub)
-    search = find_edge_gadget(k62)
-    assert search.found is not None
-    assert search.found.gadget.n == 7
-    assert verify_edge_gadget(k62, search.found.gadget, search.found.a, search.found.b)
+    found = find_edge_gadget(k62)
+    assert found is not None
+    assert found.gadget.n == 7
+    assert verify_edge_gadget(k62, found.gadget, found.a, found.b)
 
 
-def test_gadget_search_inconclusive_on_non_core():
-    # C_4 is bipartite, not a core; nothing small should verify
-    search = find_edge_gadget(make_cycle(4), ceilings=Ceilings(gadget_vertices=4))
-    assert isinstance(search, GadgetSearch)
-    assert search.found is None
-    assert search.searched_up_to == 4
+def test_gadget_search_inconclusive_on_non_core(monkeypatch):
+    # C_4 is bipartite, not a core; nothing small should verify, and the
+    # enumeration runs through every size up to the ceiling
+    sizes = []
+
+    def recording(n):
+        sizes.append(n)
+        return _graphs_with_marked_pair(n)
+
+    monkeypatch.setattr(reductions, "_graphs_with_marked_pair", recording)
+    assert find_edge_gadget(make_cycle(4), ceilings=Ceilings(gadget_vertices=4)) is None
+    assert sizes == [2, 3, 4]
 
 
 def test_enumerated_gadget_for_wheel():
     # W5, the 5-cycle 0..4 with hub 5: the canonical candidates fail and
     # the enumeration's first verifying mask is pinned
     w5 = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
-    found = find_edge_gadget(w5, ceilings=Ceilings(gadget_vertices=5)).found
+    found = find_edge_gadget(w5, ceilings=Ceilings(gadget_vertices=5))
     assert found is not None
     assert (found.gadget.rows, found.a, found.b) == ((24, 4, 26, 21, 13), 0, 1)
 
 
-def test_verified_constructor_rejects_non_gadgets():
-    with pytest.raises(ValueError):
-        EdgeGadget.verified(make_cycle(5), make_complete(2), 0, 1)
+def test_verify_edge_gadget_rejects_non_gadgets():
+    assert not verify_edge_gadget(make_cycle(5), make_complete(2), 0, 1)
 
 
 # -- tight witness sets -------------------------------------------------------
@@ -170,7 +173,7 @@ def test_tight_sets():
 # -- list reduction -----------------------------------------------------------
 
 def c5_gadget():
-    return find_edge_gadget(make_cycle(5)).found
+    return find_edge_gadget(make_cycle(5))
 
 
 def test_full_lists_add_no_gadgets():
@@ -224,7 +227,7 @@ def test_bad_lists_rejected():
 def test_list_reduction_with_interior_free_gadget():
     # the single-edge gadget of K_4 turns forbidden pairs into direct edges
     k4 = make_complete(4)
-    gadget = find_edge_gadget(k4).found
+    gadget = find_edge_gadget(k4)
     assert gadget.interior_size == 0
     rng = random.Random(59)
     for _ in range(15):
@@ -273,7 +276,7 @@ def random_formula(rng, q, n_max):
 def test_naesat_reduction_k4_sweep():
     rng = random.Random(47)
     k4 = make_complete(4)
-    gadget = find_edge_gadget(k4).found
+    gadget = find_edge_gadget(k4)
     tight = find_tight_witness_set(k4)
     for _ in range(20):
         phi = random_formula(rng, 4, 3)
@@ -287,7 +290,7 @@ def test_naesat_oracle_matches_brute_force(target):
     # the targets are vertex-transitive and the reductions carry no lists,
     # so every no-instance here is refuted with root pruning; C5 has
     # q = 2, below the construction's width, and is checked below
-    gadget = find_edge_gadget(target).found
+    gadget = find_edge_gadget(target)
     tight = find_tight_witness_set(target)
     rng = random.Random(61)
     answers = []
@@ -305,7 +308,7 @@ def test_c5_list_reduction_oracle_matches_reference():
     # sources by plain backtracking
     rng = random.Random(67)
     c5 = make_cycle(5)
-    gadget = find_edge_gadget(c5).found
+    gadget = find_edge_gadget(c5)
     answers = []
     for _ in range(30):
         n = rng.randint(3, 6)
@@ -319,7 +322,7 @@ def test_c5_list_reduction_oracle_matches_reference():
 
 def test_naesat_cover_size_formula():
     k4 = make_complete(4)
-    gadget = find_edge_gadget(k4).found
+    gadget = find_edge_gadget(k4)
     tight = find_tight_witness_set(k4)
     phi = CnfFormula(2, ((1, 2, -1, -2),))
     inst = reduce_naesat_to_hcol(phi, k4, tight, gadget)
@@ -329,7 +332,7 @@ def test_naesat_cover_size_formula():
 
 def test_naesat_unsat_instance():
     k4 = make_complete(4)
-    gadget = find_edge_gadget(k4).found
+    gadget = find_edge_gadget(k4)
     tight = find_tight_witness_set(k4)
     phi = CnfFormula(1, ((1, 1, 1, 1),))
     inst = reduce_naesat_to_hcol(phi, k4, tight, gadget)
@@ -338,7 +341,7 @@ def test_naesat_unsat_instance():
 
 def test_naesat_clause_vertices_outside_cover():
     k4 = make_complete(4)
-    gadget = find_edge_gadget(k4).found
+    gadget = find_edge_gadget(k4)
     tight = find_tight_witness_set(k4)
     phi = CnfFormula(2, ((1, 2, -1, -2), (1, 1, 2, 2)))
     inst = reduce_naesat_to_hcol(phi, k4, tight, gadget)
@@ -352,7 +355,7 @@ def test_naesat_clause_vertices_outside_cover():
 
 def test_naesat_width_mismatch_rejected():
     k4 = make_complete(4)
-    gadget = find_edge_gadget(k4).found
+    gadget = find_edge_gadget(k4)
     tight = find_tight_witness_set(k4)
     with pytest.raises(ValueError):
         reduce_naesat_to_hcol(CnfFormula(2, ((1, 2),)), k4, tight, gadget)
@@ -361,7 +364,7 @@ def test_naesat_width_mismatch_rejected():
 def test_naesat_requires_tight_set():
     # a 4-subset of K_5 still has a common neighbor, so it is not tight
     k5 = make_complete(5)
-    gadget = find_edge_gadget(k5).found
+    gadget = find_edge_gadget(k5)
     with pytest.raises(ValueError, match="tight set has a common neighbor"):
         reduce_naesat_to_hcol(CnfFormula(1, ((1, 1, 1, -1),)), k5, (0, 1, 2, 3), gadget)
     # K_4 plus an isolated vertex 4: {0, 1, 2, 4} has no common neighbor,
@@ -375,7 +378,7 @@ def test_naesat_width_3_allowed():
     # the construction is usable at width 3 even though the hardness
     # consequences need width 4; equivalence still holds
     k3 = make_complete(3)
-    gadget = find_edge_gadget(k3).found
+    gadget = find_edge_gadget(k3)
     tight = find_tight_witness_set(k3)
     rng = random.Random(53)
     for _ in range(10):

@@ -304,7 +304,7 @@ def reference_projective_vectors(spec, d):
         vec = tuple(spec.from_index(idx // spec.order**i % spec.order) for i in range(d))
         if inner_product(vec, vec).is_zero():
             continue
-        cls = min(tuple((s * x).to_index() for x in vec) for s in spec.elements() if not s.is_zero())
+        cls = min(tuple((s * x).to_index() for x in vec) for s in map(spec.from_index, range(1, spec.order)))
         if cls not in seen:
             seen.add(cls)
             kept.append(vec)

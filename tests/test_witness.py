@@ -20,7 +20,6 @@ from hcolkit.graphs import (
     common_neighbors,
     make_complete,
     make_cycle,
-    make_empty,
     make_kneser,
     make_path,
     make_petersen,
@@ -35,7 +34,6 @@ from hcolkit.witness import (
     degeneracy,
     find_b_ml_copy,
     make_b_pattern,
-    max_degree,
     witness_bound_via_b,
     witness_number,
 )
@@ -59,7 +57,7 @@ def test_kneser_graphs():
 
 
 def test_edgeless():
-    cert = witness_number(make_empty(4))
+    cert = witness_number(Graph(4))
     assert cert.q == 1 and len(cert.witness_set) == 1
 
 
@@ -223,7 +221,7 @@ def test_sandwich_bounds():
     for trial in range(60):
         g = make_random(rng.randrange(1, 11), rng.randrange(10**6))
         q = witness_number(g).q
-        assert clique_number(g) <= q <= max_degree(g) + 1
+        assert clique_number(g) <= q <= g.max_degree() + 1
 
 
 def test_core_monotonicity():
@@ -246,9 +244,9 @@ def test_degenerate_graph_bound():
 
 def test_witness_ceiling():
     with pytest.raises(CeilingError):
-        witness_number(make_empty(10), ceilings=Ceilings(witness_vertices=5))
+        witness_number(Graph(10), ceilings=Ceilings(witness_vertices=5))
     with pytest.raises(ValueError):
-        witness_number(make_empty(0))
+        witness_number(Graph(0))
 
 
 # -- structural invariants --------------------------------------------------
@@ -257,7 +255,7 @@ def test_degeneracy_values():
     assert degeneracy(make_petersen()) == 3
     assert degeneracy(make_complete(5)) == 4
     assert degeneracy(make_path(6)) == 1
-    assert degeneracy(make_empty(3)) == 0
+    assert degeneracy(Graph(3)) == 0
 
 
 def test_clique_number_values():
@@ -272,7 +270,7 @@ def test_max_degree_kneser():
     from math import comb
 
     for m, r in ((5, 2), (6, 2), (7, 3)):
-        assert max_degree(make_kneser(m, r)) == comb(m - r, r)
+        assert make_kneser(m, r).max_degree() == comb(m - r, r)
 
 
 # -- B(m, l) patterns ---------------------------------------------------------
