@@ -6,12 +6,19 @@ stay small: a graph header allocates one adjacency row per vertex it
 announces.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcolkit.errors import HcolError
-from hcolkit.graphs import make_cycle, read_graph
-from hcolkit.kernels import read_instance, read_kernel_result
+from hcolkit.graphs import Graph, make_cycle, read_graph
+from hcolkit.kernels import (
+    VertexCoverInstance,
+    combinatorial_kernel,
+    read_instance,
+    read_kernel_result,
+    write_kernel_result,
+)
 from hcolkit.reductions import read_dimacs, read_list_instance
 from hcolkit.reps import rep_from_json
 
@@ -48,3 +55,35 @@ def test_readers_raise_only_value_or_hcol_errors(reader, text):
         READERS[reader](text)
     except (ValueError, HcolError):
         pass
+
+
+# each graph-based format as (the name its refusals give, a well-formed file)
+TAGGED_FORMATS = {
+    "read_graph": ("graph file", "2 1\n0 1\nL 0 a\n"),
+    "read_instance": ("instance file", "2 1\n0 1\nX 0\n"),
+    "read_list_instance": ("list instance", "2 1\n0 1\nA 0 1\n"),
+    "read_kernel_result": (
+        "kernel file",
+        write_kernel_result(combinatorial_kernel(VertexCoverInstance(Graph(2, [(0, 1)]), (0,)), 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(TAGGED_FORMATS))
+def test_unknown_tag_is_refused_by_name(reader):
+    what, text = TAGGED_FORMATS[reader]
+    READERS[reader](text)
+    with pytest.raises(ValueError) as exc:
+        READERS[reader](text + "Q 1\n")
+    tag = "'Q 1'" if reader == "read_graph" else "'Q'"
+    assert str(exc.value) == f"unexpected line in {what}: {tag}"
+
+
+@pytest.mark.parametrize("reader", sorted(TAGGED_FORMATS))
+def test_edge_count_is_reported_before_an_unknown_tag(reader):
+    _, text = TAGGED_FORMATS[reader]
+    header, rest = text.split("\n", 1)
+    n, m = map(int, header.split())
+    with pytest.raises(ValueError) as exc:
+        READERS[reader](f"{n} {m + 1}\n{rest}Q 1\n")
+    assert str(exc.value) == f"header promises {m + 1} edges, found {m}"
