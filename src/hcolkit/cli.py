@@ -30,7 +30,6 @@ from .kernels import (
     combinatorial_kernel,
     kernel_size_report,
     read_instance,
-    serializable_stats,
     verify_kernel_equivalence,
     write_instance,
     write_kernel_result,
@@ -226,7 +225,7 @@ def _cmd_kernelize(args, ceilings: Ceilings) -> int:
             raise InvariantViolation("kernelization changed target-colorability")
         verified = True
     _emit(write_kernel_result(result), args.out)
-    stats = serializable_stats(result.stats)
+    stats = dict(result.stats)
     if verified is not None:
         stats["verified_equivalent"] = verified
     stats_text = json.dumps(stats, sort_keys=True) + "\n"

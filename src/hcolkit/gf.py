@@ -48,9 +48,9 @@ tag key of its own that sorts after every real key: the tags of a
 dropped row's remainder are its coordinates, negated.  Both the kept
 rows and the coordinates are unique, so they are those of a full
 reduction.  ``SpanBasis`` inserts or only reduces vectors, for span
-membership; ``polys`` selects boundary rows keyed by face or
-polynomials keyed by monomial, and reads their certificates only on
-demand; ``reps`` reads off nullspaces and coordinates of columns.
+membership, which ``reps`` checks on neighbourhood spans; ``polys``
+selects boundary rows keyed by face or polynomials keyed by monomial,
+and reads their certificates only on demand.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from itertools import product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
-from .errors import CeilingError
+from .errors import CeilingError, InvariantViolation
 
 _ROOT_SCAN_LIMIT = 100_000
 
@@ -165,7 +165,7 @@ def _first_irreducible(p: int, m: int) -> tuple[int, ...]:
         candidate = list(tail) + [1]
         if _poly_is_irreducible(candidate, p):
             return tuple(candidate)
-    raise AssertionError("an irreducible polynomial of every degree exists")
+    raise InvariantViolation("an irreducible polynomial of every degree exists")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def field_extension_above(
             if not _eval_base_poly(ext.ops, base.irreducible, image):
                 break
         else:
-            raise AssertionError("base modulus must split in a degree-multiple extension")
+            raise InvariantViolation("base modulus must split in a degree-multiple extension")
 
     def embed(elt: FieldElement) -> FieldElement:
         if elt.spec != base:

@@ -14,6 +14,7 @@ the plain-text graph file format::
     n m
     u v            (m edge lines, 0-based)
     L v text       (optional label lines; text is whitespace-normalized)
+    T ...          (tagged lines of the formats built on this one)
 """
 
 from __future__ import annotations
@@ -261,24 +262,27 @@ def make_random(n: int, seed: int) -> Graph:
 # Text format
 # ---------------------------------------------------------------------------
 
-def write_graph(g: Graph) -> str:
+def write_graph(g: Graph, tagged: Iterable[str] = ()) -> str:
+    """The graph file of `g`, then the `tagged` lines of a format built on it."""
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     for v in sorted(g.labels):
         lines.append(f"L {v} {g.labels[v]}")
+    lines.extend(tagged)
     return "\n".join(lines) + "\n"
 
 
 def parse_graph_lines(
-    lines: Iterable[str], *, max_vertices: int | None = None
+    lines: Iterable[str], *, tags: Iterable[str] = (), what: str = "graph file",
+    max_vertices: int | None = None,
 ) -> tuple[Graph, list[list[str]]]:
-    """Parse the graph portion; return (graph, leftover structured lines).
+    """Parse the graph portion; return (graph, leftover tagged lines).
 
-    Leftover lines are those beginning with an uppercase tag other than
-    ``L`` (``X``, ``S``, ``A``, ``STATS``), split into tokens; they are
-    interpreted by the instance-level formats built on top of this one.
-    A header announcing more than ``max_vertices`` vertices raises
-    ``CeilingError`` before any row is built.
+    Leftover lines, split into tokens, are neither edges nor ``L`` labels;
+    the formats built on this one read them.  After the header and
+    edge-count checks, one whose tag is not in `tags` is refused as an
+    unexpected line in `what`.  A header announcing more than
+    ``max_vertices`` vertices raises ``CeilingError`` before any row is built.
     """
     header = None
     edges: list[tuple[int, int]] = []
@@ -315,11 +319,11 @@ def parse_graph_lines(
         raise ValueError("empty graph file")
     if len(edges) != expect_edges:
         raise ValueError(f"header promises {expect_edges} edges, found {len(edges)}")
+    for tokens in extras:
+        if tokens[0] not in tags:
+            raise ValueError(f"unexpected line in {what}: {tokens[0]!r}")
     return Graph(header[0], edges, labels), extras
 
 
 def read_graph(text: str, *, max_vertices: int | None = None) -> Graph:
-    g, extras = parse_graph_lines(text.splitlines(), max_vertices=max_vertices)
-    if extras:
-        raise ValueError(f"unexpected line in graph file: {' '.join(extras[0])!r}")
-    return g
+    return parse_graph_lines(text.splitlines(), max_vertices=max_vertices)[0]

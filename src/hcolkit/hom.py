@@ -69,6 +69,7 @@ value-symmetry breaking by dominance (Gent & Smith, ECAI 2000).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -89,11 +90,6 @@ _CLUSTER_CAP = 64
 # reaches the cap, so a long-lived process stays bounded.
 _cluster_cache: dict = {}
 _CLUSTER_CACHE_CAP = 4096
-
-# H rows -> the orbit mask of each vertex of H under Aut(H) (``_orbits``),
-# emptied at its cap like ``_cluster_cache``.
-_orbit_cache: dict = {}
-_ORBIT_CACHE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -300,9 +296,10 @@ def _cluster_images(h_rows: tuple[int, ...], sig: tuple) -> tuple[dict, object]:
     return hit
 
 
+@lru_cache(maxsize=64)
 def _orbits(h_rows: tuple[int, ...]) -> tuple[int, ...]:
     """The orbit under Aut(H) of each vertex of the graph H with rows
-    ``h_rows``, as a mask; cached like ``_cluster_cache``.
+    ``h_rows``, as a mask; cached per target.
 
     Colour refinement (1-WL; McKay & Piperno, J. Symb. Comput. 2014)
     gives a colouring that every automorphism preserves, so vertices of
@@ -315,9 +312,6 @@ def _orbits(h_rows: tuple[int, ...]) -> tuple[int, ...]:
     automorphism with r -> b or proves there is none.  Every automorphism
     found merges all of its cycles in a union-find.
     """
-    hit = _orbit_cache.get(h_rows)
-    if hit is not None:
-        return hit
     n = len(h_rows)
     colour = [0] * n
     classes = 1
@@ -366,11 +360,7 @@ def _orbits(h_rows: tuple[int, ...]) -> tuple[int, ...]:
     orbit_of: dict[int, int] = {}
     for v in range(n):
         orbit_of[find(v)] = orbit_of.get(find(v), 0) | 1 << v
-    result = tuple(orbit_of[find(v)] for v in range(n))
-    if len(_orbit_cache) >= _ORBIT_CACHE_CAP:
-        _orbit_cache.clear()
-    _orbit_cache[h_rows] = result
-    return result
+    return tuple(orbit_of[find(v)] for v in range(n))
 
 
 def _orbit_minima(h_rows: tuple[int, ...]) -> int:

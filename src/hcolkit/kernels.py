@@ -26,7 +26,6 @@ never treated asymptotically.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -150,8 +149,7 @@ def _realized_traces(inst: VertexCoverInstance, q: int, ceilings: Ceilings) -> t
 
 
 def _build_kernel(
-    inst: VertexCoverInstance, cover_edges: list, traces: list, stats: dict, started: float,
-    **basis,
+    inst: VertexCoverInstance, cover_edges: list, traces: list, stats: dict, **basis,
 ) -> KernelResult:
     """The cover graph on 0..k-1 plus one vertex per trace, adjacent
     exactly to it, with the mode's `stats` completed by the counts and
@@ -162,7 +160,6 @@ def _build_kernel(
     out = Graph(k + len(traces), edges)
     bounds = size_bounds(stats["mode"], k, stats[_exponent_key(stats)], out.n)
     stats = {**stats, "k": k, "vertices": out.n, "edges": out.m, **bounds}
-    stats["elapsed"] = time.perf_counter() - started
     result = KernelResult(out, tuple(range(k)), provenance, stats, **basis)
     result.validate()
     if out.n > bounds["vertex_bound"]:
@@ -185,9 +182,8 @@ def combinatorial_kernel(
     subset of size at most q."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    started = time.perf_counter()
     cover_edges, traces = _realized_traces(inst, q, ceilings)
-    return _build_kernel(inst, cover_edges, traces, {"mode": "combinatorial", "q": q}, started)
+    return _build_kernel(inst, cover_edges, traces, {"mode": "combinatorial", "q": q})
 
 
 def algebraic_kernel(
@@ -223,7 +219,6 @@ def algebraic_kernel(
     if rep.spec.order <= target.n:
         raise ValueError("working field must be larger than the target graph")
 
-    started = time.perf_counter()
     cover_edges, traces = _realized_traces(inst, d, ceilings)
     spec = rep.spec
     size_d_traces = tuple(t for t in traces if len(t) == d)
@@ -242,8 +237,7 @@ def algebraic_kernel(
     }
     traces = [t for t in traces if len(t) < d or t in kept]
     return _build_kernel(
-        inst, cover_edges, traces, stats, started,
-        basis=selection, basis_traces=size_d_traces,
+        inst, cover_edges, traces, stats, basis=selection, basis_traces=size_d_traces
     )
 
 
@@ -296,47 +290,32 @@ def kernel_size_report(result: KernelResult) -> dict:
 # Instance / kernel-result files
 # ---------------------------------------------------------------------------
 
-# Stats keys that vary between otherwise identical runs stay in memory
-# only; serialized output must be byte-identical for identical inputs.
-_VOLATILE_STATS = ("elapsed",)
-
-
 def write_instance(inst: VertexCoverInstance) -> str:
-    text = write_graph(inst.graph)
-    return text + " ".join(["X", *map(str, inst.cover)]) + "\n"
+    return write_graph(inst.graph, [" ".join(["X", *map(str, inst.cover)])])
 
 
 def read_instance(text: str, *, max_vertices: int | None = None) -> VertexCoverInstance:
-    g, extras = parse_graph_lines(text.splitlines(), max_vertices=max_vertices)
+    g, extras = parse_graph_lines(
+        text.splitlines(), tags=("X",), what="instance file", max_vertices=max_vertices
+    )
     cover = None
     for tokens in extras:
-        if tokens[0] == "X":
-            cover = tuple(int(t) for t in tokens[1:])
-        else:
-            raise ValueError(f"unexpected line in instance file: {tokens[0]!r}")
+        cover = tuple(int(t) for t in tokens[1:])
     if cover is None:
         raise ValueError("instance file is missing its X cover line")
     return VertexCoverInstance(g, cover)
 
 
-def serializable_stats(stats: Mapping) -> dict:
-    return {key: val for key, val in stats.items() if key not in _VOLATILE_STATS}
-
-
 def write_kernel_result(result: KernelResult) -> str:
-    lines = [write_graph(result.graph).rstrip("\n")]
-    lines.append(" ".join(["X", *map(str, result.cover)]))
+    lines = [" ".join(["X", *map(str, result.cover)])]
     for v in sorted(result.provenance):
         lines.append(f"S {v} " + " ".join(map(str, result.provenance[v])))
-    lines.append(
-        "STATS "
-        + json.dumps(serializable_stats(result.stats), sort_keys=True, separators=(",", ":"))
-    )
-    return "\n".join(lines) + "\n"
+    lines.append("STATS " + json.dumps(result.stats, sort_keys=True, separators=(",", ":")))
+    return write_graph(result.graph, lines)
 
 
 def read_kernel_result(text: str) -> KernelResult:
-    g, extras = parse_graph_lines(text.splitlines())
+    g, extras = parse_graph_lines(text.splitlines(), tags=("X", "S", "STATS"), what="kernel file")
     cover: tuple[int, ...] = ()
     provenance: dict[int, tuple[int, ...]] = {}
     stats = None
@@ -347,12 +326,10 @@ def read_kernel_result(text: str) -> KernelResult:
             if len(tokens) < 2 or not 0 <= int(tokens[1]) < g.n:
                 raise ValueError(f"S line needs a vertex of the graph: {' '.join(tokens)!r}")
             provenance[int(tokens[1])] = tuple(int(t) for t in tokens[2:])
-        elif tokens[0] == "STATS":
+        else:
             stats = json.loads(" ".join(tokens[1:]))
             if type(stats) is not dict:
                 raise ValueError("kernel file STATS must be a JSON object")
-        else:
-            raise ValueError(f"unexpected line in kernel file: {tokens[0]!r}")
     if stats is None:
         raise ValueError("kernel file is missing its STATS line")
     # the keys kernel_size_report reads

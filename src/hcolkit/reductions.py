@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
-from .errors import CeilingError
+from .errors import CeilingError, InvariantViolation
 from .graphs import Graph, _bits, make_complete, make_path, parse_graph_lines, write_graph
 from .hom import _check_oracle_size, _domains_from_lists, _edge_constraints, _orbit_minima, _search
 from .hom import find_homomorphism  # unused here; perfbench/tracing.py patches it by name
@@ -311,7 +311,7 @@ def reduce_naesat_to_hcol(
             copies += len(pairs)
     expected_copies = _naesat_copy_count(formula, target, q)
     if copies != expected_copies:
-        raise AssertionError(
+        raise InvariantViolation(
             f"built {copies} gadget copies, closed form says {expected_copies}"
         )
 
@@ -327,7 +327,7 @@ def reduce_naesat_to_hcol(
     inst = VertexCoverInstance(Graph.from_rows(rows), tuple(range(cover_size)))
     expected_cover = naesat_cover_size(formula, target, q, gadget)
     if inst.k != expected_cover:
-        raise AssertionError(
+        raise InvariantViolation(
             f"cover has {inst.k} vertices, closed form says {expected_cover}"
         )
     return inst
@@ -391,19 +391,15 @@ def write_dimacs(formula: CnfFormula) -> str:
 
 def write_list_instance(g: Graph, lists: Mapping[int, Iterable[int]]) -> str:
     """Graph file followed by `A v h1 h2 ...` allowed-target lines."""
-    text = write_graph(g).rstrip("\n")
-    lines = [text]
-    for v in sorted(lists):
-        lines.append(f"A {v} " + " ".join(map(str, sorted(set(lists[v])))))
-    return "\n".join(lines) + "\n"
+    return write_graph(
+        g, [f"A {v} " + " ".join(map(str, sorted(set(lists[v])))) for v in sorted(lists)]
+    )
 
 
 def read_list_instance(text: str) -> tuple[Graph, dict[int, tuple[int, ...]]]:
-    g, extras = parse_graph_lines(text.splitlines())
+    g, extras = parse_graph_lines(text.splitlines(), tags=("A",), what="list instance")
     lists: dict[int, tuple[int, ...]] = {}
     for tokens in extras:
-        if tokens[0] != "A":
-            raise ValueError(f"unexpected line in list instance: {tokens[0]!r}")
         if len(tokens) < 2:
             raise ValueError(f"list line without a vertex: {' '.join(tokens)!r}")
         if not 0 <= int(tokens[1]) < g.n:

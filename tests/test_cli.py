@@ -4,6 +4,8 @@ import tracemalloc
 
 import pytest
 
+import hcolkit.cli
+import hcolkit.reductions
 from hcolkit.cli import main
 from hcolkit.graphs import Graph, make_complete, make_cycle, make_petersen, write_graph
 from hcolkit.kernels import VertexCoverInstance, read_kernel_result, write_instance
@@ -541,6 +543,65 @@ def test_cross_process_determinism(files, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+KERNELIZE = ("kernelize", "inst.g", "--target", "c5.g", "--mode")
+
+
+@pytest.mark.parametrize(
+    "argv, patched, code, last_line",
+    [
+        ((*KERNELIZE, "combinatorial", "--q", "2", "--rep", "x.rep"), None, 2,
+         "hcol: --rep applies to the algebraic mode only"),
+        ((*KERNELIZE, "algebraic"), None, 2, "hcol: --mode algebraic needs --rep"),
+        ((*KERNELIZE, "algebraic", "--rep", "x.rep", "--q", "2"), None, 2,
+         "hcol: --q applies to the combinatorial mode only"),
+        (("represent", "--family", "kneser", "--m", "5"), None, 2,
+         "hcol: --family kneser needs --m and --r"),
+        (("represent", "--family", "vandermonde", "--field", "7"), None, 2,
+         "hcol: --family vandermonde needs --graph and --field"),
+        (("represent", "--family", "ortho", "--field", "3"), None, 2,
+         "hcol: --family ortho needs --d and --field"),
+        (("reduce", "--from", "nae-sat", "--target", "k4.g"), None, 2,
+         "hcol: --from nae-sat needs --cnf"),
+        (("reduce", "--from", "list-hcol", "--target", "c5.g"), None, 2,
+         "hcol: --from list-hcol needs --instance"),
+        (("--bogus", "witness", "k4.g"), None, 1,
+         "hcol: error: unrecognized arguments: --bogus"),
+        ((*KERNELIZE, "combinatorial", "--q", "2", "--verify"), "verify_kernel_equivalence", 3,
+         "hcol: invariant violation: kernelization changed target-colorability"),
+    ],
+    ids=[
+        "rep-in-combinatorial", "algebraic-without-rep", "q-in-algebraic",
+        "kneser-without-r", "vandermonde-without-graph", "ortho-without-d",
+        "nae-sat-without-cnf", "list-hcol-without-instance", "usage", "verify-disagrees",
+    ],
+)
+def test_exit_code_contract(files, capsys, monkeypatch, argv, patched, code, last_line):
+    # refused input exits 2 and an internal fault 3, each with one line;
+    # a usage error exits 1 after the usage text
+    if patched:
+        monkeypatch.setattr(hcolkit.cli, patched, lambda *args, **kwargs: False)
+    try:
+        got = main([files.get(arg, arg) for arg in argv])
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, "")
+    if code == 1:
+        assert captured.err.splitlines()[-1] == last_line
+    else:
+        assert captured.err == last_line + "\n"
+
+
+def test_internal_fault_in_a_reduction_exits_3(files, capsys, monkeypatch):
+    monkeypatch.setattr(hcolkit.reductions, "naesat_cover_size", lambda *args: -1)
+    code, out, err = run(
+        capsys, "reduce", "--from", "nae-sat", "--cnf", files["phi4.cnf"], "--target", files["k4.g"],
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("hcol: invariant violation: cover has ")
+    assert err.endswith(" vertices, closed form says -1\n") and err.count("\n") == 1
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -473,7 +473,7 @@ ORBIT_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(ORBIT_GRAPHS))
 def test_orbits_match_brute_force_on_named_graphs(name):
     g = ORBIT_GRAPHS[name]
-    hcolkit.hom._orbit_cache.clear()
+    _orbits.cache_clear()
     assert _orbits(g.rows) == brute_orbits(g)
     if name in ("asymmetric6", "frucht"):
         assert _orbits(g.rows) == tuple(1 << v for v in range(g.n))
@@ -524,7 +524,7 @@ def test_two_pin_cluster_without_a_feasible_image_refutes_its_component(monkeypa
 
 def test_random_target_orbits_need_no_pinned_search(monkeypatch):
     calls = count_searches(monkeypatch)
-    hcolkit.hom._orbit_cache.clear()
+    _orbits.cache_clear()
     assert _orbits(make_random(64, 0).rows) == tuple(1 << v for v in range(64))
     assert calls == []
 

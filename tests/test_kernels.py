@@ -359,9 +359,7 @@ def test_kernel_result_file_round_trip():
     back = read_kernel_result(text)
     assert back.graph == res.graph
     assert back.provenance == res.provenance
-    assert back.stats == {
-        key: val for key, val in res.stats.items() if key != "elapsed"
-    }
+    assert back.stats == res.stats
 
 
 @pytest.mark.parametrize(

@@ -75,8 +75,7 @@ def test_unknown_tag_is_refused_by_name(reader):
     READERS[reader](text)
     with pytest.raises(ValueError) as exc:
         READERS[reader](text + "Q 1\n")
-    tag = "'Q 1'" if reader == "read_graph" else "'Q'"
-    assert str(exc.value) == f"unexpected line in {what}: {tag}"
+    assert str(exc.value) == f"unexpected line in {what}: 'Q'"
 
 
 @pytest.mark.parametrize("reader", sorted(TAGGED_FORMATS))
