@@ -43,7 +43,6 @@ from .reductions import (
     reduce_naesat_to_hcol,
 )
 from .reps import (
-    as_independent,
     check_faithful,
     kneser_field_threshold,
     kneser_rep,
@@ -170,20 +169,6 @@ def _cmd_witness(args, ceilings: Ceilings) -> int:
     return 0
 
 
-def _load_normalized_rep(path: str, target: Graph, seed: int, ceilings: Ceilings):
-    rep = rep_from_json(_read(path), target, ceilings=ceilings)
-    report = check_faithful(rep)
-    if not report:
-        raise ValueError(f"representation in {path} is not faithful: {report.counterexample}")
-    if rep.kind != "independent":
-        rep = as_independent(rep)
-        if not check_faithful(rep):
-            raise ValueError("orthogonal representation fails as independent")
-    if not rep.has_unit_first_entries() or rep.spec.order <= target.n:
-        rep = normalize_first_entry(rep, seed=seed, ceilings=ceilings)
-    return rep
-
-
 def _cmd_kernelize(args, ceilings: Ceilings) -> int:
     # the verify step's oracle refuses a larger instance or target anyway;
     # refuse it before building its rows
@@ -216,18 +201,20 @@ def _cmd_kernelize(args, ceilings: Ceilings) -> int:
             raise ValueError("--mode algebraic needs --rep")
         if args.q is not None:
             raise ValueError("--q applies to the combinatorial mode only")
-        rep = _load_normalized_rep(args.rep, target, args.seed, ceilings)
+        rep = rep_from_json(_read(args.rep), target, ceilings=ceilings)
+        report = check_faithful(rep)
+        if not report:
+            raise ValueError(
+                f"representation in {args.rep} is not faithful: {report.counterexample}"
+            )
+        rep = normalize_first_entry(rep, seed=args.seed, ceilings=ceilings)
         result = algebraic_kernel(inst, target, rep, rep.d, ceilings=ceilings)
-    verified = None
-    if args.verify:
-        agree = verify_kernel_equivalence(inst, result, target, ceilings=ceilings)
-        if not agree:
-            raise InvariantViolation("kernelization changed target-colorability")
-        verified = True
+    if args.verify and not verify_kernel_equivalence(inst, result, target, ceilings=ceilings):
+        raise InvariantViolation("kernelization changed target-colorability")
     _emit(write_kernel_result(result), args.out)
     stats = dict(result.stats)
-    if verified is not None:
-        stats["verified_equivalent"] = verified
+    if args.verify:
+        stats["verified_equivalent"] = True
     stats_text = json.dumps(stats, sort_keys=True) + "\n"
     if args.stats:
         _emit(stats_text, args.stats)

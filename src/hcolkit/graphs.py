@@ -58,9 +58,14 @@ class Graph:
         self.n = n
         self.rows: tuple[int, ...] = tuple(rows)
         if labels:
-            for v in labels:
+            for v, text in labels.items():
                 if not 0 <= v < n:
                     raise ValueError(f"label for out-of-range vertex {v}")
+                # the text format keeps only this form of a label
+                if text != " ".join(text.split()):
+                    raise ValueError(
+                        f"label of vertex {v} must be single-spaced text, got {text!r}"
+                    )
         self.labels: dict[int, str] = dict(labels) if labels else {}
 
     @classmethod

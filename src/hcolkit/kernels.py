@@ -300,6 +300,8 @@ def read_instance(text: str, *, max_vertices: int | None = None) -> VertexCoverI
     )
     cover = None
     for tokens in extras:
+        if cover is not None:
+            raise ValueError("repeated line in instance file: 'X'")
         cover = tuple(int(t) for t in tokens[1:])
     if cover is None:
         raise ValueError("instance file is missing its X cover line")
@@ -316,17 +318,24 @@ def write_kernel_result(result: KernelResult) -> str:
 
 def read_kernel_result(text: str) -> KernelResult:
     g, extras = parse_graph_lines(text.splitlines(), tags=("X", "S", "STATS"), what="kernel file")
-    cover: tuple[int, ...] = ()
+    cover = None
     provenance: dict[int, tuple[int, ...]] = {}
     stats = None
     for tokens in extras:
         if tokens[0] == "X":
+            if cover is not None:
+                raise ValueError("repeated line in kernel file: 'X'")
             cover = tuple(int(t) for t in tokens[1:])
         elif tokens[0] == "S":
             if len(tokens) < 2 or not 0 <= int(tokens[1]) < g.n:
                 raise ValueError(f"S line needs a vertex of the graph: {' '.join(tokens)!r}")
-            provenance[int(tokens[1])] = tuple(int(t) for t in tokens[2:])
+            v = int(tokens[1])
+            if v in provenance:
+                raise ValueError(f"repeated line in kernel file: 'S {v}'")
+            provenance[v] = tuple(int(t) for t in tokens[2:])
         else:
+            if stats is not None:
+                raise ValueError("repeated line in kernel file: 'STATS'")
             stats = json.loads(" ".join(tokens[1:]))
             if type(stats) is not dict:
                 raise ValueError("kernel file STATS must be a JSON object")
@@ -338,7 +347,7 @@ def read_kernel_result(text: str) -> KernelResult:
     for key in ("k", _exponent_key(stats), "vertex_bound", "bit_size_estimate"):
         if type(stats.get(key)) is not int:
             raise ValueError(f"kernel file STATS needs an int {key!r}")
-    result = KernelResult(graph=g, cover=cover, provenance=provenance, stats=stats)
+    result = KernelResult(graph=g, cover=cover or (), provenance=provenance, stats=stats)
     fault = result._mismatch()
     if fault is not None:
         raise ValueError(f"kernel file disagrees with its graph: {fault}")

@@ -404,5 +404,8 @@ def read_list_instance(text: str) -> tuple[Graph, dict[int, tuple[int, ...]]]:
             raise ValueError(f"list line without a vertex: {' '.join(tokens)!r}")
         if not 0 <= int(tokens[1]) < g.n:
             raise ValueError(f"list line needs a vertex of the graph: {' '.join(tokens)!r}")
-        lists[int(tokens[1])] = tuple(int(t) for t in tokens[2:])
+        v = int(tokens[1])
+        if v in lists:
+            raise ValueError(f"repeated line in list instance: 'A {v}'")
+        lists[v] = tuple(int(t) for t in tokens[2:])
     return g, lists

@@ -12,8 +12,9 @@ Constructions provided:
 * ``vandermonde_rep`` - moment-curve vectors (1, a, a^2, ...) of
   dimension max-degree + 1; any d of them are linearly independent, so
   faithfulness is automatic.
-* ``normalize_first_entry`` - an invertible change of basis over a
-  large enough extension field making every first entry 1: the first
+* ``normalize_first_entry`` - the kernel's input from either kind: an
+  invertible change of basis over a large enough extension field making
+  every first entry 1 (none when they already are): the first
   coordinate becomes <y, x> for a y non-orthogonal to all
   representation vectors (e_1, or found by seeded sample-and-verify),
   the others are kept except the one at y's last nonzero index.
@@ -121,11 +122,6 @@ def check_faithful(rep: Representation) -> FaithfulnessReport:
     return FaithfulnessReport(True) if bad is None else FaithfulnessReport(False, (*bad, False))
 
 
-def as_independent(rep: Representation) -> Representation:
-    """Reinterpret an orthogonal representation as an independent one."""
-    return Representation(rep.graph, rep.spec, rep.d, rep.vectors, INDEPENDENT)
-
-
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
@@ -162,19 +158,21 @@ def normalize_first_entry(
     seed: int = 0,
     ceilings: Ceilings = DEFAULT_CEILINGS,
 ) -> Representation:
-    """Equivalent faithful representation with every first entry equal to 1.
+    """Equivalent faithful independent representation with every first
+    entry 1 over a field of order above n; takes either kind.
 
-    Moves to the smallest extension field K with |K| > n, finds y with
-    <y, x_v> != 0 for all v (e_1 is tried first, then seeded random
-    sampling with verification), and maps each x to <y, x> followed by
-    the entries of x except the one at y's last nonzero index: the
-    invertible matrix whose rows are y and the other standard basis
-    vectors.  Each image is rescaled to unit first entry.  Fails hard
-    when the retry cap is exhausted.
+    One already so keeps its field and vectors, which the steps below
+    would map to themselves.  Otherwise moves to the smallest extension
+    field K with |K| > n, finds y with <y, x_v> != 0 for all v (e_1 is
+    tried first, then seeded random sampling with verification), and
+    maps each x to <y, x> followed by the entries of x except the one at
+    y's last nonzero index: the invertible matrix whose rows are y and
+    the other standard basis vectors.  Each image is rescaled to unit
+    first entry.  Fails hard when the retry cap is exhausted.
     """
-    if rep.kind != INDEPENDENT:
-        raise ValueError("normalization expects an independent representation")
     g = rep.graph
+    if rep.has_unit_first_entries() and rep.spec.order > g.n:
+        return Representation(g, rep.spec, rep.d, rep.vectors, INDEPENDENT)
     ext, embed = field_extension_above(rep.spec, g.n, ceilings=ceilings)
     vecs = [tuple(embed(x) for x in vec) for vec in rep.vectors]
     d = rep.d

@@ -11,7 +11,7 @@ from hcolkit.graphs import Graph, make_complete, make_cycle, make_petersen, writ
 from hcolkit.kernels import VertexCoverInstance, read_kernel_result, write_instance
 from hcolkit.reductions import CnfFormula, write_dimacs, write_list_instance
 from hcolkit.gf import field_make
-from hcolkit.reps import rep_from_json, rep_to_json, vandermonde_rep
+from hcolkit.reps import kneser_rep, rep_from_json, rep_to_json, vandermonde_rep
 
 
 @pytest.fixture
@@ -389,6 +389,22 @@ def test_represent_graph_out_feeds_kernelize(files, capsys, tmp_path):
     assert stats["verified_equivalent"] is True
     # the raw orthogonal representation over GF(2) was normalized into GF(8)
     assert stats["field_order"] == 8
+
+
+def test_unfaithful_rep_is_refused_by_its_first_pair(files, capsys, tmp_path):
+    # a K(5,2) representation with vector 0 replaced by vector 1: 0 now lies
+    # in the span of the neighbors of vertex 5, which is not adjacent to it
+    payload = json.loads(rep_to_json(kneser_rep(5, 2, field_make(163, 1), seed=0)))
+    payload["vectors"][0] = payload["vectors"][1]
+    rep_path = tmp_path / "dup.rep"
+    rep_path.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys,
+        "kernelize", files["inst.g"], "--target", files["petersen.g"],
+        "--mode", "algebraic", "--rep", str(rep_path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"hcol: representation in {rep_path} is not faithful: (0, 5, False)\n"
 
 
 def test_represent_field_too_small(files, capsys):

@@ -125,6 +125,27 @@ def test_comments_and_labels():
     assert g.labels == {0: "origin"}
 
 
+# every separator str.splitlines breaks a line at
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"a{sep}X 1" for sep in LINE_BREAKS] + ["a\tb", "a  b", " a", "a "],
+)
+def test_label_the_text_format_would_not_keep_is_refused(text):
+    with pytest.raises(ValueError) as exc:
+        Graph(2, [(0, 1)], {1: text})
+    assert str(exc.value) == f"label of vertex 1 must be single-spaced text, got {text!r}"
+
+
+@pytest.mark.parametrize("text", ["", "a", "{1,2}", "(0,1,2)", "a b c", "π ≠ 3"])
+def test_accepted_label_round_trips(text):
+    g = Graph(3, [(0, 1)], {0: text, 2: "x"})
+    back = read_graph(write_graph(g))
+    assert back == g and back.labels == g.labels
+
+
 def test_induced_subgraph():
     p = make_petersen()
     sub = p.induced_subgraph([0, 1, 2, 5])

@@ -245,11 +245,11 @@ def test_algebraic_over_cubic_extension_field():
     # an 18-vertex orthogonality target forces GF(27) as the working field,
     # driving determinant polynomials and basis selection through a degree-3
     # extension
-    from hcolkit.reps import as_independent, ortho_graph
+    from hcolkit.reps import ortho_graph
 
     og = ortho_graph(field_make(3, 1), 3)
     assert og.graph.n == 18
-    rep = normalize_first_entry(as_independent(og))
+    rep = normalize_first_entry(og)
     assert rep.spec.order == 27
     rng = random.Random(78)
     dropped_seen = 0
@@ -385,9 +385,19 @@ def test_kernel_result_file_round_trip():
          "string-vertex-bound", "no-bit-size"),
 )
 def test_kernel_result_file_refusals(tail, message):
-    # the lines after the graph and cover of a kernel file, <stats> its STATS line
+    # the lines after the graph, cover and provenance of a kernel file,
+    # <stats> its STATS line; an X or S line of `tail` takes the place of
+    # the file's line for the same vertex, as a repeated line is refused
     text = write_kernel_result(combinatorial_kernel(full_trace_instance(4), 2))
     head, stats = text.split("STATS ")
+    tail = tail.replace("<stats>", "STATS " + stats)
+
+    def key(line):
+        tokens = line.split()
+        return tokens[:2] if tokens[0] == "S" else tokens[:1]
+
+    replaced = [key(line) for line in tail.splitlines()]
+    kept = [line for line in head.splitlines(keepends=True) if key(line) not in replaced]
     with pytest.raises(ValueError, match=message):
-        read_kernel_result(head + tail.replace("<stats>", "STATS " + stats))
+        read_kernel_result("".join(kept) + tail)
 

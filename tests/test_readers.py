@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcolkit.errors import HcolError
-from hcolkit.graphs import Graph, make_cycle, read_graph
+from hcolkit.graphs import Graph, make_cycle, make_path, read_graph
 from hcolkit.kernels import (
     VertexCoverInstance,
     combinatorial_kernel,
@@ -85,4 +85,41 @@ def test_edge_count_is_reported_before_an_unknown_tag(reader):
     n, m = map(int, header.split())
     with pytest.raises(ValueError) as exc:
         READERS[reader](f"{n} {m + 1}\n{rest}Q 1\n")
+    assert str(exc.value) == f"header promises {m + 1} edges, found {m}"
+
+
+KERNEL_TEXT = write_kernel_result(
+    combinatorial_kernel(VertexCoverInstance(make_path(5), (1, 3)), 1)
+)
+
+# (reader, a file that repeats a tagged line, the repeated line as refused)
+REPEATS = [
+    ("read_instance", "2 1\n0 1\nX 0\nX 1\n", "instance file: 'X'"),
+    ("read_list_instance", "3 1\n0 1\nA 2 0\nA 2 1\n", "list instance: 'A 2'"),
+    # vertices are compared as numbers
+    ("read_list_instance", "3 1\n0 1\nA 2 0\nA 02 1\n", "list instance: 'A 2'"),
+    ("read_kernel_result", KERNEL_TEXT + "X 0 1\n", "kernel file: 'X'"),
+    ("read_kernel_result", KERNEL_TEXT + "S 3 1\n", "kernel file: 'S 3'"),
+    (
+        "read_kernel_result",
+        KERNEL_TEXT + KERNEL_TEXT.splitlines()[-1].replace('"q":1', '"q":9') + "\n",
+        "kernel file: 'STATS'",
+    ),
+]
+REPEAT_IDS = [repeated for _, _, repeated in REPEATS]
+
+
+@pytest.mark.parametrize("reader, text, repeated", REPEATS, ids=REPEAT_IDS)
+def test_repeated_tagged_line_is_refused(reader, text, repeated):
+    with pytest.raises(ValueError) as exc:
+        READERS[reader](text)
+    assert str(exc.value) == f"repeated line in {repeated}"
+
+
+@pytest.mark.parametrize("reader, text, repeated", REPEATS, ids=REPEAT_IDS)
+def test_edge_count_is_reported_before_a_repeated_line(reader, text, repeated):
+    header, rest = text.split("\n", 1)
+    n, m = map(int, header.split())
+    with pytest.raises(ValueError) as exc:
+        READERS[reader](f"{n} {m + 1}\n{rest}")
     assert str(exc.value) == f"header promises {m + 1} edges, found {m}"

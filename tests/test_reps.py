@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -32,7 +33,6 @@ from hcolkit.graphs import (
 from hcolkit.reps import (
     _neighborhood_ranks,
     Representation,
-    as_independent,
     check_faithful,
     inner_product,
     kneser_field_threshold,
@@ -284,8 +284,40 @@ def test_ortho_graph_gf2_dim3():
     # exactly the odd-support vectors of GF(2)^3
     assert rep.graph.n == 4
     assert check_faithful(rep).ok
-    assert check_faithful(as_independent(rep)).ok
+    assert check_faithful(replace(rep, kind="independent")).ok
     assert witness_number(rep.graph).q <= 3
+
+
+def test_normalization_takes_an_orthogonal_representation():
+    rep = ortho_graph(field_make(3, 1), 3, projective=True)
+    out = normalize_first_entry(rep)
+    assert out.kind == "independent" and out.has_unit_first_entries()
+    assert out.spec.order > rep.graph.n and out.graph == rep.graph
+    assert check_faithful(out).ok
+
+
+def test_normalization_keeps_a_kernel_ready_representation():
+    ready = normalize_first_entry(kneser_rep(5, 2, field_make(163, 1), seed=0))
+    assert normalize_first_entry(ready, seed=3) == ready
+    # an orthogonal one, ready as it is: (1, 1) and (1, -1) over GF(5)
+    spec = field_make(5, 1)
+    one = spec.one
+    rep = Representation(Graph(2, [(0, 1)]), spec, 2, ((one, one), (one, -one)), "orthogonal")
+    assert check_faithful(rep).ok
+    out = normalize_first_entry(rep)
+    assert (out.spec, out.vectors, out.kind) == (rep.spec, rep.vectors, "independent")
+
+
+@pytest.mark.parametrize("drop", [True, False], ids=["orthogonal-pair-dropped", "pair-added"])
+def test_orthogonal_counterexample_is_the_first_wrong_pair(drop):
+    rep = ortho_graph(field_make(3, 1), 3, projective=True)
+    assert check_faithful(rep).ok
+    g = rep.graph
+    # toggle the first edge (drop) or the first non-edge of the true graph
+    u, v = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v) == drop)
+    report = check_faithful(replace(rep, graph=Graph(g.n, set(g.edges()) ^ {(u, v)})))
+    # the pair, with whether the changed graph makes it an edge
+    assert not report.ok and report.counterexample == (u, v, not drop)
 
 
 def test_ortho_graph_projective_reduction():
@@ -373,7 +405,7 @@ def normalization_bases(spec, rng):
     """Small faithful independent representations over `spec`."""
     bases = [vandermonde_rep(make_random(n, rng.randrange(100)), spec) for n in range(1, min(spec.order, 5) + 1)]
     if spec.order <= 8:
-        bases += [as_independent(ortho_graph(spec, d, projective=True)) for d in (2, 3)]
+        bases += [replace(ortho_graph(spec, d, projective=True), kind="independent") for d in (2, 3)]
     return [rep for rep in bases if rep.graph.n <= 12]
 
 
@@ -448,7 +480,7 @@ def test_petersen_fixture_over_prime_fields(p):
                 assert dot % p != 0
     rep = petersen_orthogonal_rep(field_make(p, 1))
     assert check_faithful(rep).ok
-    assert check_faithful(as_independent(rep)).ok
+    assert check_faithful(replace(rep, kind="independent")).ok
 
 
 def test_faithful_dimension_bounds_witness_number():
@@ -457,7 +489,7 @@ def test_faithful_dimension_bounds_witness_number():
         vandermonde_rep(make_cycle(6), field_make(7, 1)),
         vandermonde_rep(make_complete(4), field_make(5, 1)),
         kneser_rep(5, 2, field_make(163, 1), seed=0),
-        as_independent(ortho_graph(field_make(2, 1), 3)),
+        replace(ortho_graph(field_make(2, 1), 3), kind="independent"),
     ]
     for rep in cases:
         assert check_faithful(rep).ok
