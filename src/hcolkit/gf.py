@@ -40,7 +40,9 @@ row of its least key, clear that key by adding the row times the
 key's entry (one multiply-add per entry), and stop at the first least
 key that has no stored row.
 Elimination keeps no certificates, so :func:`greedy_kept` (the kept
-set alone) and :func:`matrix_rank` pay only for the reduction.
+set alone) and :func:`matrix_rank` pay only for the reduction;
+:func:`greedy_kept` given the dimension of a space holding every row
+stops drawing rows once it has kept that many.
 :func:`greedy_basis` also returns for every dropped row its
 coordinates over the kept rows.  It gets them from one more pass of the
 same elimination, over the rows each extended by a unit entry under a
@@ -49,7 +51,7 @@ dropped row's remainder are its coordinates, negated.  Both the kept
 rows and the coordinates are unique, so they are those of a full
 reduction.  ``SpanBasis`` inserts or only reduces vectors, for span
 membership, which ``reps`` checks on neighbourhood spans; ``polys``
-selects boundary rows keyed by face or polynomials keyed by monomial,
+selects boundary rows keyed by face bitmask or polynomials keyed by monomial,
 and reads their certificates only on demand.
 """
 
@@ -58,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError, InvariantViolation
@@ -566,11 +568,17 @@ def int_vector(vec: Sequence[FieldElement]) -> dict[int, int]:
     return {j: i for j, x in enumerate(vec) if (i := x.to_index())}
 
 
-def greedy_kept(spec: FieldSpec, rows: Iterable[dict]) -> list[int]:
-    """Indices of the int-encoded `rows` that a greedy basis keeps, in order."""
+def greedy_kept(spec: FieldSpec, rows: Iterable[dict], rank: Optional[int] = None) -> list[int]:
+    """Indices of the int-encoded `rows` that a greedy basis keeps, in order.
+
+    `rank`, when given, is the dimension of a space that holds every row:
+    once that many rows are kept they span it, so every later row would
+    be dropped, and none is drawn from `rows`.
+    """
     elim = Elimination(spec)
     for i, row in enumerate(rows):
-        elim.insert(row, i)
+        if elim.insert(row, i) and len(elim.kept) == rank:
+            break
     return elim.kept
 
 

@@ -270,7 +270,13 @@ def make_random(n: int, seed: int) -> Graph:
 def write_graph(g: Graph, tagged: Iterable[str] = ()) -> str:
     """The graph file of `g`, then the `tagged` lines of a format built on it."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    # the edges in Graph.edges() order, read off each row's upper bits inline
+    for u, row in enumerate(g.rows):
+        upper = row >> (u + 1) << (u + 1)
+        while upper:
+            low = upper & -upper
+            lines.append(f"{u} {low.bit_length() - 1}")
+            upper ^= low
     for v in sorted(g.labels):
         lines.append(f"L {v} {g.labels[v]}")
     lines.extend(tagged)

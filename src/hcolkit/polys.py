@@ -13,7 +13,11 @@ the d chosen columns, by cofactors along the unit row: det_poly(T) =
 sum_j (-1)^j M_{T - t_j}, where the minors M_S of distinct (d-1)-sets
 have disjoint supports.  So the polynomials have the linear relations
 of the +-1 rows of the simplicial boundary matrix, and the kernel's
-greedy basis is selected on those rows (``boundary_basis_select``).
+greedy basis is selected on those rows (``boundary_basis_select``),
+each face keyed by its vertex bitmask.  The rows lie in the space of
+the (d-1)-faces on the trace vertices V other than the cone vertex 0,
+of dimension C(|V - {0}|, d-1), so the selection stops once it has kept
+that many: every later row is dropped without being built or reduced.
 The polynomials are the certificate to check it against:
 ``poly_basis_select`` keeps the same sets with the same certificates.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
+from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .gf import FieldElement, FieldSpec, greedy_basis, greedy_kept
@@ -192,24 +197,38 @@ def poly_basis_select(polys: Sequence[SparsePoly]) -> BasisSelection:
 def boundary_basis_select(traces: Sequence[Sequence[int]], spec: FieldSpec) -> BasisSelection:
     """``poly_basis_select`` of the ``det_poly``s of the d-sets `traces`,
     computed on their boundary rows: T = (t_0 < ... < t_{d-1}) has the
-    entry (-1)^j on the face T - t_j.
+    entry (-1)^j on the face T - t_j, keyed by its vertex bitmask.
 
     Each row drops the faces that contain the cone vertex 0: every
     boundary is a cycle, and a cycle is fixed by its faces that avoid the
-    cone vertex, so the linear relations stay the same.
+    cone vertex, so the linear relations stay the same.  Every row then
+    lies in the space of the (d-1)-faces on the trace vertices other than
+    0, of dimension C(|V - {0}|, d-1); once that many rows are kept, the
+    later ones are dropped without being built.  ``rows`` still builds
+    them all, for the certificates.
     """
 
     minus_one = spec.ops.neg(1)
 
     def row(trace: Sequence[int]) -> dict:
         t = sorted(trace)
+        mask = 0
+        for v in t:
+            mask |= 1 << v
         if t[0] == 0:  # the one face that avoids the cone vertex
-            return {tuple(t[1:]): 1}
-        return {tuple(t[:j] + t[j + 1 :]): minus_one if j % 2 else 1 for j in range(len(t))}
+            return {mask ^ 1: 1}
+        return {mask ^ (1 << v): minus_one if j % 2 else 1 for j, v in enumerate(t)}
 
-    return _selection(spec, lambda: map(row, traces))
+    sizes = {len(t) for t in traces}
+    if len(sizes) > 1:  # the stop below counts the faces of one size
+        raise ValueError("traces of mixed size")
+    rank = comb(len(set().union(*traces) - {0}), sizes.pop() - 1) if traces else None
+    return _selection(spec, lambda: map(row, traces), rank)
 
 
-def _selection(spec: FieldSpec, rows: Callable[[], Iterable[dict]]) -> BasisSelection:
-    """The kept set of the int-encoded rows that `rows` generates."""
-    return BasisSelection(kept=tuple(greedy_kept(spec, rows())), spec=spec, rows=rows)
+def _selection(
+    spec: FieldSpec, rows: Callable[[], Iterable[dict]], rank: Optional[int] = None
+) -> BasisSelection:
+    """The kept set of the int-encoded rows that `rows` generates, which
+    lie in a space of dimension `rank` when it is given."""
+    return BasisSelection(kept=tuple(greedy_kept(spec, rows(), rank)), spec=spec, rows=rows)

@@ -66,6 +66,8 @@ class Representation:
     def __post_init__(self):
         if self.kind not in (INDEPENDENT, ORTHOGONAL):
             raise ValueError(f"unknown representation kind {self.kind!r}")
+        if self.d < 1:
+            raise ValueError(f"representation dimension must be at least 1, got {self.d}")
         if len(self.vectors) != self.graph.n:
             raise ValueError("one vector per vertex required")
         for vec in self.vectors:

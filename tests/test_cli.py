@@ -407,6 +407,20 @@ def test_unfaithful_rep_is_refused_by_its_first_pair(files, capsys, tmp_path):
     assert err == f"hcol: representation in {rep_path} is not faithful: (0, 5, False)\n"
 
 
+def test_zero_dimensional_rep_is_refused(files, capsys, tmp_path):
+    payload = json.loads(rep_to_json(kneser_rep(5, 2, field_make(163, 1), seed=0)))
+    payload.update(d=0, kind="orthogonal", vectors=[[] for _ in payload["vectors"]])
+    rep_path = tmp_path / "zero.rep"
+    rep_path.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys,
+        "kernelize", files["inst.g"], "--target", files["petersen.g"],
+        "--mode", "algebraic", "--rep", str(rep_path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "hcol: representation dimension must be at least 1, got 0\n"
+
+
 def test_represent_field_too_small(files, capsys):
     code, _, err = run(
         capsys, "represent", "--family", "kneser", "--m", "5", "--r", "2",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hcolkit.polys
 from conftest import leibniz_determinant, reference_rank, reference_row_reduce
 from hcolkit.gf import field_make
 from hcolkit.polys import SparsePoly, boundary_basis_select, det_poly, poly_basis_select
@@ -177,6 +178,83 @@ def test_boundary_selection_equals_poly_selection(spec, data):
 def test_boundary_rank_on_all_d_sets(spec, k, d):
     sel = boundary_basis_select(list(combinations(range(k), d)), spec)
     assert len(sel.kept) == comb(k - 1, d - 1)
+
+
+def test_boundary_selection_refuses_mixed_sizes():
+    # poly_basis_select refuses the mixed degrees of their polynomials
+    with pytest.raises(ValueError, match="mixed size"):
+        boundary_basis_select([(0, 1, 2), (1, 2, 3), (1, 2, 3, 4)], GF7)
+
+
+def _count_drawn_rows(monkeypatch) -> list:
+    """The rows that boundary_basis_select draws for its kept set, as drawn."""
+    drawn = []
+    greedy_kept = hcolkit.polys.greedy_kept
+
+    def counting(spec, rows, rank=None):
+        def draw():
+            for row in rows:
+                drawn.append(row)
+                yield row
+        return greedy_kept(spec, draw(), rank)
+
+    monkeypatch.setattr(hcolkit.polys, "greedy_kept", counting)
+    return drawn
+
+
+@pytest.mark.parametrize("k, d", [(7, 3), (7, 4)])
+def test_selection_draws_rows_until_the_face_space_is_spanned(monkeypatch, k, d):
+    drawn = _count_drawn_rows(monkeypatch)
+    dimension = comb(k - 1, d - 1)  # C(|V - {0}|, d-1)
+    traces = list(combinations(range(k), d))
+    for seed in range(4):
+        full = poly_basis_select([det_poly(t, d, GF7) for t in traces]).kept
+        drawn.clear()
+        sel = boundary_basis_select(traces, GF7)
+        assert sel.kept == full and len(full) == dimension
+        assert len(drawn) == full[-1] + 1
+        if seed == 0:  # lexicographic: the d-sets on vertex 0 come first
+            assert len(drawn) == dimension
+        random.Random(seed).shuffle(traces)
+
+
+def _trace_lists(k: int, d: int, rng: random.Random):
+    """Three lists of d-sets of range(k), each with the rank of its rows:
+    all d-sets, whose rows span the C(k-1, d-1) faces that avoid vertex
+    0; those that do not hold the face F = {1..d-1}, whose rows span the
+    other faces, one short; those that avoid vertex 0, rank C(k-2, d-1)."""
+    saturating = list(combinations(range(k), d))
+    rng.shuffle(saturating)
+    face = set(range(1, d))
+    short = [t for t in saturating if not face <= set(t)]
+    avoiding = [t for t in saturating if 0 not in t]
+    dimension = comb(k - 1, d - 1)
+    return [(saturating, dimension), (short, dimension - 1), (avoiding, comb(k - 2, d - 1))]
+
+
+@pytest.mark.parametrize("spec", [field_make(163, 1), field_make(2, 8)], ids=str)
+@pytest.mark.parametrize("d", [3, 4])
+def test_stopped_selection_equals_poly_selection(spec, d):
+    k = d + 3
+    for traces, rank in _trace_lists(k, d, random.Random(d)):
+        assert set().union(*traces) - {0} == set(range(1, k))
+        sel = boundary_basis_select(traces, spec)
+        assert sel.kept == poly_basis_select([det_poly(t, d, spec) for t in traces]).kept
+        assert len(sel.kept) == rank
+
+
+@pytest.mark.parametrize("spec", [field_make(163, 1), field_make(2, 8)], ids=str)
+@pytest.mark.parametrize("d", [3, 4])
+def test_rows_dropped_after_the_stop_are_rebuilt(spec, d):
+    traces = list(combinations(range(d + 3), d))
+    random.Random(d).shuffle(traces)
+    sel = boundary_basis_select(traces, spec)
+    polys = [det_poly(t, d, spec) for t in traces]
+    after_stop = range(sel.kept[-1] + 1, len(traces))
+    assert len(sel.kept) == comb(d + 2, d - 1) and after_stop
+    assert set(after_stop) <= set(sel.certificates)
+    for i in after_stop:
+        assert sel.reconstruct(polys, i) == polys[i]
 
 
 @pytest.mark.parametrize("spec", [GF7, GF8], ids=str)
