@@ -34,6 +34,35 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _rows_are_simple(rows: Sequence[int], n: int) -> bool:
+    """True iff `rows` are the adjacency rows of a simple graph on n
+    vertices; raises nothing.
+
+    Each row must lie below bit n and miss its own bit.  A negative row
+    fails the first test too (``row >> n`` keeps its sign), so the walk
+    below, which would never end on one, never sees one.  Only the upper
+    entries (u > v in row v) are walked, each checked for its mirror;
+    their mirrors are distinct lower entries, so when the upper entries
+    are half of all entries, every lower entry is a mirror too.
+    """
+    upper_entries = entries = 0
+    for v, row in enumerate(rows):
+        if row >> n or row >> v & 1:
+            return False
+        entries += row.bit_count()
+        upper = row >> (v + 1)
+        upper_entries += upper.bit_count()
+        u = v
+        while upper:
+            # shift the next upper entry u out of the bits still to walk
+            step = (upper & -upper).bit_length()
+            u += step
+            upper >>= step
+            if not rows[u] >> v & 1:
+                return False
+    return 2 * upper_entries == entries
+
+
 class Graph:
     """A finite simple undirected graph on vertices 0..n-1."""
 
@@ -78,6 +107,9 @@ class Graph:
         return g
 
     def _check_rows(self) -> None:
+        if _rows_are_simple(self.rows, self.n):
+            return
+        # the scan that names the first fault
         full = (1 << self.n) - 1
         for v, row in enumerate(self.rows):
             if row & ~full:

@@ -33,10 +33,19 @@ modules, without affecting exactness:
 * low-degree "clusters" (connected sets of vertices attached to the
   rest of the graph through at most two higher-degree vertices) are
   compiled into unary/binary constraint tables between their boundary
-  vertices and re-expanded after the main search.  One walk over each
-  member's neighbours finds a cluster; its signature is the member
-  domains, each member's row over the members and then the boundary,
-  and the boundary size.  Compilation, ``_cluster_images``, searches
+  vertices and re-expanded after the main search.  One bitmask walk
+  over the low-degree vertices not yet placed finds each cluster.  Within one
+  component, a cluster is first keyed by its shape: the member mask
+  and each member's row over the members, both shifted down to the
+  least member, with the member's attachments to the boundary in two
+  low bits, plus the boundary size and, when lists narrow the
+  component, the member domains.  Only the first cluster of each shape
+  builds the signature that keys ``_cluster_cache`` across calls: the
+  member domains, each member's row over the members numbered by rank
+  and then the boundary, and the boundary size.  (Keying the cache by
+  shape would split its entries: a cluster of a list reduction holds
+  original vertices far from its gadget interior, so equal signatures
+  come in many shapes.)  Compilation, ``_cluster_images``, searches
   the cluster once at every image of the boundary and keeps the first
   solution at each feasible one; the tables are read off those images,
   and re-expansion looks up the images the main search chose.  A
@@ -45,7 +54,8 @@ modules, without affecting exactness:
   the main search as one constraint group per direction beside the
   edge group, where arc consistency prunes by it.  Gadget interiors and
   kernel pendant vertices disappear from the search this way, and
-  clusters with equal signatures (gadget copies) share one compilation.
+  clusters with equal signatures share one compilation, while the
+  copies of one gadget share one signature lookup.
 
 The residual search orders vertices by descending total constraint
 tightness, which is plain descending degree on uncompiled graphs;
@@ -386,45 +396,73 @@ class _ComponentSolver:
     # -- preprocessing --------------------------------------------------
 
     def split_clusters(self) -> bool:
-        g = self.g
-        pins = {v for v in self.comp if g.degree(v) >= _PIN_DEGREE}
+        rows = self.g.rows
+        pins = soft = 0
+        for v in self.comp:
+            if rows[v].bit_count() >= _PIN_DEGREE:
+                pins |= 1 << v
+            else:
+                soft |= 1 << v
         if not pins:
             self.residual = list(self.comp)
             return True
         # the component is connected, so every soft region touches a pin
-        soft = [v for v in self.comp if v not in pins]
-        seen: set[int] = set()
-        residual_extra: list[int] = []
-        for start in soft:
-            if start in seen:
-                continue
-            seen.add(start)
-            queue = [start]
-            adj: dict[int, list[int]] = {}  # member -> its neighbours
-            boundary: set[int] = set()
-            while queue:
-                v = queue.pop()
-                adj[v] = nbrs = list(_bits(g.rows[v]))
-                for u in nbrs:
-                    if u in pins:
-                        boundary.add(u)
-                    elif u not in seen:
-                        seen.add(u)
-                        queue.append(u)
-            if len(boundary) <= 2 and len(adj) <= _CLUSTER_CAP:
-                if not self._compile_cluster(adj, sorted(boundary)):
+        residual = list(_bits(pins))
+        memo: dict[tuple, tuple] = {}  # cluster shape -> _cluster_images
+        unseen = soft
+        while unseen:
+            # the soft region of the least unseen vertex, one vertex at a time
+            region = frontier = unseen & -unseen
+            reach = 0
+            members = []
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                v = low.bit_length() - 1
+                members.append(v)
+                row = rows[v]
+                reach |= row
+                grown = row & unseen & ~region
+                region |= grown
+                frontier |= grown
+            unseen ^= region
+            members.sort()
+            boundary = list(_bits(reach & pins))
+            if len(boundary) <= 2 and len(members) <= _CLUSTER_CAP:
+                if not self._compile_cluster(members, region, boundary, memo):
                     return False
             else:
-                residual_extra.extend(adj)
-        self.residual = sorted(pins) + residual_extra
+                residual.extend(members)
+        self.residual = residual
         return True
 
-    def _compile_cluster(self, adj: dict[int, list[int]], boundary: list[int]) -> bool:
-        members = sorted(adj)
-        index = {v: i for i, v in enumerate(members + boundary)}
-        rows = tuple(sum(1 << index[u] for u in adj[v]) for v in members)
-        sig = (tuple(self.dom[v] for v in members), rows, len(boundary))
-        images, tables = _cluster_images(self.h.rows, sig)
+    def _compile_cluster(
+        self, members: list[int], region: int, boundary: list[int], memo: dict
+    ) -> bool:
+        """Compile the cluster with the sorted `members` (bitmask
+        `region`) on its sorted `boundary`; False when it refutes the
+        component.  `memo` maps the shapes seen in this split to their
+        ``_cluster_images``."""
+        rows = self.g.rows
+        # the shape, in positions relative to the least member: each
+        # member's row over the region, with its attachments to the first
+        # and the last boundary vertex in the two low bits
+        base, first, last = members[0], boundary[0], boundary[-1]
+        shape = [region >> base, len(boundary)]
+        for v in members:
+            row = rows[v]
+            shape.append((row & region) >> base << 2 | (row >> first & 1) << 1 | row >> last & 1)
+        if not self.symmetric:
+            shape.extend(self.dom[v] for v in members)
+        key = tuple(shape)
+        hit = memo.get(key)
+        if hit is None:
+            # the signature, in ranks: members first, the boundary after
+            index = {v: i for i, v in enumerate(members + boundary)}
+            local = tuple(sum(1 << index[u] for u in _bits(rows[v])) for v in members)
+            sig = (tuple(self.dom[v] for v in members), local, len(boundary))
+            hit = memo[key] = _cluster_images(self.h.rows, sig)
+        images, tables = hit
         if not images:
             return False
         if len(boundary) == 1:

@@ -13,10 +13,10 @@ matrix of its cover variables) enters a greedy basis of these
 polynomials; one kernel is laid out from the filtered traces.  The
 basis is selected on the +-1 boundary rows of the traces (see `polys`),
 with faces keyed by vertex bitmask, and stops once the kept rows span
-the C(|V - {0}|, d-1)-dimensional space of faces that avoid the cone
-vertex 0, V the trace vertices; the rows of the traces after the stop
-are never built.  The kept count is still checked against the boundary rank
-C(k-1, d-1).
+the C(|V| - 1, d-1)-dimensional space of faces that avoid the cone
+vertex, the least of the trace vertices V; the rows of the traces after
+the stop are never built.  The kept count is still checked against the
+boundary rank C(k-1, d-1).
 The polynomials, and the certificates that rebuild each dropped one from
 the kept ones, are built only when read: the kernel itself needs only
 the kept set and the count of dropped traces.

@@ -15,9 +15,10 @@ have disjoint supports.  So the polynomials have the linear relations
 of the +-1 rows of the simplicial boundary matrix, and the kernel's
 greedy basis is selected on those rows (``boundary_basis_select``),
 each face keyed by its vertex bitmask.  The rows lie in the space of
-the (d-1)-faces on the trace vertices V other than the cone vertex 0,
-of dimension C(|V - {0}|, d-1), so the selection stops once it has kept
-that many: every later row is dropped without being built or reduced.
+the (d-1)-faces on the trace vertices V other than the cone vertex, the
+least of them, of dimension C(|V| - 1, d-1), so the selection stops
+once it has kept that many: every later row is dropped without being
+built or reduced.
 The polynomials are the certificate to check it against:
 ``poly_basis_select`` keeps the same sets with the same certificates.
 """
@@ -199,30 +200,32 @@ def boundary_basis_select(traces: Sequence[Sequence[int]], spec: FieldSpec) -> B
     computed on their boundary rows: T = (t_0 < ... < t_{d-1}) has the
     entry (-1)^j on the face T - t_j, keyed by its vertex bitmask.
 
-    Each row drops the faces that contain the cone vertex 0: every
-    boundary is a cycle, and a cycle is fixed by its faces that avoid the
-    cone vertex, so the linear relations stay the same.  Every row then
-    lies in the space of the (d-1)-faces on the trace vertices other than
-    0, of dimension C(|V - {0}|, d-1); once that many rows are kept, the
-    later ones are dropped without being built.  ``rows`` still builds
-    them all, for the certificates.
+    Each row drops the faces that contain the cone vertex c, the least
+    trace vertex: every boundary is a cycle, and a cycle is fixed by its
+    faces that avoid the cone vertex, so the linear relations stay the
+    same.  Every row then lies in the space of the (d-1)-faces on the
+    trace vertices V other than c, of dimension C(|V| - 1, d-1); once
+    that many rows are kept, the later ones are dropped without being
+    built.  ``rows`` still builds them all, for the certificates.
     """
 
     minus_one = spec.ops.neg(1)
+    vertices = set().union(*traces)
+    cone = min(vertices, default=None)
 
     def row(trace: Sequence[int]) -> dict:
         t = sorted(trace)
         mask = 0
         for v in t:
             mask |= 1 << v
-        if t[0] == 0:  # the one face that avoids the cone vertex
-            return {mask ^ 1: 1}
+        if t[0] == cone:  # the one face that avoids the cone vertex
+            return {mask ^ (1 << cone): 1}
         return {mask ^ (1 << v): minus_one if j % 2 else 1 for j, v in enumerate(t)}
 
     sizes = {len(t) for t in traces}
     if len(sizes) > 1:  # the stop below counts the faces of one size
         raise ValueError("traces of mixed size")
-    rank = comb(len(set().union(*traces) - {0}), sizes.pop() - 1) if traces else None
+    rank = comb(len(vertices) - 1, sizes.pop() - 1) if vertices else None
     return _selection(spec, lambda: map(row, traces), rank)
 
 

@@ -30,6 +30,20 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph.from_rows(rows)
 
 
+def reference_check_rows(rows) -> None:
+    """The full scan that ``Graph.from_rows`` falls back to, kept as a
+    reference: raises ValueError at the first fault, row by row."""
+    full = (1 << len(rows)) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise ValueError(f"adjacency row {v} references vertices >= n")
+        if row >> v & 1:
+            raise ValueError(f"loop at vertex {v} rejected (graphs are simple)")
+        for u in range(len(rows)):
+            if row >> u & 1 and not rows[u] >> v & 1:
+                raise ValueError(f"adjacency not symmetric at ({v},{u})")
+
+
 def brute_homomorphisms(g: Graph, h: Graph, lists=None):
     """Yield every list-respecting assignment that keeps all edges of g,
     trying all of them in `itertools.product` order."""

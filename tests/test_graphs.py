@@ -1,8 +1,12 @@
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import disjoint_union
+from conftest import disjoint_union, reference_check_rows
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import (
     Graph,
@@ -164,3 +168,48 @@ def test_vertex_cover_check():
     assert k4.is_vertex_cover((0, 1, 2))
     assert not k4.is_vertex_cover((0, 1))
     assert Graph(3).is_vertex_cover(())
+
+
+def _faulty_rows(rng: random.Random) -> list[int]:
+    """The rows of a seeded random graph on 0..8 vertices, then up to
+    three faults: a flipped entry (a loop when it falls on the
+    diagonal), a bit at or above n, a negative row, a random row."""
+    n = rng.randrange(9)
+    rows = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < 0.4:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    for _ in range(rng.choice((0, 1, 1, 2, 3)) if n else 0):
+        v, kind = rng.randrange(n), rng.randrange(4)
+        if kind == 0:
+            rows[v] ^= 1 << rng.randrange(n)
+        elif kind == 1:
+            rows[v] |= 1 << rng.randrange(n, n + 3)
+        elif kind == 2:
+            rows[v] = ~rows[v] if rng.random() < 0.5 else -(1 << rng.randrange(n + 1))
+        else:
+            rows[v] = rng.getrandbits(n)
+    return rows
+
+
+def _verdict(check, rows) -> str:
+    try:
+        check(rows)
+    except ValueError as e:
+        return str(e)
+    return "accepted"
+
+
+def test_from_rows_gives_the_verdicts_of_the_full_scan():
+    # the fast pass accepts exactly the simple graphs; every refusal
+    # comes from the scan, with the message of its first fault
+    rng = random.Random(30)
+    seen = Counter()
+    for _ in range(20_000):
+        rows = _faulty_rows(rng)
+        verdict = _verdict(reference_check_rows, rows)
+        assert _verdict(Graph.from_rows, rows) == verdict, rows
+        seen[next((key for key in (">= n", "loop", "symmetric") if key in verdict), verdict)] += 1
+        seen["negative"] += any(row < 0 for row in rows)
+    assert min(seen[key] for key in ("accepted", ">= n", "loop", "symmetric", "negative")) > 1000, seen

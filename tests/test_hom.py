@@ -217,6 +217,60 @@ def test_cluster_cache_hit_registers_the_tables_of_a_miss():
     assert find_homomorphism(g, h) == witness
 
 
+def test_cluster_images_run_once_per_cluster_shape(monkeypatch):
+    # the 448 gadget copies of a K(6,2) NAE-SAT output come in a few
+    # shapes, read relative to each copy's least member; split_clusters
+    # compiles each shape once, whether the cluster cache starts cold,
+    # warm, or is emptied at every insertion, and the witness stays put
+    h = make_kneser(6, 2)
+    formula = CnfFormula(4, ((1, -2, 3, 4), (-1, 2, -3, 4), (1, 2, -4, 3), (-3, -4, 1, 2)))
+    g = reduce_naesat_to_hcol(formula, h, find_tight_witness_set(h), find_edge_gadget(h)).graph
+    calls = []
+    cluster_images = hcolkit.hom._cluster_images
+
+    def counted(h_rows, sig):
+        calls.append(sig)
+        return cluster_images(h_rows, sig)
+
+    monkeypatch.setattr(hcolkit.hom, "_cluster_images", counted)
+    witnesses = []
+    cap = hcolkit.hom._CLUSTER_CACHE_CAP
+    for cap, cold in ((cap, True), (cap, False), (1, True)):
+        monkeypatch.setattr(hcolkit.hom, "_CLUSTER_CACHE_CAP", cap)
+        if cold:
+            hcolkit.hom._cluster_cache.clear()
+        calls.clear()
+        (solver,), (assign,) = compiled_solvers(g, h)
+        shapes = set()
+        for members, boundary, _ in solver.clusters:
+            base = members[0]
+            shapes.add(tuple(
+                tuple(u - base if u in members else ("pin", boundary.index(u)) for u in g.neighbors(v))
+                for v in members
+            ))
+        assert len(solver.clusters) == 448 and all(len(m) == 5 for m, _, _ in solver.clusters)
+        assert len(calls) == len(shapes) < 448
+        witnesses.append(assign)
+        assert find_homomorphism(g, h).assignment == tuple(assign[v] for v in range(g.n))
+    assert witnesses[0] is not None and witnesses[0] == witnesses[1] == witnesses[2]
+    assert len(hcolkit.hom._cluster_cache) == 1
+    hcolkit.hom._cluster_cache.clear()
+
+
+@pytest.mark.parametrize("hub", [0, 1])
+def test_clusters_differing_in_one_attachment_compile_apart(hub):
+    # paths 2-3-4 and 5-6-7 between hubs 0 and 1 have one shape over
+    # their members, but 6 also attaches to the first or the last hub
+    # and closes a triangle: a shape key that lost that attachment
+    # would re-expand the second path by the first path's images
+    pendants = [(h, v) for h in (0, 1) for v in range(8 + 5 * h, 13 + 5 * h)]
+    paths = [(0, 2), (2, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 7), (7, 1), (hub, 6)]
+    g = Graph(18, paths + pendants)
+    assert find_homomorphism(g, make_cycle(5)) is None
+    f = find_homomorphism(g, make_complete(3))
+    assert f is not None and f.check()
+
+
 def clustered_corpus(rng):
     """Seeded instances whose gadget and pendant vertices compile into
     clusters, over C5, K4, the Petersen graph and K(6,2): list-to-plain

@@ -205,7 +205,7 @@ def _count_drawn_rows(monkeypatch) -> list:
 @pytest.mark.parametrize("k, d", [(7, 3), (7, 4)])
 def test_selection_draws_rows_until_the_face_space_is_spanned(monkeypatch, k, d):
     drawn = _count_drawn_rows(monkeypatch)
-    dimension = comb(k - 1, d - 1)  # C(|V - {0}|, d-1)
+    dimension = comb(k - 1, d - 1)  # C(|V| - 1, d-1)
     traces = list(combinations(range(k), d))
     for seed in range(4):
         full = poly_basis_select([det_poly(t, d, GF7) for t in traces]).kept
@@ -216,6 +216,36 @@ def test_selection_draws_rows_until_the_face_space_is_spanned(monkeypatch, k, d)
         if seed == 0:  # lexicographic: the d-sets on vertex 0 come first
             assert len(drawn) == dimension
         random.Random(seed).shuffle(traces)
+
+
+def test_selection_cones_at_the_least_trace_vertex(monkeypatch):
+    # no trace holds vertex 0: the rows cone at vertex 1 and span the
+    # C(18, 2) = 153 faces on 2..19, so the draws stop at the row where
+    # the kept count reaches 153, and the kept set is that of the same
+    # traces shifted down onto 0..18
+    spec = field_make(163, 1)
+    drawn = _count_drawn_rows(monkeypatch)
+    lexicographic = list(combinations(range(1, 20), 3))
+    for seed in range(3):
+        traces = list(lexicographic)
+        if seed:
+            random.Random(seed).shuffle(traces)
+        drawn.clear()
+        sel = boundary_basis_select(traces, spec)
+        assert len(sel.kept) == comb(18, 2) and len(drawn) == sel.kept[-1] + 1 < len(traces)
+        if seed == 0:  # lexicographic: the 3-sets on vertex 1 come first
+            assert len(drawn) == 153
+            lexicographic_selection = sel
+        drawn.clear()
+        assert boundary_basis_select([[v - 1 for v in t] for t in traces], spec).kept == sel.kept
+        assert len(drawn) == sel.kept[-1] + 1
+    # every row dropped after the stop is rebuilt from its certificate
+    sel = lexicographic_selection
+    polys = [det_poly(t, 3, spec) for t in lexicographic]
+    dropped = set(range(len(polys))) - set(sel.kept)
+    assert dropped == set(sel.certificates)
+    for i in dropped:
+        assert sel.reconstruct(polys, i) == polys[i]
 
 
 def _trace_lists(k: int, d: int, rng: random.Random):
