@@ -239,8 +239,10 @@ def _cmd_represent(args, ceilings: Ceilings) -> int:
     elif args.family == "vandermonde":
         if not args.graph or not args.field:
             raise ValueError("--family vandermonde needs --graph and --field")
-        graph = read_graph(_read(args.graph))
         spec = _parse_field(args.field, ceilings)
+        # vandermonde_rep needs one field element per vertex; refuse a
+        # larger graph before building its rows
+        graph = read_graph(_read(args.graph), max_vertices=spec.order)
         rep = vandermonde_rep(graph, spec)
     else:
         if args.d is None or not args.field:

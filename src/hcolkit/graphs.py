@@ -15,11 +15,21 @@ the plain-text graph file format::
     u v            (m edge lines, 0-based)
     L v text       (optional label lines; text is whitespace-normalized)
     T ...          (tagged lines of the formats built on this one)
+
+Files are written row by row and read back in one pass over the edge
+block when they look as written: a first line of exactly ``n m`` and m
+lines of exactly ``u v``, all in ASCII digits, are converted at once,
+and only the lines after them are scanned.  Any other text, such as
+comments, padding or a short block, goes through the line-by-line scan,
+which names the first fault; the one-pass reading vouches only for
+lines that this scan would accept unchanged, so both give the same
+graph and the same refusals.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -164,20 +174,24 @@ class Graph:
         return all(not (self.rows[v] & outside) for v in _bits(outside & ((1 << self.n) - 1)))
 
     def connected_components(self) -> list[tuple[int, ...]]:
-        seen = 0
+        """Components ordered by their least vertex, each one sorted."""
+        rows = self.rows
         comps = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            comp = 1 << start
-            frontier = comp
+        left = (1 << self.n) - 1
+        while left:
+            comp = frontier = left & -left
             while frontier:
                 grown = comp
-                for v in _bits(frontier):
-                    grown |= self.rows[v]
+                v = -1
+                while frontier:
+                    # shift the next frontier vertex v out of the bits still to walk
+                    step = (frontier & -frontier).bit_length()
+                    v += step
+                    frontier >>= step
+                    grown |= rows[v]
                 frontier = grown & ~comp
                 comp = grown
-            seen |= comp
+            left &= ~comp
             comps.append(tuple(_bits(comp)))
         return comps
 
@@ -301,18 +315,52 @@ def make_random(n: int, seed: int) -> Graph:
 
 def write_graph(g: Graph, tagged: Iterable[str] = ()) -> str:
     """The graph file of `g`, then the `tagged` lines of a format built on it."""
+    names = list(map(str, range(g.n)))
     lines = [f"{g.n} {g.m}"]
     # the edges in Graph.edges() order, read off each row's upper bits inline
     for u, row in enumerate(g.rows):
-        upper = row >> (u + 1) << (u + 1)
+        prefix = names[u] + " "
+        upper = row >> (u + 1)
+        w = u
         while upper:
-            low = upper & -upper
-            lines.append(f"{u} {low.bit_length() - 1}")
-            upper ^= low
+            # shift the next upper neighbour w out of the bits still to walk
+            step = (upper & -upper).bit_length()
+            w += step
+            upper >>= step
+            lines.append(prefix + names[w])
     for v in sorted(g.labels):
         lines.append(f"L {v} {g.labels[v]}")
     lines.extend(tagged)
     return "\n".join(lines) + "\n"
+
+
+# a count or endpoint of the strict pass: ASCII digits, at most 640 of
+# them (the least limit Python lets int() conversion be set to), so
+# converting one never raises
+_NUMBER = "[0-9]{1,640}"
+_HEADER_LINE = re.compile(f"({_NUMBER}) ({_NUMBER})")
+_EDGE_BLOCK = re.compile(f"{_NUMBER} {_NUMBER}(?:\n{_NUMBER} {_NUMBER})*")
+
+
+def _strict_edge_block(
+    lines: Sequence[str], max_vertices: int | None
+) -> tuple[int, int, Iterator[tuple[int, int]]] | None:
+    """(n, m, edges) when the first line is exactly ``n m`` with n within
+    `max_vertices` and the next m lines are exactly ``u v``; None
+    otherwise.  Raises nothing: such lines pass the full scan of
+    `parse_graph_lines` without a refusal.  The edges come lazily."""
+    header = _HEADER_LINE.fullmatch(lines[0]) if lines else None
+    if header is None:
+        return None
+    n, m = int(header[1]), int(header[2])
+    if (max_vertices is not None and n > max_vertices) or len(lines) <= m:
+        return None
+    block = "\n".join(lines[1 : m + 1])
+    # one newline between lines, so a line cannot hold two edges
+    if m and not (_EDGE_BLOCK.fullmatch(block) and block.count("\n") == m - 1):
+        return None
+    ends = map(int, block.split())
+    return n, m, zip(ends, ends)
 
 
 def parse_graph_lines(
@@ -327,11 +375,19 @@ def parse_graph_lines(
     unexpected line in `what`.  A header announcing more than
     ``max_vertices`` vertices raises ``CeilingError`` before any row is built.
     """
+    lines = list(lines)
     header = None
+    block: Iterable[tuple[int, int]] = ()
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
     extras: list[list[str]] = []
     expect_edges = 0
+    vouched = _strict_edge_block(lines, max_vertices)
+    if vouched is not None:
+        # the header and edge lines refuse nothing; scan only the lines after them
+        n, expect_edges, block = vouched
+        header = (n, expect_edges)
+        lines = lines[expect_edges + 1 :]
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -360,12 +416,14 @@ def parse_graph_lines(
             extras.append(tokens)
     if header is None:
         raise ValueError("empty graph file")
-    if len(edges) != expect_edges:
-        raise ValueError(f"header promises {expect_edges} edges, found {len(edges)}")
+    found = len(edges) + (expect_edges if vouched else 0)
+    if found != expect_edges:
+        raise ValueError(f"header promises {expect_edges} edges, found {found}")
     for tokens in extras:
         if tokens[0] not in tags:
             raise ValueError(f"unexpected line in {what}: {tokens[0]!r}")
-    return Graph(header[0], edges, labels), extras
+    # when the strict pass vouched for a block, the count check left no other edge
+    return Graph(header[0], edges or block, labels), extras
 
 
 def read_graph(text: str, *, max_vertices: int | None = None) -> Graph:

@@ -17,6 +17,12 @@ Built on top of gadgets:
 * ``reduce_naesat_to_hcol`` encodes a width-q NAE-SAT formula as a
   target-coloring instance whose vertex cover is linear in the number
   of variables, built around a tight witness set of size q = width.
+
+Both build their output as adjacency rows.  Each call turns its gadget
+into a template once: the interior rows in positions relative to the
+first appended vertex, with their attachment bits to the marks.  Every
+copy then appends the template rows shifted to its place and ORs the
+marks' shifted masks into the two rows it attaches to.
 """
 
 from __future__ import annotations
@@ -165,19 +171,41 @@ def find_tight_witness_set(
 # List removal
 # ---------------------------------------------------------------------------
 
-def _glue(rows: list[int], gadget: EdgeGadget, u: int, v: int) -> None:
-    """Add a gadget copy to the graph with adjacency bitmasks ``rows``,
-    its marked vertices identified with u and v and its interior
-    appended as new vertices in ascending gadget order."""
-    f = gadget.gadget
-    ids = {gadget.a: u, gadget.b: v}
-    for w in range(f.n):
-        if w not in ids:
-            ids[w] = len(rows)
-            rows.append(0)
-    for p, q in f.edges():
-        rows[ids[p]] |= 1 << ids[q]
-        rows[ids[q]] |= 1 << ids[p]
+class _GadgetTemplate:
+    """An edge gadget as rows to stamp, one copy per `stamp` call: each
+    interior vertex (every vertex but the marks a and b, in ascending
+    order) with its row over the interior and its attachment bits to a
+    and b; the marks' masks over the interior; and whether a-b is an edge."""
+
+    __slots__ = ("interior", "a_mask", "b_mask", "ab_edge")
+
+    def __init__(self, gadget: EdgeGadget):
+        f, a, b = gadget.gadget, gadget.a, gadget.b
+        inner = [w for w in range(f.n) if w not in (a, b)]
+        # a gadget row's bits over the interior, its i-th vertex at bit i
+        def over_interior(row: int) -> int:
+            return sum(1 << i for i, w in enumerate(inner) if row >> w & 1)
+
+        # each interior row with its attachments as 2 * (to a) + (to b)
+        self.interior = tuple(
+            (over_interior(f.rows[w]), 2 * (f.rows[w] >> a & 1) + (f.rows[w] >> b & 1))
+            for w in inner
+        )
+        self.a_mask = over_interior(f.rows[a])
+        self.b_mask = over_interior(f.rows[b])
+        self.ab_edge = f.has_edge(a, b)
+
+    def stamp(self, rows: list[int], u: int, v: int) -> None:
+        """Add a copy to the graph with adjacency bitmasks ``rows``, its
+        marks identified with u and v and its interior appended."""
+        base = len(rows)
+        attach = (0, 1 << v, 1 << u, 1 << u | 1 << v)
+        rows += [row << base | attach[k] for row, k in self.interior]
+        rows[u] |= self.a_mask << base
+        rows[v] |= self.b_mask << base
+        if self.ab_edge:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
 
 
 def reduce_list_to_plain(
@@ -200,10 +228,11 @@ def reduce_list_to_plain(
             raise ValueError(f"list of vertex {v} mentions unknown target vertices")
         normalized[v] = allowed
 
+    template = _GadgetTemplate(gadget)
     rows = list(g.rows) + [r << g.n for r in target.rows]
     for v in range(g.n):
         for h in sorted(full - normalized[v]):
-            _glue(rows, gadget, v, g.n + h)
+            template.stamp(rows, v, g.n + h)
     return Graph.from_rows(rows)
 
 
@@ -294,6 +323,7 @@ def reduce_naesat_to_hcol(
     h_n = target.n
 
     # anchors t[i][j] and f[i][j] follow the target's vertices, variable by variable
+    template = _GadgetTemplate(gadget)
     rows = list(target.rows) + [0] * (2 * q * n)
     t_id = [[h_n + 2 * q * i + j for j in range(q)] for i in range(n)]
     f_id = [[h_n + 2 * q * i + q + j for j in range(q)] for i in range(n)]
@@ -307,7 +337,7 @@ def reduce_naesat_to_hcol(
                 if h not in allowed:
                     pairs += [(t, h), (f, h)]
             for u, v in pairs:
-                _glue(rows, gadget, u, v)
+                template.stamp(rows, u, v)
             copies += len(pairs)
     expected_copies = _naesat_copy_count(formula, target, q)
     if copies != expected_copies:

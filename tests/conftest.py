@@ -44,6 +44,78 @@ def reference_check_rows(rows) -> None:
                 raise ValueError(f"adjacency not symmetric at ({v},{u})")
 
 
+def reference_parse_graph_lines(
+    lines, *, tags=(), what="graph file", max_vertices=None
+) -> tuple[Graph, list[list[str]]]:
+    """The line-by-line scan of ``parse_graph_lines`` without its strict
+    pass over the edge block, kept as a reference: every refusal it
+    raises, in its order, with its message."""
+    header = None
+    edges: list[tuple[int, int]] = []
+    labels: dict[int, str] = {}
+    extras: list[list[str]] = []
+    expect_edges = 0
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 2:
+                raise ValueError(f"expected 'n m' header, got {line!r}")
+            header = (int(tokens[0]), int(tokens[1]))
+            if max_vertices is not None and header[0] > max_vertices:
+                raise CeilingError(
+                    f"graph header announces {header[0]} vertices, "
+                    f"above the limit of {max_vertices}"
+                )
+            expect_edges = header[1]
+            continue
+        if tokens[0] == "L":
+            if len(tokens) < 2:
+                raise ValueError(f"label line without a vertex: {line!r}")
+            labels[int(tokens[1])] = " ".join(tokens[2:])
+        elif tokens[0].lstrip("-").isdigit():
+            if len(tokens) != 2:
+                raise ValueError(f"bad edge line {line!r}")
+            edges.append((int(tokens[0]), int(tokens[1])))
+        else:
+            extras.append(tokens)
+    if header is None:
+        raise ValueError("empty graph file")
+    if len(edges) != expect_edges:
+        raise ValueError(f"header promises {expect_edges} edges, found {len(edges)}")
+    for tokens in extras:
+        if tokens[0] not in tags:
+            raise ValueError(f"unexpected line in {what}: {tokens[0]!r}")
+    return Graph(header[0], edges, labels), extras
+
+
+def reference_write_graph(g: Graph, tagged=()) -> str:
+    """The graph file of g written edge by edge from ``Graph.edges()``,
+    kept as a reference for ``write_graph``."""
+    lines = [f"{g.n} {g.m}"]
+    lines += [f"{u} {v}" for u, v in g.edges()]
+    lines += [f"L {v} {g.labels[v]}" for v in sorted(g.labels)]
+    lines.extend(tagged)
+    return "\n".join(lines) + "\n"
+
+
+def reference_glue(rows: list[int], gadget, u: int, v: int) -> None:
+    """Add a copy of the edge gadget to the graph with adjacency bitmasks
+    ``rows`` edge by edge: its marked vertices identified with u and v,
+    its interior appended as new vertices in ascending gadget order."""
+    f = gadget.gadget
+    ids = {gadget.a: u, gadget.b: v}
+    for w in range(f.n):
+        if w not in ids:
+            ids[w] = len(rows)
+            rows.append(0)
+    for p, q in f.edges():
+        rows[ids[p]] |= 1 << ids[q]
+        rows[ids[q]] |= 1 << ids[p]
+
+
 def brute_homomorphisms(g: Graph, h: Graph, lists=None):
     """Yield every list-respecting assignment that keeps all edges of g,
     trying all of them in `itertools.product` order."""

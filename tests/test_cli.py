@@ -707,6 +707,25 @@ def test_witness_refuses_a_large_header_before_building_rows(argv, files, capsys
     assert peak < 600_000
 
 
+def test_vandermonde_refuses_a_graph_above_the_field_order_at_its_header(files, capsys, tmp_path):
+    path = tmp_path / "huge.g"
+    path.write_text("2000000 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "represent", "--family", "vandermonde", "--graph", str(path), "--field", "7"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (
+        "hcol: infeasible at desk scale: graph header announces 2000000 vertices, "
+        "above the limit of 7\n"
+    )
+    assert peak < 600_000
+
+
 def test_kernelize_reads_above_the_oracle_ceiling_only_without_verify(files, capsys, monkeypatch):
     # the 6-vertex instance is above a 5-vertex oracle: --verify refuses
     # it while reading, and a plain kernelize still builds its kernel

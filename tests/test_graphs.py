@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import disjoint_union, reference_check_rows
+from conftest import disjoint_union, reference_check_rows, reference_write_graph
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import (
     Graph,
@@ -102,6 +102,18 @@ def test_text_format_round_trip():
         back = read_graph(text)
         assert back == g
         assert back.labels == g.labels
+
+
+def test_write_graph_bytes_match_the_edge_by_edge_writer():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randrange(0, 70)
+        p = rng.random()
+        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+        labels = {v: rng.choice(["a", "{1,2}", "b c"]) for v in range(n) if rng.random() < 0.2}
+        g = Graph(n, edges, labels)
+        tagged = [rng.choice(["X 0 1", "A 2 0 1", "STATS {}"]) for _ in range(rng.randrange(3))]
+        assert write_graph(g, tagged) == reference_write_graph(g, tagged)
 
 
 def test_text_format_rejects_garbage():

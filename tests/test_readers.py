@@ -6,12 +6,17 @@ stay small: a graph header allocates one adjacency row per vertex it
 announces.
 """
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_parse_graph_lines
+from hcolkit import graphs
 from hcolkit.errors import HcolError
-from hcolkit.graphs import Graph, make_cycle, make_path, read_graph
+from hcolkit.graphs import Graph, make_cycle, make_path, parse_graph_lines, read_graph
 from hcolkit.kernels import (
     VertexCoverInstance,
     combinatorial_kernel,
@@ -123,3 +128,80 @@ def test_edge_count_is_reported_before_a_repeated_line(reader, text, repeated):
     with pytest.raises(ValueError) as exc:
         READERS[reader](f"{n} {m + 1}\n{rest}")
     assert str(exc.value) == f"header promises {m + 1} edges, found {m}"
+
+
+def _fuzz_graph_lines(rng: random.Random) -> tuple[list[str], dict]:
+    """The lines of a graph file with labels and tagged lines, put through
+    a few seeded faults, and the keywords to parse them with."""
+    n = rng.randrange(0, 7)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [f"{u} {v}" for u, v in pairs if rng.random() < 0.4]
+    labels = [f"L {v} {rng.choice(['a', 'b c', '{1,2}'])}" for v in range(n) if rng.random() < 0.3]
+    tagged = [rng.choice(["X 0 1", "A 0 1 2", "X", "Q 1"]) for _ in range(rng.randrange(3))]
+    header = [str(n), str(len(edges))]
+    head, rest = [], edges + labels + tagged
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        kind = rng.randrange(12)
+        at = rng.randrange(len(rest) + 1)
+        if kind == 0:  # a comment or a blank line, often inside the edge block
+            rest.insert(rng.randrange(len(edges) + 1), rng.choice(["# c", "", "  ", "\t"]))
+        elif kind == 1 and rest:  # padding around a line
+            rest[at - 1] = rng.choice([" ", "\t", ""]) + rest[at - 1] + rng.choice([" ", "\t", "\r", ""])
+        elif kind == 2 and rest:  # a number as leading zeros, a Unicode digit or negative
+            tokens = rest[at - 1].split(" ")
+            i = rng.randrange(len(tokens))
+            if tokens[i].isdigit():
+                tokens[i] = rng.choice(["0" + tokens[i], "٣", "-1", "²", "0"])
+            rest[at - 1] = " ".join(tokens)
+        elif kind == 3:  # a label before the edges, or before the header
+            (head if rng.random() < 0.3 else rest).insert(0, f"L {rng.randrange(n + 1)} early")
+        elif kind == 4:  # an edge line after the tagged lines
+            rest.append(f"{rng.randrange(n + 1)} {rng.randrange(n + 1)}")
+        elif kind == 5:  # a header of 1 or 3 tokens
+            header = header[:1] if rng.random() < 0.5 else header + ["7"]
+        elif kind == 6:  # m above or below the edge lines
+            header[1:2] = [str(max(0, len(edges) + rng.choice((-2, -1, 1, 2))))]
+        elif kind == 7 and edges:  # a duplicate edge
+            rest.insert(at, rng.choice(edges))
+        elif kind == 8:  # a loop or an out-of-range endpoint, counted in the header
+            v = rng.randrange(n + 1)
+            rest.insert(rng.randrange(len(edges) + 1), f"{v} {rng.choice([v, n, n + 2])}")
+            header[1:2] = [str(len(edges) + 1)]
+        elif kind == 9:  # an edge line of 1 or 3 tokens, or with a tab
+            rest.insert(at, rng.choice(["0", "0 1 2", "0\t1", "0  1"]))
+        elif kind == 10 and len(rest) >= 2:  # two lines in one string, as a caller may pass
+            i = rng.randrange(min(len(edges) + 1, len(rest) - 1))
+            rest[i : i + 2] = [rest[i] + "\n" + rest[i + 1]]
+        else:  # a header as leading zeros or a Unicode digit
+            header[0] = rng.choice(["0" + header[0], "٣", "-1"])
+    built = head + [" ".join(header)] + rest
+    # the lines of a text as str.splitlines gives them, as a split at
+    # "\n" gives them (a "\r" stays at the end of each), or as built
+    text = rng.choice(["\n", "\r\n"]).join(built) + rng.choice(["\n", ""])
+    lines = rng.choice([text.splitlines(), text.split("\n"), built])
+    kwargs = {"tags": rng.choice([("X",), ("A", "X"), ("A", "Q", "X")])}
+    if rng.random() < 0.3:
+        kwargs["max_vertices"] = rng.randrange(0, 8)
+    return lines, kwargs
+
+
+def _parse_outcome(parse, lines, kwargs):
+    try:
+        g, extras = parse(lines, **kwargs)
+    except (ValueError, HcolError) as exc:
+        return type(exc), str(exc)
+    return g, g.labels, extras
+
+
+def test_parse_graph_lines_matches_the_line_by_line_scan():
+    # on texts the strict pass vouches for and texts it leaves to the
+    # scan: the same graph, labels and tagged lines, or the same refusal
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(6_000):
+        lines, kwargs = _fuzz_graph_lines(rng)
+        outcome = _parse_outcome(parse_graph_lines, lines, kwargs)
+        assert outcome == _parse_outcome(reference_parse_graph_lines, lines, kwargs), lines
+        vouched = graphs._strict_edge_block(lines, kwargs.get("max_vertices")) is not None
+        seen["refused" if isinstance(outcome[0], type) else "accepted", vouched] += 1
+    assert min(seen[verdict, vouched] for verdict in ("accepted", "refused") for vouched in (False, True)) > 400, seen

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_hom_exists, reference_edge_gadget, reference_hom_exists
+from conftest import brute_hom_exists, reference_edge_gadget, reference_glue, reference_hom_exists
 from hcolkit.config import Ceilings
 from hcolkit.graphs import (
     Graph,
@@ -18,6 +18,7 @@ from hcolkit import hom, reductions
 from hcolkit.hom import find_homomorphism, is_core
 from hcolkit.reductions import (
     CnfFormula,
+    EdgeGadget,
     find_edge_gadget,
     find_tight_witness_set,
     nae_sat_brute,
@@ -102,6 +103,44 @@ def test_orbit_gadget_verdicts_match_all_pairs_reference(target):
             assert verify_edge_gadget(target, g, 0, 1) == expect, (n, g.rows)
             verdicts.append(expect)
     assert True in verdicts and False in verdicts
+
+
+class _GlueTemplate:
+    """Stands in for the gadget template: glues each copy edge by edge."""
+
+    def __init__(self, gadget):
+        self.gadget = gadget
+
+    def stamp(self, rows, u, v):
+        reference_glue(rows, self.gadget, u, v)
+
+
+def test_gadget_template_matches_the_edge_by_edge_glue(monkeypatch):
+    # every connected marked graph up to 5 vertices, marks in both
+    # orders: K2 has the a-b edge and an empty interior
+    k3 = make_complete(3)
+    tight = find_tight_witness_set(k3)
+    formula = CnfFormula(3, ((1, -2, 3), (-1, 2, 3)))
+    g, lists = make_path(3), {0: (0,), 2: (1, 2)}
+    gadgets = [
+        EdgeGadget(f, a, b)
+        for n in range(2, 6)
+        for f in _graphs_with_marked_pair(n)
+        for a, b in ((0, 1), (1, 0))
+    ]
+
+    def outputs():
+        return [
+            (
+                reduce_list_to_plain(g, lists, k3, gadget).rows,
+                reduce_naesat_to_hcol(formula, k3, tight, gadget).graph.rows,
+            )
+            for gadget in gadgets
+        ]
+
+    stamped = outputs()
+    monkeypatch.setattr(reductions, "_GadgetTemplate", _GlueTemplate)
+    assert outputs() == stamped
 
 
 def test_find_gadget_canonical_family():
