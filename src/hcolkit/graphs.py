@@ -11,19 +11,14 @@ The module also provides the standard families used throughout
 the plain-text graph file format::
 
     # comment
-    n m
+    n m            (the first line that is neither blank nor a comment)
     u v            (m edge lines, 0-based)
     L v text       (optional label lines; text is whitespace-normalized)
     T ...          (tagged lines of the formats built on this one)
 
-Files are written row by row and read back in one pass over the edge
-block when they look as written: a first line of exactly ``n m`` and m
-lines of exactly ``u v``, all in ASCII digits, are converted at once,
-and only the lines after them are scanned.  Any other text, such as
-comments, padding or a short block, goes through the line-by-line scan,
-which names the first fault; the one-pass reading vouches only for
-lines that this scan would accept unchanged, so both give the same
-graph and the same refusals.
+Files are written row by row.  A reader converts the m lines after the
+header at once when they are exactly ``u v`` in ASCII digits, as
+written, and scans the rest line by line.
 """
 
 from __future__ import annotations
@@ -44,24 +39,28 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _rows_are_simple(rows: Sequence[int], n: int) -> bool:
-    """True iff `rows` are the adjacency rows of a simple graph on n
-    vertices; raises nothing.
+def _check_rows(rows: Sequence[int], n: int) -> None:
+    """Raise ValueError at the first fault of `rows` as the adjacency
+    rows of a simple graph on n vertices, row by row and, within a row,
+    by ascending entry.
 
-    Each row must lie below bit n and miss its own bit.  A negative row
-    fails the first test too (``row >> n`` keeps its sign), so the walk
-    below, which would never end on one, never sees one.  Only the upper
-    entries (u > v in row v) are walked, each checked for its mirror;
-    their mirrors are distinct lower entries, so when the upper entries
-    are half of all entries, every lower entry is a mirror too.
+    A negative row fails the first test too (``row >> n`` keeps its
+    sign), so no walk below sees one.  The upper entries (u > v in row
+    v) are walked, each checked for its mirror and counted in
+    ``mirrored[u]``; the lower entries of row v, checked before them,
+    are then all mirrored exactly when they number ``mirrored[v]``, and
+    are walked only to name the first that is not.
     """
-    upper_entries = entries = 0
+    mirrored = [0] * n
     for v, row in enumerate(rows):
-        if row >> n or row >> v & 1:
-            return False
-        entries += row.bit_count()
+        if row >> n:
+            raise ValueError(f"adjacency row {v} references vertices >= n")
+        if row >> v & 1:
+            raise ValueError(f"loop at vertex {v} rejected (graphs are simple)")
         upper = row >> (v + 1)
-        upper_entries += upper.bit_count()
+        if row.bit_count() - upper.bit_count() != mirrored[v]:
+            u = next(u for u in _bits(row) if not rows[u] >> v & 1)
+            raise ValueError(f"adjacency not symmetric at ({v},{u})")
         u = v
         while upper:
             # shift the next upper entry u out of the bits still to walk
@@ -69,8 +68,8 @@ def _rows_are_simple(rows: Sequence[int], n: int) -> bool:
             u += step
             upper >>= step
             if not rows[u] >> v & 1:
-                return False
-    return 2 * upper_entries == entries
+                raise ValueError(f"adjacency not symmetric at ({v},{u})")
+            mirrored[u] += 1
 
 
 class Graph:
@@ -113,22 +112,8 @@ class Graph:
         g.n = len(rows)
         g.rows = tuple(rows)
         g.labels = {}
-        g._check_rows()
+        _check_rows(g.rows, g.n)
         return g
-
-    def _check_rows(self) -> None:
-        if _rows_are_simple(self.rows, self.n):
-            return
-        # the scan that names the first fault
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
-            if row & ~full:
-                raise ValueError(f"adjacency row {v} references vertices >= n")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v} rejected (graphs are simple)")
-            for u in _bits(row):
-                if not self.rows[u] >> v & 1:
-                    raise ValueError(f"adjacency not symmetric at ({v},{u})")
 
     # -- basic queries ------------------------------------------------
 
@@ -334,33 +319,17 @@ def write_graph(g: Graph, tagged: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-# a count or endpoint of the strict pass: ASCII digits, at most 640 of
-# them (the least limit Python lets int() conversion be set to), so
+# an endpoint of an edge block line: ASCII digits, at most 640 of them
+# (the least limit Python lets int() conversion be set to), so
 # converting one never raises
 _NUMBER = "[0-9]{1,640}"
-_HEADER_LINE = re.compile(f"({_NUMBER}) ({_NUMBER})")
 _EDGE_BLOCK = re.compile(f"{_NUMBER} {_NUMBER}(?:\n{_NUMBER} {_NUMBER})*")
 
 
-def _strict_edge_block(
-    lines: Sequence[str], max_vertices: int | None
-) -> tuple[int, int, Iterator[tuple[int, int]]] | None:
-    """(n, m, edges) when the first line is exactly ``n m`` with n within
-    `max_vertices` and the next m lines are exactly ``u v``; None
-    otherwise.  Raises nothing: such lines pass the full scan of
-    `parse_graph_lines` without a refusal.  The edges come lazily."""
-    header = _HEADER_LINE.fullmatch(lines[0]) if lines else None
-    if header is None:
-        return None
-    n, m = int(header[1]), int(header[2])
-    if (max_vertices is not None and n > max_vertices) or len(lines) <= m:
-        return None
-    block = "\n".join(lines[1 : m + 1])
-    # one newline between lines, so a line cannot hold two edges
-    if m and not (_EDGE_BLOCK.fullmatch(block) and block.count("\n") == m - 1):
-        return None
+def _block_edges(block: str) -> Iterator[tuple[int, int]]:
+    """The edges of a fullmatch of `_EDGE_BLOCK`, lazily."""
     ends = map(int, block.split())
-    return n, m, zip(ends, ends)
+    return zip(ends, ends)
 
 
 def parse_graph_lines(
@@ -376,34 +345,38 @@ def parse_graph_lines(
     ``max_vertices`` vertices raises ``CeilingError`` before any row is built.
     """
     lines = list(lines)
-    header = None
+    for start, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        raise ValueError("empty graph file")
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise ValueError(f"expected 'n m' header, got {line!r}")
+    n, expect_edges = int(tokens[0]), int(tokens[1])
+    if max_vertices is not None and n > max_vertices:
+        raise CeilingError(
+            f"graph header announces {n} vertices, above the limit of {max_vertices}"
+        )
     block: Iterable[tuple[int, int]] = ()
+    found = 0
+    if 0 < expect_edges <= len(lines) - start:
+        text = "\n".join(lines[start : start + expect_edges])
+        # one newline between lines, so a line cannot hold two edges
+        if _EDGE_BLOCK.fullmatch(text) and text.count("\n") == expect_edges - 1:
+            # the m lines after the header are edges the scan would read unchanged
+            block = _block_edges(text)
+            found = expect_edges
+            start += expect_edges
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
     extras: list[list[str]] = []
-    expect_edges = 0
-    vouched = _strict_edge_block(lines, max_vertices)
-    if vouched is not None:
-        # the header and edge lines refuse nothing; scan only the lines after them
-        n, expect_edges, block = vouched
-        header = (n, expect_edges)
-        lines = lines[expect_edges + 1 :]
-    for raw in lines:
+    for raw in lines[start:]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if header is None:
-            if len(tokens) != 2:
-                raise ValueError(f"expected 'n m' header, got {line!r}")
-            header = (int(tokens[0]), int(tokens[1]))
-            if max_vertices is not None and header[0] > max_vertices:
-                raise CeilingError(
-                    f"graph header announces {header[0]} vertices, "
-                    f"above the limit of {max_vertices}"
-                )
-            expect_edges = header[1]
-            continue
         if tokens[0] == "L":
             if len(tokens) < 2:
                 raise ValueError(f"label line without a vertex: {line!r}")
@@ -414,16 +387,14 @@ def parse_graph_lines(
             edges.append((int(tokens[0]), int(tokens[1])))
         else:
             extras.append(tokens)
-    if header is None:
-        raise ValueError("empty graph file")
-    found = len(edges) + (expect_edges if vouched else 0)
+    found += len(edges)
     if found != expect_edges:
         raise ValueError(f"header promises {expect_edges} edges, found {found}")
     for tokens in extras:
         if tokens[0] not in tags:
             raise ValueError(f"unexpected line in {what}: {tokens[0]!r}")
-    # when the strict pass vouched for a block, the count check left no other edge
-    return Graph(header[0], edges or block, labels), extras
+    # after the count check, a converted block leaves no other edge
+    return Graph(n, edges or block, labels), extras
 
 
 def read_graph(text: str, *, max_vertices: int | None = None) -> Graph:

@@ -390,6 +390,8 @@ def read_dimacs(text: str) -> CnfFormula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n_vars is not None:
+                raise ValueError("repeated line in DIMACS file: 'p'")
             tokens = line.split()
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ValueError(f"bad DIMACS header {line!r}")

@@ -31,8 +31,8 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 
 def reference_check_rows(rows) -> None:
-    """The full scan that ``Graph.from_rows`` falls back to, kept as a
-    reference: raises ValueError at the first fault, row by row."""
+    """A scan of every entry, kept as a reference for ``Graph.from_rows``:
+    raises ValueError at the first fault, row by row."""
     full = (1 << len(rows)) - 1
     for v, row in enumerate(rows):
         if row & ~full:
@@ -47,9 +47,9 @@ def reference_check_rows(rows) -> None:
 def reference_parse_graph_lines(
     lines, *, tags=(), what="graph file", max_vertices=None
 ) -> tuple[Graph, list[list[str]]]:
-    """The line-by-line scan of ``parse_graph_lines`` without its strict
-    pass over the edge block, kept as a reference: every refusal it
-    raises, in its order, with its message."""
+    """A line-by-line scan of the whole text, kept as a reference for
+    ``parse_graph_lines``: every refusal it raises, in its order, with
+    its message."""
     header = None
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}

@@ -450,6 +450,15 @@ def test_reduce_width_mismatch(files, capsys):
     assert code == 2 and "width" in err
 
 
+def test_reduce_refuses_a_repeated_dimacs_header(files, capsys, tmp_path):
+    cnf = tmp_path / "twice.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 -1 0\np cnf 5 1\n")
+    code, out, err = run(
+        capsys, "reduce", "--from", "nae-sat", "--cnf", str(cnf), "--target", files["k4.g"],
+    )
+    assert (code, out, err) == (2, "", "hcol: repeated line in DIMACS file: 'p'\n")
+
+
 def test_reduce_list_hcol(files, capsys, tmp_path):
     out_path = str(tmp_path / "plain.g")
     code, _, _ = run(

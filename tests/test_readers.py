@@ -193,15 +193,54 @@ def _parse_outcome(parse, lines, kwargs):
     return g, g.labels, extras
 
 
-def test_parse_graph_lines_matches_the_line_by_line_scan():
-    # on texts the strict pass vouches for and texts it leaves to the
-    # scan: the same graph, labels and tagged lines, or the same refusal
-    rng = random.Random(31)
+def _count_block_conversions(monkeypatch) -> list[int]:
+    """A one-item counter of the edge blocks that ``parse_graph_lines``
+    converts at once instead of scanning line by line."""
+    calls = [0]
+    convert = graphs._block_edges
+
+    def counted(block):
+        calls[0] += 1
+        return convert(block)
+
+    monkeypatch.setattr(graphs, "_block_edges", counted)
+    return calls
+
+
+def _parse_path_verdicts(rng, cases, lines_of, monkeypatch) -> Counter:
+    """Parse `cases` texts from `lines_of(rng)` with both readers, assert
+    the same outcome, and count each (verdict, block converted) pair."""
+    calls = _count_block_conversions(monkeypatch)
     seen = Counter()
-    for _ in range(6_000):
-        lines, kwargs = _fuzz_graph_lines(rng)
+    for _ in range(cases):
+        lines, kwargs = lines_of(rng)
+        before = calls[0]
         outcome = _parse_outcome(parse_graph_lines, lines, kwargs)
         assert outcome == _parse_outcome(reference_parse_graph_lines, lines, kwargs), lines
-        vouched = graphs._strict_edge_block(lines, kwargs.get("max_vertices")) is not None
-        seen["refused" if isinstance(outcome[0], type) else "accepted", vouched] += 1
-    assert min(seen[verdict, vouched] for verdict in ("accepted", "refused") for vouched in (False, True)) > 400, seen
+        seen["refused" if isinstance(outcome[0], type) else "accepted", calls[0] > before] += 1
+    return seen
+
+
+def test_parse_graph_lines_matches_the_line_by_line_scan(monkeypatch):
+    # on texts whose edge block is converted at once and texts scanned
+    # line by line: the same graph, labels and tagged lines, or the same refusal
+    seen = _parse_path_verdicts(random.Random(31), 6_000, _fuzz_graph_lines, monkeypatch)
+    assert min(seen[verdict, block] for verdict in ("accepted", "refused") for block in (False, True)) > 400, seen
+
+
+def _fuzz_lines_after_comments(rng: random.Random) -> tuple[list[str], dict]:
+    """A fuzz text of `_fuzz_graph_lines` behind ``#`` comments and blank
+    lines, with its first other line, the header, padded."""
+    lines, kwargs = _fuzz_graph_lines(rng)
+    lead = [rng.choice(["# c", "", "  ", "\t", "#1 2"]) for _ in range(rng.randrange(1, 4))]
+    at = next((i for i, line in enumerate(lines) if line.strip() and not line.strip().startswith("#")), None)
+    if at is not None:
+        lines[at] = rng.choice([" ", "\t", ""]) + lines[at] + rng.choice([" ", "\t", "\r"])
+    return lead + lines, kwargs
+
+
+def test_parse_graph_lines_after_leading_comments_matches_the_scan(monkeypatch):
+    # a header behind comments and blank lines, padded, still lets the
+    # edge block after it be converted at once, with the scan's outcome
+    seen = _parse_path_verdicts(random.Random(32), 2_000, _fuzz_lines_after_comments, monkeypatch)
+    assert min(seen[verdict, block] for verdict in ("accepted", "refused") for block in (False, True)) > 100, seen

@@ -444,6 +444,13 @@ def test_dimacs_parsing_details():
         read_dimacs("p cnf 2 1\n1 2\n")  # unterminated clause
 
 
+def test_dimacs_refuses_a_repeated_header():
+    # a concatenated file is not read as the formula of its last header
+    with pytest.raises(ValueError) as exc:
+        read_dimacs("p cnf 3 1\n1 2 3 0\np cnf 5 1\n")
+    assert str(exc.value) == "repeated line in DIMACS file: 'p'"
+
+
 def test_list_instance_round_trip():
     g = make_cycle(5)
     lists = {0: (1, 2), 3: (0,)}
