@@ -193,31 +193,25 @@ def _parse_outcome(parse, lines, kwargs):
     return g, g.labels, extras
 
 
-def _count_block_conversions(monkeypatch) -> list[int]:
-    """A one-item counter of the edge blocks that ``parse_graph_lines``
-    converts at once instead of scanning line by line."""
-    calls = [0]
+def _parse_path_verdicts(rng, cases, lines_of, monkeypatch) -> Counter:
+    """Parse `cases` texts from `lines_of(rng)` with both readers, assert
+    the same outcome, and count each (verdict, block converted) pair; a
+    block is converted when ``graphs._block_edges`` is called."""
+    calls = Counter()
     convert = graphs._block_edges
 
     def counted(block):
-        calls[0] += 1
+        calls["block"] += 1
         return convert(block)
 
     monkeypatch.setattr(graphs, "_block_edges", counted)
-    return calls
-
-
-def _parse_path_verdicts(rng, cases, lines_of, monkeypatch) -> Counter:
-    """Parse `cases` texts from `lines_of(rng)` with both readers, assert
-    the same outcome, and count each (verdict, block converted) pair."""
-    calls = _count_block_conversions(monkeypatch)
     seen = Counter()
     for _ in range(cases):
         lines, kwargs = lines_of(rng)
-        before = calls[0]
+        before = calls["block"]
         outcome = _parse_outcome(parse_graph_lines, lines, kwargs)
         assert outcome == _parse_outcome(reference_parse_graph_lines, lines, kwargs), lines
-        seen["refused" if isinstance(outcome[0], type) else "accepted", calls[0] > before] += 1
+        seen["refused" if isinstance(outcome[0], type) else "accepted", calls["block"] > before] += 1
     return seen
 
 
