@@ -380,7 +380,10 @@ def parse_graph_lines(
         if tokens[0] == "L":
             if len(tokens) < 2:
                 raise ValueError(f"label line without a vertex: {line!r}")
-            labels[int(tokens[1])] = " ".join(tokens[2:])
+            v = int(tokens[1])
+            if v in labels:
+                raise ValueError(f"repeated line in {what}: 'L {v}'")
+            labels[v] = " ".join(tokens[2:])
         elif tokens[0].lstrip("-").isdigit():
             if len(tokens) != 2:
                 raise ValueError(f"bad edge line {line!r}")

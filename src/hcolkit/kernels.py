@@ -14,9 +14,12 @@ polynomials; one kernel is laid out from the filtered traces.  The
 basis is selected on the +-1 boundary rows of the traces (see `polys`),
 with faces keyed by vertex bitmask, and stops once the kept rows span
 the C(|V| - 1, d-1)-dimensional space of faces that avoid the cone
-vertex, the least of the trace vertices V; the rows of the traces after
-the stop are never built.  The kept count is still checked against the
-boundary rank C(k-1, d-1).
+vertex c, the least of the trace vertices V; the rows of the traces after
+the stop are never built.  The traces are passed sorted, so those that
+hold c come first; their unit rows are kept by bookkeeping, one per face,
+and only the later rows, less their entries on those faces, are
+eliminated.  The kept count is still checked against the boundary rank
+C(k-1, d-1).
 The polynomials, and the certificates that rebuild each dropped one from
 the kept ones, are built only when read: the kernel itself needs only
 the kept set and the count of dropped traces.
@@ -147,8 +150,7 @@ def _realized_traces(inst: VertexCoverInstance, q: int, ceilings: Ceilings) -> t
         neigh = [x_index[u] for u in g.neighbors(v)]
         neigh.sort()
         for size in range(1, min(q, len(neigh)) + 1):
-            for sub in combinations(neigh, size):
-                realized.add(sub)
+            realized.update(combinations(neigh, size))
     cover_edges = [(x_index[u], x_index[v]) for u, v in g.edges() if u in x_index and v in x_index]
     return cover_edges, sorted(realized)
 

@@ -15,10 +15,14 @@ have disjoint supports.  So the polynomials have the linear relations
 of the +-1 rows of the simplicial boundary matrix, and the kernel's
 greedy basis is selected on those rows (``boundary_basis_select``),
 each face keyed by its vertex bitmask.  The rows lie in the space of
-the (d-1)-faces on the trace vertices V other than the cone vertex, the
+the (d-1)-faces on the trace vertices V other than the cone vertex c, the
 least of them, of dimension C(|V| - 1, d-1), so the selection stops
 once it has kept that many: every later row is dropped without being
-built or reduced.
+built or reduced.  A trace T that holds c has the unit row {T - c: 1};
+the leading run of such traces is selected by bookkeeping (the first
+trace on each face is kept), and the elimination runs only on the later
+rows with the faces of that run deleted, which is exact because
+reducing by unit rows deletes exactly those entries.
 The polynomials are the certificate to check it against:
 ``poly_basis_select`` keeps the same sets with the same certificates.
 """
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 from math import comb
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
 from .gf import FieldElement, FieldSpec, greedy_basis, greedy_kept
 
@@ -192,7 +196,11 @@ def poly_basis_select(polys: Sequence[SparsePoly]) -> BasisSelection:
         raise ValueError("polynomials over mixed fields")
     if len({p.degree for p in polys if not p.is_zero()}) > 1:
         raise ValueError("polynomials of mixed degree")
-    return _selection(spec, lambda: ({k: c.to_index() for k, c in p.terms.items()} for p in polys))
+
+    def rows():
+        return ({k: c.to_index() for k, c in p.terms.items()} for p in polys)
+
+    return BasisSelection(kept=tuple(greedy_kept(spec, rows())), spec=spec, rows=rows)
 
 
 def boundary_basis_select(traces: Sequence[Sequence[int]], spec: FieldSpec) -> BasisSelection:
@@ -204,34 +212,61 @@ def boundary_basis_select(traces: Sequence[Sequence[int]], spec: FieldSpec) -> B
     trace vertex: every boundary is a cycle, and a cycle is fixed by its
     faces that avoid the cone vertex, so the linear relations stay the
     same.  Every row then lies in the space of the (d-1)-faces on the
-    trace vertices V other than c, of dimension C(|V| - 1, d-1); once
-    that many rows are kept, the later ones are dropped without being
-    built.  ``rows`` still builds them all, for the certificates.
+    trace vertices V other than c, of dimension C(|V| - 1, d-1).
+
+    A trace T that holds c has the unit row {T - c: 1}, and the leading
+    traces that hold c are selected by bookkeeping alone: the first on
+    each face is kept, and the faces they keep are `covered`.  Reducing
+    a later row by those unit rows only deletes its entries on
+    `covered`, so a later row is in the span exactly when it is, with
+    those entries deleted, in the span of the later rows kept before it;
+    the later rows are selected that way by ``greedy_kept``, and one
+    left empty is dropped before it reaches the elimination.  Once the
+    kept rows number C(|V| - 1, d-1) they span the face space, and the
+    later rows are dropped without being built.  ``rows`` still builds
+    every full row, for the certificates.
     """
 
     minus_one = spec.ops.neg(1)
     vertices = set().union(*traces)
     cone = min(vertices, default=None)
 
-    def row(trace: Sequence[int]) -> dict:
+    def row(trace: Sequence[int], covered: Container[int] = ()) -> dict:
+        """The boundary row of `trace`, less its entries on `covered`."""
         t = sorted(trace)
         mask = 0
         for v in t:
             mask |= 1 << v
         if t[0] == cone:  # the one face that avoids the cone vertex
-            return {mask ^ (1 << cone): 1}
-        return {mask ^ (1 << v): minus_one if j % 2 else 1 for j, v in enumerate(t)}
+            face = mask ^ (1 << cone)
+            return {} if face in covered else {face: 1}
+        return {
+            face: minus_one if j % 2 else 1
+            for j, v in enumerate(t)
+            if (face := mask ^ (1 << v)) not in covered
+        }
 
-    sizes = {len(t) for t in traces}
+    sizes = set(map(len, traces))
     if len(sizes) > 1:  # the stop below counts the faces of one size
         raise ValueError("traces of mixed size")
-    rank = comb(len(vertices) - 1, sizes.pop() - 1) if vertices else None
-    return _selection(spec, lambda: map(row, traces), rank)
+    rank = comb(len(vertices) - 1, sizes.pop() - 1) if vertices else 0
+    covered: dict[int, int] = {}  # face T - c -> the first leading trace on it
+    lead = 0
+    for trace in traces:
+        if cone not in trace:
+            break
+        (face,) = row(trace)  # the unit row {T - c: 1}
+        covered.setdefault(face, lead)
+        lead += 1
+    kept = list(covered.values())
+    drawn: list[int] = []  # the later traces whose rows reach greedy_kept
 
+    def later_rows():
+        for i in range(lead, len(traces)):
+            if later := row(traces[i], covered):  # an empty row is in the span
+                drawn.append(i)
+                yield later
 
-def _selection(
-    spec: FieldSpec, rows: Callable[[], Iterable[dict]], rank: Optional[int] = None
-) -> BasisSelection:
-    """The kept set of the int-encoded rows that `rows` generates, which
-    lie in a space of dimension `rank` when it is given."""
-    return BasisSelection(kept=tuple(greedy_kept(spec, rows(), rank)), spec=spec, rows=rows)
+    if len(kept) < rank:
+        kept += (drawn[i] for i in greedy_kept(spec, later_rows(), rank - len(kept)))
+    return BasisSelection(kept=tuple(kept), spec=spec, rows=lambda: map(row, traces))

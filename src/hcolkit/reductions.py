@@ -397,6 +397,8 @@ def read_dimacs(text: str) -> CnfFormula:
                 raise ValueError(f"bad DIMACS header {line!r}")
             n_vars, n_clauses = int(tokens[2]), int(tokens[3])
             continue
+        if n_vars is None:  # DIMACS puts the header before every clause
+            raise ValueError(f"missing 'p cnf' header before {line!r}")
         for tok in line.split():
             lit = int(tok)
             if lit == 0:

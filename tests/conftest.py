@@ -10,12 +10,13 @@ from __future__ import annotations
 import random
 from types import SimpleNamespace
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
 from hcolkit.config import Ceilings, DEFAULT_CEILINGS
 from hcolkit.errors import CeilingError, InvariantViolation
-from hcolkit.gf import FieldElement, FieldSpec, greedy_basis, int_vector, matrix_rank
+from hcolkit.gf import FieldElement, FieldSpec, greedy_basis, greedy_kept, int_vector, matrix_rank
 from hcolkit.graphs import Graph, common_neighbors
 from hcolkit.kernels import VertexCoverInstance
 from hcolkit.reps import INDEPENDENT, ORTHOGONAL, Representation, Vector, inner_product
@@ -74,7 +75,10 @@ def reference_parse_graph_lines(
         if tokens[0] == "L":
             if len(tokens) < 2:
                 raise ValueError(f"label line without a vertex: {line!r}")
-            labels[int(tokens[1])] = " ".join(tokens[2:])
+            v = int(tokens[1])
+            if v in labels:
+                raise ValueError(f"repeated line in {what}: 'L {v}'")
+            labels[v] = " ".join(tokens[2:])
         elif tokens[0].lstrip("-").isdigit():
             if len(tokens) != 2:
                 raise ValueError(f"bad edge line {line!r}")
@@ -415,6 +419,30 @@ def reference_row_reduce(matrix) -> tuple[list[list], int, list[int]]:
 
 def reference_rank(spec, vectors) -> int:
     return reference_row_reduce(vectors)[1] if vectors else 0
+
+
+def reference_boundary_kept(traces, spec: FieldSpec) -> tuple[int, ...]:
+    """The kept set of ``boundary_basis_select`` without its cone-prefix
+    bookkeeping: ``greedy_kept`` over the full boundary row of every
+    d-set in `traces`, less its faces on the cone vertex c (the least
+    trace vertex), stopping once C(|V| - 1, d-1) rows are kept."""
+    vertices = set().union(*traces)
+    if not vertices:
+        return ()
+    cone = min(vertices)
+    minus_one = spec.ops.neg(1)
+
+    def row(trace) -> dict:
+        t = sorted(trace)
+        mask = 0
+        for v in t:
+            mask |= 1 << v
+        if t[0] == cone:
+            return {mask ^ (1 << cone): 1}
+        return {mask ^ (1 << v): minus_one if j % 2 else 1 for j, v in enumerate(t)}
+
+    rank = comb(len(vertices) - 1, len(traces[0]) - 1)
+    return tuple(greedy_kept(spec, map(row, traces), rank))
 
 
 def leibniz_determinant(matrix):

@@ -459,6 +459,15 @@ def test_reduce_refuses_a_repeated_dimacs_header(files, capsys, tmp_path):
     assert (code, out, err) == (2, "", "hcol: repeated line in DIMACS file: 'p'\n")
 
 
+def test_reduce_refuses_a_clause_before_the_dimacs_header(files, capsys, tmp_path):
+    cnf = tmp_path / "late.cnf"
+    cnf.write_text("1 2 0\np cnf 2 1\n")
+    code, out, err = run(
+        capsys, "reduce", "--from", "nae-sat", "--cnf", str(cnf), "--target", files["k4.g"],
+    )
+    assert (code, out, err) == (2, "", "hcol: missing 'p cnf' header before '1 2 0'\n")
+
+
 def test_reduce_list_hcol(files, capsys, tmp_path):
     out_path = str(tmp_path / "plain.g")
     code, _, _ = run(

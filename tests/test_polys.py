@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcolkit.polys
-from conftest import leibniz_determinant, reference_rank, reference_row_reduce
+from conftest import (
+    leibniz_determinant,
+    reference_boundary_kept,
+    reference_rank,
+    reference_row_reduce,
+)
 from hcolkit.gf import field_make
 from hcolkit.polys import SparsePoly, boundary_basis_select, det_poly, poly_basis_select
 
@@ -187,7 +192,7 @@ def test_boundary_selection_refuses_mixed_sizes():
 
 
 def _count_drawn_rows(monkeypatch) -> list:
-    """The rows that boundary_basis_select draws for its kept set, as drawn."""
+    """The rows that boundary_basis_select draws through greedy_kept, as drawn."""
     drawn = []
     greedy_kept = hcolkit.polys.greedy_kept
 
@@ -202,6 +207,16 @@ def _count_drawn_rows(monkeypatch) -> list:
     return drawn
 
 
+def _expected_draws(traces, cone: int, last_kept: int) -> int:
+    """The rows drawn after the leading run of traces that hold `cone`, up
+    to the last kept one: those with a face that avoids `cone` and is not
+    T - cone for a trace T of the run (the others reduce to zero)."""
+    lead = next((i for i, t in enumerate(traces) if cone not in t), len(traces))
+    covered = {frozenset(t) - {cone} for t in traces[:lead]}
+    faces = [{frozenset(t) - {v} for v in t} for t in traces[lead : last_kept + 1]]
+    return sum(any(cone not in f and f not in covered for f in fs) for fs in faces)
+
+
 @pytest.mark.parametrize("k, d", [(7, 3), (7, 4)])
 def test_selection_draws_rows_until_the_face_space_is_spanned(monkeypatch, k, d):
     drawn = _count_drawn_rows(monkeypatch)
@@ -212,9 +227,11 @@ def test_selection_draws_rows_until_the_face_space_is_spanned(monkeypatch, k, d)
         drawn.clear()
         sel = boundary_basis_select(traces, GF7)
         assert sel.kept == full and len(full) == dimension
-        assert len(drawn) == full[-1] + 1
-        if seed == 0:  # lexicographic: the d-sets on vertex 0 come first
-            assert len(drawn) == dimension
+        assert len(drawn) == _expected_draws(traces, 0, full[-1])
+        if seed == 0:  # lexicographic: the d-sets on vertex 0 come first and span
+            assert len(drawn) == 0
+        else:
+            assert len(drawn) > 0
         random.Random(seed).shuffle(traces)
 
 
@@ -222,7 +239,7 @@ def test_selection_cones_at_the_least_trace_vertex(monkeypatch):
     # no trace holds vertex 0: the rows cone at vertex 1 and span the
     # C(18, 2) = 153 faces on 2..19, so the draws stop at the row where
     # the kept count reaches 153, and the kept set is that of the same
-    # traces shifted down onto 0..18
+    # traces shifted down onto 0..18, coned at 0
     spec = field_make(163, 1)
     drawn = _count_drawn_rows(monkeypatch)
     lexicographic = list(combinations(range(1, 20), 3))
@@ -232,13 +249,17 @@ def test_selection_cones_at_the_least_trace_vertex(monkeypatch):
             random.Random(seed).shuffle(traces)
         drawn.clear()
         sel = boundary_basis_select(traces, spec)
-        assert len(sel.kept) == comb(18, 2) and len(drawn) == sel.kept[-1] + 1 < len(traces)
-        if seed == 0:  # lexicographic: the 3-sets on vertex 1 come first
-            assert len(drawn) == 153
+        assert len(sel.kept) == comb(18, 2) and sel.kept[-1] + 1 < len(traces)
+        assert len(drawn) == _expected_draws(traces, 1, sel.kept[-1])
+        if seed == 0:  # lexicographic: the 3-sets on vertex 1 come first and span
+            assert len(drawn) == 0
             lexicographic_selection = sel
+        else:
+            assert len(drawn) > 0
+        draws = len(drawn)
         drawn.clear()
         assert boundary_basis_select([[v - 1 for v in t] for t in traces], spec).kept == sel.kept
-        assert len(drawn) == sel.kept[-1] + 1
+        assert len(drawn) == draws
     # every row dropped after the stop is rebuilt from its certificate
     sel = lexicographic_selection
     polys = [det_poly(t, 3, spec) for t in lexicographic]
@@ -285,6 +306,47 @@ def test_rows_dropped_after_the_stop_are_rebuilt(spec, d):
     assert set(after_stop) <= set(sel.certificates)
     for i in after_stop:
         assert sel.reconstruct(polys, i) == polys[i]
+
+
+def _benchmark_traces(rng: random.Random, k: int, d: int, outside: int, degree: int):
+    """The sorted d-sets realized by `outside` vertices, each adjacent to
+    `degree` random vertices of range(k), as the algebraic kernel meets them."""
+    neighborhoods = [sorted(rng.sample(range(k), degree)) for _ in range(outside)]
+    return sorted({t for n in neighborhoods for t in combinations(n, d)})
+
+
+@pytest.mark.parametrize("spec", [field_make(163, 1), field_make(2, 8)], ids=str)
+def test_boundary_selection_equals_the_full_row_reference(spec):
+    # at the algebraic benchmark's size, k = 20 with 40 outside vertices of
+    # degree 8 (about 970 3-sets), and at d = 4 on k = 12; every order of
+    # the traces is compared, so the cone run may lead, be cut short,
+    # span the faces alone, or be absent
+    classes = {"spans": 0, "short": 0, "empty": 0}
+    for k, d, outside, degree in [(20, 3, 40, 8), (12, 4, 30, 7)]:
+        for seed in range(3):
+            rng = random.Random(seed)
+            traces = _benchmark_traces(rng, k, d, outside, degree)
+            shuffled = rng.sample(traces, len(traces))
+            star = sorted(set(traces) | {(0,) + s for s in combinations(range(1, k), d - 1)})
+            orders = {
+                "sorted": traces,
+                "shuffled": shuffled,
+                "repeated": sorted(traces + rng.choices(traces, k=len(traces) // 4)),
+                "shuffled repeated": shuffled + rng.choices(traces, k=len(traces) // 4),
+                "without vertex 0": [t for t in traces if 0 not in t],
+                "with the star of vertex 0": star,
+                "with the star of vertex 0, shuffled": rng.sample(star, len(star)),
+            }
+            for name, order in orders.items():
+                assert reference_boundary_kept(order, spec) == (
+                    boundary_basis_select(order, spec).kept
+                ), (k, d, seed, name)
+                cone = min(set().union(*order))
+                lead = next(i for i, t in enumerate(order) if cone not in t)
+                faces = {frozenset(t) - {cone} for t in order[:lead]}
+                rank = comb(len(set().union(*order)) - 1, d - 1)
+                classes["empty" if not lead else "spans" if len(faces) == rank else "short"] += 1
+    assert min(classes.values()) > 0, classes
 
 
 @pytest.mark.parametrize("spec", [GF7, GF8], ids=str)

@@ -121,6 +121,27 @@ def test_repeated_tagged_line_is_refused(reader, text, repeated):
     assert str(exc.value) == f"repeated line in {repeated}"
 
 
+@pytest.mark.parametrize(
+    "reader, text, repeated",
+    [
+        ("read_graph", "2 0\nL 0 a\nL 0 b\n", "graph file: 'L 0'"),
+        # vertices are compared as numbers, and an empty label counts
+        ("read_graph", "2 1\nL 1\n0 1\nL 01 b\n", "graph file: 'L 1'"),
+        ("read_instance", "2 1\n0 1\nL 0 a\nX 0\nL 0 a\n", "instance file: 'L 0'"),
+    ],
+)
+def test_repeated_label_line_is_refused_in_the_scan(reader, text, repeated):
+    # a label line is read with the edges, so its repeat is refused there,
+    # before the edge count is checked, as a label line without a vertex is
+    with pytest.raises(ValueError) as exc:
+        READERS[reader](text)
+    assert str(exc.value) == f"repeated line in {repeated}"
+    header, rest = text.split("\n", 1)
+    with pytest.raises(ValueError) as exc:
+        READERS[reader](header + "0\n" + rest)
+    assert str(exc.value) == f"repeated line in {repeated}"
+
+
 @pytest.mark.parametrize("reader, text, repeated", REPEATS, ids=REPEAT_IDS)
 def test_edge_count_is_reported_before_a_repeated_line(reader, text, repeated):
     header, rest = text.split("\n", 1)

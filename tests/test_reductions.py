@@ -451,6 +451,16 @@ def test_dimacs_refuses_a_repeated_header():
     assert str(exc.value) == "repeated line in DIMACS file: 'p'"
 
 
+def test_dimacs_refuses_a_clause_before_the_header():
+    # a file whose header was lost in the middle is not read from its tail
+    with pytest.raises(ValueError) as exc:
+        read_dimacs("1 2 0\np cnf 2 1\n")
+    assert str(exc.value) == "missing 'p cnf' header before '1 2 0'"
+    with pytest.raises(ValueError) as exc:
+        read_dimacs("c comment\n\n-1\np cnf 2 1\n2 0\n")
+    assert str(exc.value) == "missing 'p cnf' header before '-1'"
+
+
 def test_list_instance_round_trip():
     g = make_cycle(5)
     lists = {0: (1, 2), 3: (0,)}
