@@ -9,7 +9,7 @@ up front instead of hanging.  All values can be overridden through
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,9 @@ def env_choice(name: str, default: str, choices: tuple[str, ...]) -> str:
     return raw
 
 
-def ceilings_from_env(base: Ceilings | None = None) -> Ceilings:
-    """Return `base` with any HCOL_<NAME> environment overrides applied."""
-    base = base or Ceilings()
-    return replace(
-        base, **{f.name: env_int(f.name.upper(), getattr(base, f.name)) for f in fields(Ceilings)}
-    )
+def ceilings_from_env() -> Ceilings:
+    """The default ceilings with any HCOL_<NAME> environment overrides applied."""
+    return Ceilings(**{f.name: env_int(f.name.upper(), f.default) for f in fields(Ceilings)})
 
 
 DEFAULT_CEILINGS = Ceilings()

@@ -204,9 +204,11 @@ def algebraic_kernel(
     """Determinant-sparsified kernel of dimension parameter d.
 
     Requires a faithful independent representation of the target with
-    all first entries 1 over a field larger than the target (produce it
-    via `normalize_first_entry`); only its field drives the algorithm,
-    the vectors certify correctness.
+    all first entries 1 over a field larger than the target: check
+    faithfulness with `check_faithful` (``hcol kernelize`` does so once,
+    where the file is read), then apply `normalize_first_entry`, which
+    keeps it.  Only the field drives the algorithm; the vectors certify
+    correctness and are not checked here.
     """
     if d < 3:
         raise ValueError(

@@ -220,18 +220,17 @@ def reduce_list_to_plain(
     (vertex, forbidden target vertex) pair identifying the marks with
     them.  The target must be a core and the gadget verified against it.
     """
+    for v in lists:
+        if not 0 <= v < g.n:
+            raise ValueError(f"list given for unknown vertex {v}")
     full = set(range(target.n))
-    normalized: dict[int, set[int]] = {}
+    template = _GadgetTemplate(gadget)
+    rows = list(g.rows) + [r << g.n for r in target.rows]
     for v in range(g.n):
         allowed = set(lists.get(v, full))
         if not allowed <= full:
             raise ValueError(f"list of vertex {v} mentions unknown target vertices")
-        normalized[v] = allowed
-
-    template = _GadgetTemplate(gadget)
-    rows = list(g.rows) + [r << g.n for r in target.rows]
-    for v in range(g.n):
-        for h in sorted(full - normalized[v]):
+        for h in sorted(full - allowed):
             template.stamp(rows, v, g.n + h)
     return Graph.from_rows(rows)
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
 from math import comb, prod
 from typing import Optional, Sequence
 
@@ -160,17 +161,19 @@ def normalize_first_entry(
     seed: int = 0,
     ceilings: Ceilings = DEFAULT_CEILINGS,
 ) -> Representation:
-    """Equivalent faithful independent representation with every first
-    entry 1 over a field of order above n; takes either kind.
+    """Equivalent independent representation with every first entry 1
+    over a field of order above n; takes either kind.
 
-    One already so keeps its field and vectors, which the steps below
-    would map to themselves.  Otherwise moves to the smallest extension
-    field K with |K| > n, finds y with <y, x_v> != 0 for all v (e_1 is
-    tried first, then seeded random sampling with verification), and
-    maps each x to <y, x> followed by the entries of x except the one at
-    y's last nonzero index: the invertible matrix whose rows are y and
-    the other standard basis vectors.  Each image is rescaled to unit
-    first entry.  Fails hard when the retry cap is exhausted.
+    Requires a faithful input, as :func:`check_faithful` decides
+    (``hcol kernelize`` checks once, where the file is read); each step
+    below keeps every span relation, so the output is faithful too.  One
+    already kernel-ready keeps its field and vectors.  Otherwise moves
+    to the smallest extension field K with |K| > n, finds y with
+    <y, x_v> != 0 for all v (e_1 first, then seeded random samples),
+    and maps each x to <y, x> followed by the entries of x except the
+    one at y's last nonzero index (the invertible matrix whose rows are
+    y and the other unit vectors), rescaled by that head to unit first
+    entry.  Fails hard when the retry cap is exhausted.
     """
     g = rep.graph
     if rep.has_unit_first_entries() and rep.spec.order > g.n:
@@ -178,33 +181,29 @@ def normalize_first_entry(
     ext, embed = field_extension_above(rep.spec, g.n, ceilings=ceilings)
     vecs = [tuple(embed(x) for x in vec) for vec in rep.vectors]
     d = rep.d
-
-    def valid(y: Vector) -> bool:
-        return all(not inner_product(y, vec).is_zero() for vec in vecs)
-
-    y = tuple([ext.one] + [ext.zero] * (d - 1))
-    if not valid(y):
-        rng = random.Random(seed)
-        for _ in range(ceilings.retry_cap):
-            y = tuple(ext.from_index(rng.randrange(ext.order)) for _ in range(d))
-            if valid(y):
-                break
-        else:
-            raise CeilingError(
-                f"no normalizing vector found in {ceilings.retry_cap} seeded trials "
-                f"(seed={seed}); rerun with another seed"
-            )
+    rng = random.Random(seed)
+    trials = chain(
+        [(ext.one,) + (ext.zero,) * (d - 1)],
+        (
+            tuple(ext.from_index(rng.randrange(ext.order)) for _ in range(d))
+            for _ in range(ceilings.retry_cap)
+        ),
+    )
+    for y in trials:
+        heads = [inner_product(y, vec) for vec in vecs]
+        if not any(h.is_zero() for h in heads):
+            break
+    else:
+        raise CeilingError(
+            f"no normalizing vector found in {ceilings.retry_cap} seeded trials "
+            f"(seed={seed}); rerun with another seed"
+        )
     last = max(i for i, x in enumerate(y) if not x.is_zero())
     out = []
-    for vec in vecs:
-        image = [inner_product(y, vec)] + [x for i, x in enumerate(vec) if i != last]
-        scale = image[0].inverse()
-        out.append(tuple(x * scale for x in image))
-    result = Representation(g, ext, d, tuple(out), INDEPENDENT)
-    report = check_faithful(result)
-    if not report:
-        raise InvariantViolation(f"normalization broke faithfulness: {report}")
-    return result
+    for h, vec in zip(heads, vecs):
+        scale = h.inverse()
+        out.append((ext.one, *(x * scale for i, x in enumerate(vec) if i != last)))
+    return Representation(g, ext, d, tuple(out), INDEPENDENT)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 import hcolkit.cli
 import hcolkit.reductions
+import hcolkit.reps
 from hcolkit.cli import main
 from hcolkit.graphs import Graph, make_complete, make_cycle, make_petersen, write_graph
 from hcolkit.kernels import VertexCoverInstance, read_kernel_result, write_instance
@@ -175,6 +176,29 @@ def test_represent_and_algebraic_kernelize(files, capsys, tmp_path):
     assert stats["mode"] == "algebraic" and stats["verified_equivalent"] is True
 
 
+def kernelize_edited_rep(files, capsys, tmp_path, edits):
+    """Run the algebraic kernelization of inst.g into C5 with the
+    Vandermonde representation of C5 over GF(163) (d = 3) after `edits`,
+    a map from a path into its JSON to a new value (None deletes it)."""
+    payload = json.loads(rep_to_json(vandermonde_rep(make_cycle(5), field_make(163, 1))))
+    for path, value in edits.items():
+        *outer, last = path
+        node = payload
+        for key in outer:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+    rep_path = tmp_path / "bad.rep"
+    rep_path.write_text(json.dumps(payload))
+    return run(
+        capsys,
+        "kernelize", files["inst.g"], "--target", files["c5.g"],
+        "--mode", "algebraic", "--rep", str(rep_path),
+    )
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -188,33 +212,55 @@ def test_represent_and_algebraic_kernelize(files, capsys, tmp_path):
         (("vectors", 0, 1), [170], "ints in [0, 163)"),
         (("spec", "irreducible"), [200, 1], "ints in [0, 163)"),
         (("spec", "p"), 10**24, "primality is decided only below"),
+        (("spec", "p"), 4, "4 is not prime"),
+        (("spec", "m"), 0, "extension degree must be >= 1"),
+        (("spec", "irreducible"), [1, 2], "modulus must be monic of degree m"),
+        (("vectors", 0), None, "one vector per vertex required"),
+        (("vectors", 0), [[1], [1], [1], [1]], "vector of wrong dimension"),
+        (("kind",), "skew", "unknown representation kind 'skew'"),
     ],
     ids=(
         "no-spec", "no-p", "no-d", "string-m", "vectors-not-list", "vector-not-list",
         "string-coefficient", "coefficient-above-p", "modulus-above-p", "p-above-prime-range",
+        "p-not-prime", "m-zero", "modulus-not-monic", "vector-missing", "vector-too-long",
+        "unknown-kind",
     ),
 )
 def test_malformed_rep_is_one_line(files, capsys, tmp_path, path, value, message):
     # a C5 representation over GF(163) with one entry removed (value None) or replaced
-    payload = json.loads(rep_to_json(vandermonde_rep(make_cycle(5), field_make(163, 1))))
-    *outer, last = path
-    node = payload
-    for key in outer:
-        node = node[key]
-    if value is None:
-        del node[last]
-    else:
-        node[last] = value
-    rep_path = tmp_path / "bad.rep"
-    rep_path.write_text(json.dumps(payload))
-    code, out, err = run(
-        capsys,
-        "kernelize", files["inst.g"], "--target", files["c5.g"],
-        "--mode", "algebraic", "--rep", str(rep_path),
-    )
+    code, out, err = kernelize_edited_rep(files, capsys, tmp_path, {path: value})
     assert code == 2 and out == ""
     assert err.startswith("hcol: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_reducible_modulus_is_one_line(files, capsys, tmp_path):
+    # GF(163^2) modulo x^2: monic of degree m, but not irreducible
+    edits = {("spec", "m"): 2, ("spec", "irreducible"): [0, 0, 1]}
+    code, out, err = kernelize_edited_rep(files, capsys, tmp_path, edits)
+    assert (code, out, err) == (2, "", "hcol: modulus is reducible\n")
+
+
+def test_algebraic_kernelize_checks_faithfulness_once(files, capsys, tmp_path, monkeypatch):
+    # the Kneser representation is not kernel-ready, so it is normalized
+    # anew; that keeps the verdict of the one check on the file as read
+    rep = kneser_rep(5, 2, field_make(163, 1), seed=0)
+    assert not rep.has_unit_first_entries()
+    rep_path, target_path = tmp_path / "k52.rep", tmp_path / "k52.g"
+    rep_path.write_text(rep_to_json(rep))
+    target_path.write_text(write_graph(rep.graph))
+    calls = []
+    for module in (hcolkit.cli, hcolkit.reps):
+        def counted(rep, check=module.check_faithful):
+            calls.append(rep)
+            return check(rep)
+        monkeypatch.setattr(module, "check_faithful", counted)
+    code, _, _ = run(
+        capsys,
+        "kernelize", files["inst.g"], "--target", str(target_path),
+        "--mode", "algebraic", "--rep", str(rep_path), "--verify",
+    )
+    assert code == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,15 @@ def test_lists_are_respected():
     assert find_homomorphism(c5, c5, lists={0: (1,), 1: (1,)}) is None
 
 
+def test_check_rejects_a_broken_edge_and_a_left_list():
+    # the answer checks of the oracle-reduce benchmark rest on these refusals
+    k2, c5 = make_complete(2), make_cycle(5)
+    assert Homomorphism(k2, c5, (0, 1)).check()
+    assert not Homomorphism(k2, c5, (0, 0)).check()  # edge 01 sent to a non-edge
+    assert Homomorphism(k2, c5, (0, 1)).check({0: (0, 2)})
+    assert not Homomorphism(k2, c5, (0, 1)).check({0: (2,)})  # vertex 0 leaves its list
+
+
 def test_oracle_agrees_with_exhaustive_enumeration():
     rng = random.Random(31)
     targets = [make_complete(3), make_cycle(5), make_kneserish()]

@@ -261,6 +261,10 @@ def test_list_reduction_vertex_count_bound():
 def test_bad_lists_rejected():
     with pytest.raises(ValueError):
         reduce_list_to_plain(make_complete(2), {0: (9,)}, make_cycle(5), c5_gadget())
+    # lists for vertices outside g are refused as the oracle refuses them
+    with pytest.raises(ValueError) as exc:
+        reduce_list_to_plain(Graph(2, [(0, 1)]), {99: (0,), -1: (1,)}, make_cycle(5), c5_gadget())
+    assert str(exc.value) == "list given for unknown vertex 99"
 
 
 def test_list_reduction_with_interior_free_gadget():
@@ -442,6 +446,12 @@ def test_dimacs_parsing_details():
         read_dimacs("1 2 0\n")  # missing header
     with pytest.raises(ValueError):
         read_dimacs("p cnf 2 1\n1 2\n")  # unterminated clause
+    with pytest.raises(ValueError) as exc:
+        read_dimacs("p cnf 3 2\n1 2 3 0\n")
+    assert str(exc.value) == "header promises 2 clauses, found 1"
+    with pytest.raises(ValueError) as exc:
+        read_dimacs("p cnf -1 0\n")
+    assert str(exc.value) == "variable count must be non-negative"
 
 
 def test_dimacs_refuses_a_repeated_header():

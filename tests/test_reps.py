@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -569,3 +570,32 @@ def test_neighborhood_ranks_none_when_a_non_neighbor_is_in_the_span():
     assert _neighborhood_ranks(spec, path, [e1, e2, e3]) == ((1, 2, 1), None)
     # vertex 0's span is <x_1>, which now holds its non-neighbor x_2
     assert _neighborhood_ranks(spec, path, [e1, e2, tuple(x + x for x in e2)]) == (None, (2, 0))
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 3), (163, 1), (3, 2), (2, 2), (5, 1)])
+def test_normalization_keeps_the_faithfulness_verdict(p, m):
+    # an invertible change of basis, a rescaling by nonzero heads and a
+    # field embedding keep every span relation, so the normalized
+    # representation gets the input's verdict and first counterexample
+    spec = field_make(p, m)
+    rng = random.Random(1000 + p * 10 + m)
+    classes = Counter()
+    for base in normalization_bases(spec, rng):
+        g = base.graph
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        graphs = [g] + [Graph(g.n, set(g.edges()) ^ {pair}) for pair in rng.sample(pairs, min(3, len(pairs)))]
+        for graph in graphs:
+            for seed in range(2):
+                moved = random_change_of_basis(replace(base, graph=graph), rng, hide_first=seed == 1)
+                if moved.has_unit_first_entries() and spec.order > g.n:
+                    continue  # kernel-ready: returned as it is
+                out = normalize_first_entry(moved, seed=seed)
+                assert out.has_unit_first_entries() and out.spec.order > g.n
+                report = check_faithful(moved)
+                assert check_faithful(out) == report
+                classes["faithful" if report.ok else "unfaithful"] += 1
+                classes["extended"] += out.spec != spec
+    assert classes["faithful"] and classes["unfaithful"]
+    if spec.order <= 8:
+        # the orthogonality graphs among the bases outgrow these fields
+        assert classes["extended"]
