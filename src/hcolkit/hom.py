@@ -24,43 +24,50 @@ the first solution) and ``reductions.verify_edge_gadget`` (one pinned
 search per ordered pair of target vertices whose first vertex is in
 ``_orbit_minima``).
 
-Two sound preprocessing steps keep ``find_homomorphism`` tractable on
-the structured instances produced by the kernelization and reduction
-modules, without affecting exactness:
+Sound preprocessing keeps ``find_homomorphism`` tractable on the
+structured instances produced by the kernelization and reduction
+modules, without affecting exactness.  Clusters come first, then
+components, then one constraint group per vertex and table:
 
-* the input graph is split into connected components, solved
-  independently;
-* low-degree "clusters" (connected sets of vertices attached to the
-  rest of the graph through at most two higher-degree vertices) are
-  compiled into unary/binary constraint tables between their boundary
-  vertices and re-expanded after the main search.  One bitmask walk
-  over the low-degree vertices not yet placed finds each cluster.  Within one
-  component, a cluster is first keyed by its shape: the member mask
-  and each member's row over the members, both shifted down to the
-  least member, with the member's attachments to the boundary in two
-  low bits, plus the boundary size and, when lists narrow the
-  component, the member domains.  Only the first cluster of each shape
-  builds the signature that keys ``_cluster_cache`` across calls: the
-  member domains, each member's row over the members numbered by rank
-  and then the boundary, and the boundary size.  (Keying the cache by
-  shape would split its entries: a cluster of a list reduction holds
-  original vertices far from its gadget interior, so equal signatures
-  come in many shapes.)  Compilation, ``_cluster_images``, searches
-  the cluster once at every image of the boundary and keeps the first
-  solution at each feasible one; the tables are read off those images,
-  and re-expansion looks up the images the main search chose.  A
-  cluster with no feasible image refutes its component at once, a
-  one-pin table narrows its pin's domain, and a two-pin table enters
-  the main search as one constraint group per direction beside the
-  edge group, where arc consistency prunes by it.  Gadget interiors and
-  kernel pendant vertices disappear from the search this way, and
-  clusters with equal signatures share one compilation, while the
-  copies of one gadget share one signature lookup.
+* vertices of degree at least ``_PIN_DEGREE`` are pins and the rest are
+  soft.  One bitmask walk over the soft vertices of the whole graph
+  finds each soft region, a maximal connected set of them, with its
+  sorted members and its boundary, the pins it touches (``_components``);
+* components are read off the pins: the pins joined by pin-pin edges
+  form groups, and every region on two or more pins, compiled or not,
+  merges their groups.  A region with no pin is a component of its own.
+  Components are solved independently, in order of their least vertex;
+* a region on one or two pins with at most ``_CLUSTER_CAP`` members is a
+  cluster, compiled into unary/binary constraint tables between its
+  boundary vertices and re-expanded after the main search.  Within one
+  component, a cluster is first keyed by its shape: the member mask and
+  each member's row over the members, both shifted down to the least
+  member, with the member's attachments to the boundary in two low bits,
+  plus the boundary size and, when lists narrow the component, the
+  member domains.  Only the first cluster of each shape builds the
+  signature that keys ``_cluster_cache`` across calls: the member
+  domains, each member's row over the members numbered by rank and then
+  the boundary, and the boundary size.  (Keying the cache by shape would
+  split its entries: a cluster of a list reduction holds original
+  vertices far from its gadget interior, so equal signatures come in
+  many shapes.)  Compilation, ``_cluster_images``, searches the cluster
+  once at every image of the boundary and keeps the first solution at
+  each feasible one; the tables are read off those images, and
+  re-expansion looks up the images the main search chose.  A cluster
+  with no feasible image refutes its component at once, a one-pin table
+  narrows its pin's domain, and the two-pin tables enter the main search
+  as one constraint group per boundary vertex and table, with one
+  partner per cluster, beside the edge group, where arc consistency
+  prunes by them.  Gadget interiors and kernel pendant vertices
+  disappear from the search this way, and clusters with equal
+  signatures share one compilation, while the copies of one gadget
+  share one signature lookup.
 
 The residual search orders vertices by descending total constraint
-tightness, which is plain descending degree on uncompiled graphs;
-cluster and automorphism searches use descending degree.  Ties go by
-id, so every witness is deterministic.
+tightness, each table counted once per partner entry, which is plain
+descending degree on uncompiled graphs; cluster and automorphism
+searches use descending degree.  Ties go by id, so every witness is
+deterministic.
 
 Root restriction by the symmetries of H.  When no list narrows a
 component, its edge constraints, its cluster tables (compiled from full
@@ -80,7 +87,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
@@ -378,139 +385,198 @@ def _orbit_minima(h_rows: tuple[int, ...]) -> int:
     return sum({orbit & -orbit for orbit in _orbits(h_rows)})
 
 
-class _ComponentSolver:
-    """Solves one connected component of the instance graph."""
+def _components(g: Graph, h: Graph, doms: list[int], listed: bool) -> list[_ComponentSolver]:
+    """The connected components of g as solvers, in order of their least
+    vertex: the soft regions first, in one walk, then the components read
+    off the pins (see the module docstring).  Without lists (``listed``
+    false) every component is symmetric, unscanned."""
+    rows = g.rows
+    pins = 0
+    for v, row in enumerate(rows):
+        if row.bit_count() >= _PIN_DEGREE:
+            pins |= 1 << v
+    regions: list[tuple] = []  # (members, mask, boundary), by least member
+    unseen = ((1 << g.n) - 1) ^ pins
+    while unseen:
+        # the soft region of the least unseen vertex; each vertex leaves
+        # `unseen` as it is reached, and `members` is the walk's queue
+        low = unseen & -unseen
+        unseen ^= low
+        region = low
+        members = [low.bit_length() - 1]
+        touch = 0
+        for v in members:
+            row = rows[v]
+            touch |= row & pins
+            grown = row & unseen
+            if grown:
+                unseen ^= grown
+                region |= grown
+                while grown:
+                    low = grown & -grown
+                    members.append(low.bit_length() - 1)
+                    grown ^= low
+        members.sort()
+        regions.append((members, region, list(_bits(touch))))
 
-    def __init__(self, g: Graph, h: Graph, comp: tuple[int, ...], doms: list[int]):
+    # the pins joined by pin-pin edges form groups, which regions merge
+    groups: list[int] = []
+    left = pins
+    while left:
+        comp = frontier = left & -left
+        left ^= comp
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= rows[v]
+            frontier = reach & left
+            left ^= frontier
+            comp |= frontier
+        groups.append(comp)
+    group_of = {p: i for i, comp in enumerate(groups) for p in _bits(comp)}
+    root = list(range(len(groups)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    merges = len(groups) - 1  # until every group has one root
+    for _, _, boundary in regions:
+        if not merges:
+            break
+        if len(boundary) > 1:
+            first = find(group_of[boundary[0]])
+            for p in boundary[1:]:
+                other = find(group_of[p])
+                if other != first:
+                    root[other] = first
+                    merges -= 1
+    parts: dict[int, list] = {}  # root group, or ~index of a pinless region -> [pins, regions]
+    for i, comp in enumerate(groups):
+        parts.setdefault(find(i), [0, []])[0] |= comp
+    for i, entry in enumerate(regions):
+        parts.setdefault(find(group_of[entry[2][0]]) if entry[2] else ~i, [0, []])[1].append(entry)
+    full = (1 << h.n) - 1
+    solvers = []
+    for pinned, attached in parts.values():
+        pinned = list(_bits(pinned))
+        least = min(pinned[:1] + [members[0] for members, _, _ in attached[:1]])
+        symmetric = not listed or all(doms[v] == full for v in chain(pinned, *(m for m, _, _ in attached)))
+        solvers.append((least, _ComponentSolver(g, h, pinned, attached, doms, symmetric)))
+    return [solver for _, solver in sorted(solvers, key=lambda pair: pair[0])]
+
+
+class _ComponentSolver:
+    """Solves one connected component of the instance graph, given as its
+    sorted pins and its soft regions (``_components``)."""
+
+    def __init__(
+        self, g: Graph, h: Graph, pins: list[int], regions: list[tuple], doms: list[int], symmetric: bool
+    ):
         self.g = g
         self.h = h
-        self.comp = comp
-        self.dom = {v: doms[v] for v in comp}
+        self.regions = regions
+        self.doms = doms
         # no list narrows the component, so Aut(H) acts on its solutions
-        self.symmetric = all(d == (1 << h.n) - 1 for d in self.dom.values())
+        self.symmetric = symmetric
+        self.residual = pins  # pins and the members of uncompiled regions
+        self.dom = {v: doms[v] for v in pins}  # the residual vertices' domains
         self.clusters: list[tuple] = []  # (members, boundary, images)
-        self.residual: list[int] = []
-        # per boundary vertex, its cluster tables as ``_search`` groups
+        # per boundary vertex, one ``_search`` group per cluster table,
+        # with one partner per cluster on that table
         self.tables: dict[int, list[tuple]] = {}
+        self._partners: dict[tuple[int, int], list[int]] = {}
 
     # -- preprocessing --------------------------------------------------
 
-    def split_clusters(self) -> bool:
-        rows = self.g.rows
-        pins = soft = 0
-        for v in self.comp:
-            if rows[v].bit_count() >= _PIN_DEGREE:
-                pins |= 1 << v
-            else:
-                soft |= 1 << v
-        if not pins:
-            self.residual = list(self.comp)
-            return True
-        # the component is connected, so every soft region touches a pin
-        residual = list(_bits(pins))
+    def compile_clusters(self) -> bool:
+        """Compile each region on one or two pins with at most
+        ``_CLUSTER_CAP`` members, in order of its least member, and leave
+        the others residual; False when a cluster refutes the component."""
+        rows, doms, dom = self.g.rows, self.doms, self.dom
         memo: dict[tuple, tuple] = {}  # cluster shape -> _cluster_images
-        unseen = soft
-        while unseen:
-            # the soft region of the least unseen vertex, one vertex at a time
-            region = frontier = unseen & -unseen
-            reach = 0
-            members = []
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                v = low.bit_length() - 1
-                members.append(v)
-                row = rows[v]
-                reach |= row
-                grown = row & unseen & ~region
-                region |= grown
-                frontier |= grown
-            unseen ^= region
-            members.sort()
-            boundary = list(_bits(reach & pins))
-            if len(boundary) <= 2 and len(members) <= _CLUSTER_CAP:
-                if not self._compile_cluster(members, region, boundary, memo):
+        for members, region, boundary in self.regions:
+            if not 0 < len(boundary) <= 2 or len(members) > _CLUSTER_CAP:
+                self.residual.extend(members)
+                dom.update((v, doms[v]) for v in members)
+                continue
+            # the shape, in positions relative to the least member: each
+            # member's row over the region, with its attachments to the
+            # first and the last boundary vertex in the two low bits
+            base = members[0]
+            local = region >> base
+            first, last = 1 << boundary[0], 1 << boundary[-1]
+            key = (local, len(boundary), *[
+                (row >> base & local) << 2 | (row & first != 0) << 1 | (row & last != 0)
+                for row in map(rows.__getitem__, members)
+            ])
+            if not self.symmetric:
+                key += tuple(doms[v] for v in members)
+            hit = memo.get(key)
+            if hit is None:
+                # the signature, in ranks: members first, the boundary after
+                index = {v: i for i, v in enumerate(members + boundary)}
+                local_rows = tuple(sum(1 << index[u] for u in _bits(rows[v])) for v in members)
+                sig = (tuple(doms[v] for v in members), local_rows, len(boundary))
+                hit = memo[key] = _cluster_images(self.h.rows, sig)
+            images, tables = hit
+            if not images:
+                return False
+            if len(boundary) == 1:
+                x = boundary[0]
+                dom[x] &= tables
+                if not dom[x]:
                     return False
             else:
-                residual.extend(members)
-        self.residual = residual
-        return True
-
-    def _compile_cluster(
-        self, members: list[int], region: int, boundary: list[int], memo: dict
-    ) -> bool:
-        """Compile the cluster with the sorted `members` (bitmask
-        `region`) on its sorted `boundary`; False when it refutes the
-        component.  `memo` maps the shapes seen in this split to their
-        ``_cluster_images``."""
-        rows = self.g.rows
-        # the shape, in positions relative to the least member: each
-        # member's row over the region, with its attachments to the first
-        # and the last boundary vertex in the two low bits
-        base, first, last = members[0], boundary[0], boundary[-1]
-        shape = [region >> base, len(boundary)]
-        for v in members:
-            row = rows[v]
-            shape.append((row & region) >> base << 2 | (row >> first & 1) << 1 | row >> last & 1)
-        if not self.symmetric:
-            shape.extend(self.dom[v] for v in members)
-        key = tuple(shape)
-        hit = memo.get(key)
-        if hit is None:
-            # the signature, in ranks: members first, the boundary after
-            index = {v: i for i, v in enumerate(members + boundary)}
-            local = tuple(sum(1 << index[u] for u in _bits(rows[v])) for v in members)
-            sig = (tuple(self.dom[v] for v in members), local, len(boundary))
-            hit = memo[key] = _cluster_images(self.h.rows, sig)
-        images, tables = hit
-        if not images:
-            return False
-        if len(boundary) == 1:
-            x = boundary[0]
-            self.dom[x] &= tables
-            if not self.dom[x]:
-                return False
-        else:
-            # one group per direction; the search keeps arc consistency
-            for u, w, (t, supports) in zip(boundary, boundary[::-1], tables):
-                self.tables.setdefault(u, []).append((t, [w], supports))
-        self.clusters.append((members, boundary, images))
+                # one group per direction and table, one partner per
+                # cluster; the search keeps arc consistency
+                for u, w, (t, supports) in zip(boundary, boundary[::-1], tables):
+                    partners = self._partners.get((u, id(t)))
+                    if partners is None:
+                        partners = self._partners[u, id(t)] = []
+                        self.tables.setdefault(u, []).append((t, partners, supports))
+                    partners.append(w)
+            self.clusters.append((members, boundary, images))
         return True
 
     # -- residual search ------------------------------------------------
 
     def solve(self) -> Optional[dict[int, int]]:
-        if not self.split_clusters():
+        if not self.compile_clusters():
             return None
         g, h = self.g, self.h
-        # graph-edge constraints among residual vertices, then the groups
-        # of the cluster tables
-        residual_mask = sum(1 << v for v in self.residual)
-        edge_supports: dict[int, int] = {}
-        cons: dict[int, list] = {}
-        for v in self.residual:
-            neighbors = list(_bits(g.rows[v] & residual_mask))
-            cons[v] = [(h.rows, neighbors, edge_supports)] if neighbors else []
-            cons[v].extend(self.tables.get(v, ()))
-
-        # Order by total constraint tightness (forbidden pairs summed over
-        # incident constraint tables), descending, ties by id.  On plain
-        # graphs every edge weighs the same, so this is descending degree;
-        # on compiled instances it ranks hard mutual edges above the loose
-        # disequality tables of gadget boundaries.
+        # Graph-edge constraints among residual vertices, then the groups
+        # of the cluster tables, with each partner once.  Order by total
+        # constraint tightness (forbidden pairs summed over incident
+        # constraint tables, one table per partner entry), descending,
+        # ties by id.  On plain graphs every edge weighs the same, so this
+        # is descending degree; on compiled instances it ranks hard mutual
+        # edges above the loose disequality tables of gadget boundaries.
         square = h.n * h.n
         table_weight: dict[int, int] = {}
 
-        def weight(v: int) -> int:
-            total = 0
-            for table, partners, _ in cons[v]:
-                w = table_weight.get(id(table))
-                if w is None:
-                    w = table_weight[id(table)] = square - sum(m.bit_count() for m in table)
-                total += w * len(partners)
-            return total
+        def tightness(table: Sequence[int]) -> int:
+            w = table_weight.get(id(table))
+            if w is None:
+                w = table_weight[id(table)] = square - sum(m.bit_count() for m in table)
+            return w
 
-        order = sorted(self.residual, key=lambda v: (-weight(v), v))
+        residual_mask = sum(1 << v for v in self.residual)
+        edge_weight = tightness(h.rows)
+        edge_supports: dict[int, int] = {}
+        cons: dict[int, list] = {}
+        weight: dict[int, int] = {}
+        for v in self.residual:
+            neighbors = list(_bits(g.rows[v] & residual_mask))
+            groups = [(h.rows, neighbors, edge_supports)] if neighbors else []
+            total = edge_weight * len(neighbors)
+            for table, partners, supports in self.tables.get(v, ()):
+                total += tightness(table) * len(partners)
+                groups.append((table, list(dict.fromkeys(partners)), supports))
+            cons[v] = groups
+            weight[v] = total
+        order = sorted(self.residual, key=lambda v: (-weight[v], v))
         if self.symmetric:
             # every table and domain is Aut(H)-invariant, so the least
             # root value with a solution is the least of its orbit
@@ -521,7 +587,7 @@ class _ComponentSolver:
         # re-expand each compiled cluster by the first solution its
         # compilation found at the boundary images chosen here
         for members, boundary, images in self.clusters:
-            sub = images.get(tuple(assign[x] for x in boundary))
+            sub = images.get(tuple(map(assign.__getitem__, boundary)))
             if sub is None:
                 raise InvariantViolation("compiled cluster lost its witness")
             assign.update(zip(members, sub))
@@ -556,12 +622,12 @@ def find_homomorphism(
     if h.n == 0 or 0 in doms:
         return None
     total: dict[int, int] = {}
-    for comp in g.connected_components():
-        sol = _ComponentSolver(g, h, comp, doms).solve()
+    for solver in _components(g, h, doms, bool(lists)):
+        sol = solver.solve()
         if sol is None:
             return None
         total.update(sol)
-    return Homomorphism(g, h, tuple(total[v] for v in range(g.n)))
+    return Homomorphism(g, h, tuple(map(total.__getitem__, range(g.n))))
 
 
 def is_core(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> bool:

@@ -18,6 +18,9 @@ from hcolkit.config import Ceilings, DEFAULT_CEILINGS
 from hcolkit.errors import CeilingError, InvariantViolation
 from hcolkit.gf import FieldElement, FieldSpec, greedy_basis, greedy_kept, int_vector, matrix_rank
 from hcolkit.graphs import Graph, common_neighbors
+from hcolkit.hom import (
+    _CLUSTER_CAP, _PIN_DEGREE, _cluster_images, _domains_from_lists, _orbit_minima, _search,
+)
 from hcolkit.kernels import VertexCoverInstance
 from hcolkit.reps import INDEPENDENT, ORTHOGONAL, Representation, Vector, inner_product
 from hcolkit.witness import max_clique
@@ -155,6 +158,69 @@ def reference_hom_exists(g: Graph, h: Graph, lists=None) -> bool:
         return False
 
     return rec(0)
+
+
+def components_first_assignment(g: Graph, h: Graph, lists=None):
+    """The assignment of ``find_homomorphism`` by the components-first
+    path: `Graph.connected_components`, then per component a BFS over
+    its soft vertices, each cluster compiled from its signature (no shape
+    memo) into one table group per cluster and direction, and the same
+    residual order, root restriction and re-expansion.  None when there
+    is no homomorphism."""
+    doms = _domains_from_lists(g, h, lists)
+    if g.n and (h.n == 0 or 0 in doms):
+        return None
+    square, total = h.n * h.n, {}
+    for comp in g.connected_components():
+        dom = {v: doms[v] for v in comp}
+        pins = {v for v in comp if g.degree(v) >= _PIN_DEGREE}
+        residual = sorted(pins) if pins else list(comp)
+        tables, clusters, seen = {}, [], set(pins or comp)
+        for v in comp:
+            if v in seen:
+                continue
+            seen.add(v)
+            region = [v]
+            for u in region:
+                grown = [w for w in g.neighbors(u) if w not in seen]
+                seen.update(grown)
+                region += grown
+            members = sorted(region)
+            boundary = sorted({w for u in members for w in g.neighbors(u) if w in pins})
+            if len(boundary) > 2 or len(members) > _CLUSTER_CAP:
+                residual += members
+                continue
+            index = {u: i for i, u in enumerate(members + boundary)}
+            local = tuple(sum(1 << index[w] for w in g.neighbors(u)) for u in members)
+            images, compiled = _cluster_images(h.rows, (tuple(doms[u] for u in members), local, len(boundary)))
+            if not images:
+                return None
+            if len(boundary) == 1:
+                dom[boundary[0]] &= compiled
+                if not dom[boundary[0]]:
+                    return None
+            else:
+                for u, w, (table, supports) in zip(boundary, boundary[::-1], compiled):
+                    tables.setdefault(u, []).append((table, [w], supports))
+            clusters.append((members, boundary, images))
+        cons, placed = {}, set(residual)
+        for v in residual:
+            neighbors = [u for u in g.neighbors(v) if u in placed]
+            cons[v] = ([(h.rows, neighbors, {})] if neighbors else []) + tables.get(v, [])
+
+        def weight(v):
+            return sum((square - sum(m.bit_count() for m in t)) * len(p) for t, p, _ in cons[v])
+
+        order = sorted(residual, key=lambda v: (-weight(v), v))
+        if all(doms[v] == (1 << h.n) - 1 for v in comp):
+            dom[order[0]] &= _orbit_minima(h.rows)
+        assign = next(_search(order, dom, cons), None)
+        if assign is None:
+            return None
+        for members, boundary, images in clusters:
+            assign.update(zip(members, images[tuple(assign[x] for x in boundary)]))
+        total.update(assign)
+    return tuple(total[v] for v in range(g.n))
 
 
 def reference_core(g: Graph) -> Graph:

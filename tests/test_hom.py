@@ -10,6 +10,7 @@ from conftest import (
     brute_homomorphisms,
     brute_network_solutions,
     brute_orbits,
+    components_first_assignment,
     disjoint_union,
     hub_and_path_graph,
     reference_core,
@@ -27,7 +28,7 @@ from hcolkit.graphs import (
 import hcolkit.hom
 from hcolkit.hom import (
     Homomorphism,
-    _ComponentSolver,
+    _components,
     _domains_from_lists,
     _edge_constraints,
     _orbits,
@@ -164,8 +165,7 @@ def kernel_shaped_graph(rng, k=7, outside=30):
 
 
 def compiled_solvers(g, h, lists=None):
-    doms = _domains_from_lists(g, h, lists)
-    solvers = [_ComponentSolver(g, h, comp, doms) for comp in g.connected_components()]
+    solvers = _components(g, h, _domains_from_lists(g, h, lists), bool(lists))
     return solvers, [solver.solve() for solver in solvers]
 
 
@@ -228,7 +228,7 @@ def test_cluster_cache_hit_registers_the_tables_of_a_miss():
 
 def test_cluster_images_run_once_per_cluster_shape(monkeypatch):
     # the 448 gadget copies of a K(6,2) NAE-SAT output come in a few
-    # shapes, read relative to each copy's least member; split_clusters
+    # shapes, read relative to each copy's least member; compile_clusters
     # compiles each shape once, whether the cluster cache starts cold,
     # warm, or is emptied at every insertion, and the witness stays put
     h = make_kneser(6, 2)
@@ -579,8 +579,8 @@ def test_two_pin_cluster_without_a_feasible_image_refutes_its_component(monkeypa
     assert not brute_hom_exists(g.induced_subgraph(range(4)), c5, lists)
     hcolkit.hom._cluster_cache.clear()
     calls = count_searches(monkeypatch)
-    solver = _ComponentSolver(g, c5, tuple(range(14)), _domains_from_lists(g, c5, lists))
-    assert solver.split_clusters() is False
+    (solver,) = _components(g, c5, _domains_from_lists(g, c5, lists), True)
+    assert solver.compile_clusters() is False
     assert find_homomorphism(g, c5, lists=lists) is None
     assert calls == []
 
@@ -695,3 +695,109 @@ def test_warm_cluster_cache_makes_no_cluster_search(monkeypatch):
     calls = count_searches(monkeypatch)
     assert find_homomorphism(out, c5) == witness
     assert calls and all(frozenset(order) in residuals for order in calls)
+
+
+def bridged_components_graph(rng):
+    """Isolated vertices, a pinless path, a hub with pendants, and two
+    components made of groups of hubs: within a group the hubs form a
+    path, and the groups are joined only through one soft bridge each: a
+    short path between two hubs, a soft vertex on three hubs, or a path of
+    more than ``_CLUSTER_CAP`` vertices.  Vertices are shuffled; returns
+    the graph and the vertex sets of the bridges."""
+    edges, bridges = [], []
+    n = 0
+
+    def new(count):
+        nonlocal n
+        n += count
+        return list(range(n - count, n))
+
+    def path(length):
+        vertices = new(length)
+        edges.extend(zip(vertices, vertices[1:]))
+        return vertices
+
+    new(rng.randint(1, 3))  # isolated vertices
+    path(rng.randint(2, 6))
+    hub = new(1)[0]
+    edges.extend((hub, leaf) for leaf in new(rng.randint(5, 7)))
+    for _ in range(2):
+        groups = []
+        for _ in range(rng.randint(2, 3)):
+            groups.append(path(rng.randint(1, 3)))
+            edges.extend((hub, leaf) for hub in groups[-1] for leaf in new(5))
+        for left, right in zip(groups, groups[1:]):
+            kind = rng.choice(("compiled", "three pins", "over cap"))
+            if kind == "three pins" and len(left + right) >= 3:
+                ends = [rng.choice(left), rng.choice(right)]
+                ends.append(rng.choice([v for v in left + right if v not in ends]))
+                bridge = new(1)
+                edges.extend((v, bridge[0]) for v in ends)
+            else:
+                bridge = path(rng.randint(1, 3) if kind == "compiled" else rng.randint(65, 67))
+                edges += [(rng.choice(left), bridge[0]), (bridge[-1], rng.choice(right))]
+            bridges.append(bridge)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges]), [{perm[v] for v in b} for b in bridges]
+
+
+def test_components_are_read_off_the_pins():
+    # the oracle's components are the graph's, in order of their least
+    # vertex, however their pin groups are joined; and its assignments are
+    # those of the components-first path
+    rng = random.Random(353)
+    cases = Counter()
+    for trial in range(36):
+        g, bridges = bridged_components_graph(rng)
+        comps = g.connected_components()
+        pins = {v for v in range(g.n) if g.degree(v) >= 5}
+        for comp in comps:
+            on = pins.intersection(comp)
+            cases["isolated"] += len(comp) == 1
+            cases["no pin"] += len(comp) > 1 and not on
+            cases["one pin"] += len(on) == 1
+        for bridge in bridges:
+            (comp,) = [c for c in comps if bridge <= set(c)]
+            touched = {u for v in bridge for u in g.neighbors(v)} & pins
+            kept = [v for v in comp if v not in bridge]
+            # the bridge is a soft region, and the only link of its pins
+            assert not bridge & pins
+            rest = g.induced_subgraph(kept).connected_components()
+            assert sum(bool(pins.intersection(kept[i] for i in c)) for c in rest) > 1
+            if len(bridge) > hcolkit.hom._CLUSTER_CAP:
+                cases["over cap"] += 1
+            elif len(touched) > 2:
+                cases["three pins"] += 1
+            else:
+                cases["compiled"] += 1
+        h = (make_complete(3), make_cycle(5), make_petersen())[trial % 3]
+        (listed,) = rng.sample([c for c in comps if len(c) > 1], 1)
+        lists = {v: rng.sample(range(h.n), h.n - 1) for v in rng.sample(listed, 2)}
+        solvers = _components(g, h, _domains_from_lists(g, h, lists), True)
+        assert [tuple(sorted(s.residual + [v for m, _, _ in s.regions for v in m])) for s in solvers] == comps
+        assert [s.symmetric for s in solvers] == [c != listed for c in comps]
+        found = find_homomorphism(g, h, lists=lists)
+        expected = components_first_assignment(g, h, lists)
+        assert (found and found.assignment) == expected
+        cases["satisfiable"] += expected is not None
+    assert min(cases[k] for k in ("isolated", "no pin", "one pin", "compiled", "three pins", "over cap")) > 5
+    assert cases["satisfiable"] > 10
+
+
+def test_clusters_sharing_a_table_weigh_once_each():
+    # hubs 0, 1 and 2 (pendants lift their degrees) joined by paths; the
+    # two 3-paths and the two 2-paths from 0 to 1 share a table each, so
+    # each pair is one constraint group with a repeated partner, and every
+    # cluster still weighs once in the residual order: weighing only the
+    # distinct partners moves the C5 witness
+    paths = [
+        (1, 0, [3, 4, 5]), (1, 0, [6, 7, 8]), (0, 1, [9, 10]), (0, 1, [11, 12]),
+        (2, 0, [13]), (2, 1, [14, 15, 16]), (0, 2, [17, 18, 19]),
+    ]
+    edges = [(1, 2)] + [e for a, b, inner in paths for e in zip([a] + inner, inner + [b])]
+    edges += [(hub, leaf) for hub in range(3) for leaf in range(20 + 5 * hub, 25 + 5 * hub)]
+    g, c5 = Graph(35, edges), make_cycle(5)
+    (solver,), _ = compiled_solvers(g, c5)
+    assert any(len(p) > len(set(p)) for groups in solver.tables.values() for _, p, _ in groups)
+    assert find_homomorphism(g, c5).assignment == components_first_assignment(g, c5)
