@@ -72,6 +72,36 @@ def _check_rows(rows: Sequence[int], n: int) -> None:
             mirrored[u] += 1
 
 
+def _pieces(rows: Sequence[int], mask: int) -> Iterator[tuple[list[int], int, int]]:
+    """Yield ``(members, piece, reach)`` for each connected piece of the
+    subgraph induced on `mask`, in order of its least vertex: its sorted
+    members, its mask and the OR of its members' full rows.
+
+    ``rows[v]`` is read only for v in `mask`.  Each vertex leaves
+    ``unseen`` as it is reached, and ``members`` is the walk's queue.
+    """
+    unseen = mask
+    while unseen:
+        low = unseen & -unseen
+        unseen ^= low
+        piece = low
+        members = [low.bit_length() - 1]
+        reach = 0
+        for v in members:
+            row = rows[v]
+            reach |= row
+            grown = row & unseen
+            if grown:
+                unseen ^= grown
+                piece |= grown
+                while grown:
+                    low = grown & -grown
+                    members.append(low.bit_length() - 1)
+                    grown ^= low
+        members.sort()
+        yield members, piece, reach
+
+
 class Graph:
     """A finite simple undirected graph on vertices 0..n-1."""
 
@@ -160,25 +190,7 @@ class Graph:
 
     def connected_components(self) -> list[tuple[int, ...]]:
         """Components ordered by their least vertex, each one sorted."""
-        rows = self.rows
-        comps = []
-        left = (1 << self.n) - 1
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                grown = comp
-                v = -1
-                while frontier:
-                    # shift the next frontier vertex v out of the bits still to walk
-                    step = (frontier & -frontier).bit_length()
-                    v += step
-                    frontier >>= step
-                    grown |= rows[v]
-                frontier = grown & ~comp
-                comp = grown
-            left &= ~comp
-            comps.append(tuple(_bits(comp)))
-        return comps
+        return [tuple(members) for members, _, _ in _pieces(self.rows, (1 << self.n) - 1)]
 
     # -- dunder -------------------------------------------------------
 

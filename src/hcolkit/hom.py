@@ -30,13 +30,15 @@ modules, without affecting exactness.  Clusters come first, then
 components, then one constraint group per vertex and table:
 
 * vertices of degree at least ``_PIN_DEGREE`` are pins and the rest are
-  soft.  One bitmask walk over the soft vertices of the whole graph
+  soft.  One walk over the soft vertices of the whole graph
+  (``graphs._pieces``, which ``Graph.connected_components`` takes too)
   finds each soft region, a maximal connected set of them, with its
   sorted members and its boundary, the pins it touches (``_components``);
-* components are read off the pins: the pins joined by pin-pin edges
-  form groups, and every region on two or more pins, compiled or not,
-  merges their groups.  A region with no pin is a component of its own.
-  Components are solved independently, in order of their least vertex;
+* components are read off the pins by the same walk over the pins,
+  where a pin's row also links it to every pin that shares a region on
+  two or more pins with it, compiled or not.  A region with no pin is a
+  component of its own.  Components are solved independently, in order
+  of their least vertex;
 * a region on one or two pins with at most ``_CLUSTER_CAP`` members is a
   cluster, compiled into unary/binary constraint tables between its
   boundary vertices and re-expanded after the main search.  Within one
@@ -92,7 +94,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
 from .errors import CeilingError, InvariantViolation
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _pieces
 
 # Vertices of at least this degree act as cluster boundaries and are
 # never folded away; everything below may end up inside a cluster.
@@ -327,7 +329,7 @@ def _orbits(h_rows: tuple[int, ...]) -> tuple[int, ...]:
     to b, every vertex kept in its colour class, and edge and non-edge
     tables between every pair (which force a bijection), finds an
     automorphism with r -> b or proves there is none.  Every automorphism
-    found merges all of its cycles in a union-find.
+    found merges the orbit masks along each of its cycles.
     """
     n = len(h_rows)
     colour = [0] * n
@@ -343,41 +345,33 @@ def _orbits(h_rows: tuple[int, ...]) -> tuple[int, ...]:
     for v in range(n):
         members[colour[v]] |= 1 << v
 
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
+    orbit = [1 << v for v in range(n)]
     degree_order, cons = _edge_constraints(h_rows, h_rows)
     non_rows = [((1 << n) - 1) & ~row & ~(1 << v) for v, row in enumerate(h_rows)]
     non_supports: dict[int, int] = {}
     for v, groups in enumerate(cons):
         groups.append((non_rows, list(_bits(non_rows[v])), non_supports))
-    for cls in members:
-        pending = list(_bits(cls))
-        while len(pending) > 1:
-            r = pending[0]
-            apart: list[int] = []  # vertices proved outside the orbit of r
+    for pending in members:
+        while pending & (pending - 1):
+            r = (pending & -pending).bit_length() - 1
+            apart = 0  # vertices proved outside the orbit of r
             order = [r] + [v for v in degree_order if v != r]
-            for b in pending[1:]:
-                root = find(b)
-                if root == find(r) or any(find(x) == root for x in apart):
+            for b in _bits(pending ^ 1 << r):
+                if orbit[b] & (apart | 1 << r):
                     continue
                 dom = [members[c] for c in colour]
                 dom[r] = 1 << b
                 found = next(_search(order, dom, cons), None)
                 if found is None:
-                    apart.append(b)
+                    apart |= 1 << b
                     continue
                 for x, y in found.items():
-                    parent[find(x)] = find(y)
-            pending = [b for b in pending if find(b) != find(r)]
-    orbit_of: dict[int, int] = {}
-    for v in range(n):
-        orbit_of[find(v)] = orbit_of.get(find(v), 0) | 1 << v
-    return tuple(orbit_of[find(v)] for v in range(n))
+                    if not orbit[x] >> y & 1:
+                        merged = orbit[x] | orbit[y]
+                        for v in _bits(merged):
+                            orbit[v] = merged
+            pending &= ~orbit[r]
+    return tuple(orbit)
 
 
 def _orbit_minima(h_rows: tuple[int, ...]) -> int:
@@ -387,8 +381,10 @@ def _orbit_minima(h_rows: tuple[int, ...]) -> int:
 
 def _components(g: Graph, h: Graph, doms: list[int], listed: bool) -> list[_ComponentSolver]:
     """The connected components of g as solvers, in order of their least
-    vertex: the soft regions first, in one walk, then the components read
-    off the pins (see the module docstring).  Without lists (``listed``
+    vertex: the soft regions first, then the components read off the
+    pins, each in one walk of ``_pieces`` (see the module docstring).  In
+    the pins' walk a pin's row is OR-ed with the boundary of every region
+    on two or more pins that touches it.  Without lists (``listed``
     false) every component is symmetric, unscanned."""
     rows = g.rows
     pins = 0
@@ -396,71 +392,24 @@ def _components(g: Graph, h: Graph, doms: list[int], listed: bool) -> list[_Comp
         if row.bit_count() >= _PIN_DEGREE:
             pins |= 1 << v
     regions: list[tuple] = []  # (members, mask, boundary), by least member
-    unseen = ((1 << g.n) - 1) ^ pins
-    while unseen:
-        # the soft region of the least unseen vertex; each vertex leaves
-        # `unseen` as it is reached, and `members` is the walk's queue
-        low = unseen & -unseen
-        unseen ^= low
-        region = low
-        members = [low.bit_length() - 1]
-        touch = 0
-        for v in members:
-            row = rows[v]
-            touch |= row & pins
-            grown = row & unseen
-            if grown:
-                unseen ^= grown
-                region |= grown
-                while grown:
-                    low = grown & -grown
-                    members.append(low.bit_length() - 1)
-                    grown ^= low
-        members.sort()
-        regions.append((members, region, list(_bits(touch))))
-
-    # the pins joined by pin-pin edges form groups, which regions merge
-    groups: list[int] = []
-    left = pins
-    while left:
-        comp = frontier = left & -left
-        left ^= comp
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= rows[v]
-            frontier = reach & left
-            left ^= frontier
-            comp |= frontier
-        groups.append(comp)
-    group_of = {p: i for i, comp in enumerate(groups) for p in _bits(comp)}
-    root = list(range(len(groups)))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
-    merges = len(groups) - 1  # until every group has one root
-    for _, _, boundary in regions:
-        if not merges:
-            break
+    link = list(rows)  # a pin's row and the boundaries of its multi-pin regions
+    for members, region, reach in _pieces(rows, ((1 << g.n) - 1) ^ pins):
+        touch = reach & pins
+        boundary = list(_bits(touch))
         if len(boundary) > 1:
-            first = find(group_of[boundary[0]])
-            for p in boundary[1:]:
-                other = find(group_of[p])
-                if other != first:
-                    root[other] = first
-                    merges -= 1
-    parts: dict[int, list] = {}  # root group, or ~index of a pinless region -> [pins, regions]
-    for i, comp in enumerate(groups):
-        parts.setdefault(find(i), [0, []])[0] |= comp
-    for i, entry in enumerate(regions):
-        parts.setdefault(find(group_of[entry[2][0]]) if entry[2] else ~i, [0, []])[1].append(entry)
+            for p in boundary:
+                link[p] |= touch
+        regions.append((members, region, boundary))
+    parts = [(pinned, []) for pinned, _, _ in _pieces(link, pins)]  # (pins, regions)
+    attached_to = {p: attached for pinned, attached in parts for p in pinned}
+    for entry in regions:
+        if entry[2]:
+            attached_to[entry[2][0]].append(entry)
+        else:
+            parts.append(([], [entry]))
     full = (1 << h.n) - 1
     solvers = []
-    for pinned, attached in parts.values():
-        pinned = list(_bits(pinned))
+    for pinned, attached in parts:
         least = min(pinned[:1] + [members[0] for members, _, _ in attached[:1]])
         symmetric = not listed or all(doms[v] == full for v in chain(pinned, *(m for m, _, _ in attached)))
         solvers.append((least, _ComponentSolver(g, h, pinned, attached, doms, symmetric)))

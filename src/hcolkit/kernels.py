@@ -135,15 +135,16 @@ def size_bounds(mode: str, k: int, exponent: int, vertices: int) -> dict:
 def _realized_traces(inst: VertexCoverInstance, q: int, ceilings: Ceilings) -> tuple[list, list]:
     """The cover edges relabelled to 0..k-1, and the sorted cover subsets
     of size at most q that lie inside some outside vertex's neighborhood.
-    A subset is realized once however many outside vertices realize it."""
-    k = inst.k
-    if _subset_budget(k, q) > ceilings.subset_budget:
-        raise CeilingError(
-            f"kernel would enumerate more than {ceilings.subset_budget} cover subsets"
-        )
+    A subset is realized once however many outside vertices realize it.
+    The subsets enumerated, C(deg v, <= q) per outside vertex v, are
+    charged against ``subset_budget`` before any is enumerated."""
     g = inst.graph
     x_index = {v: i for i, v in enumerate(inst.cover)}
     outside = [v for v in range(g.n) if v not in x_index]
+    if sum(_subset_budget(g.degree(v), q) for v in outside) > ceilings.subset_budget:
+        raise CeilingError(
+            f"kernel would enumerate more than {ceilings.subset_budget} cover subsets"
+        )
 
     realized: set[tuple[int, ...]] = set()
     for v in outside:

@@ -34,6 +34,26 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph.from_rows(rows)
 
 
+def reference_components(g: Graph) -> list[tuple[int, ...]]:
+    """A breadth-first search over ``g.neighbors`` from each vertex not
+    yet seen, kept as a reference for ``Graph.connected_components``:
+    the components in order of their least vertex, each one sorted."""
+    seen = [False] * g.n
+    comps = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        for v in queue:
+            for u in g.neighbors(v):
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+        comps.append(tuple(sorted(queue)))
+    return comps
+
+
 def reference_check_rows(rows) -> None:
     """A scan of every entry, kept as a reference for ``Graph.from_rows``:
     raises ValueError at the first fault, row by row."""
@@ -162,7 +182,7 @@ def reference_hom_exists(g: Graph, h: Graph, lists=None) -> bool:
 
 def components_first_assignment(g: Graph, h: Graph, lists=None):
     """The assignment of ``find_homomorphism`` by the components-first
-    path: `Graph.connected_components`, then per component a BFS over
+    path: `reference_components`, then per component a BFS over
     its soft vertices, each cluster compiled from its signature (no shape
     memo) into one table group per cluster and direction, and the same
     residual order, root restriction and re-expansion.  None when there
@@ -171,7 +191,7 @@ def components_first_assignment(g: Graph, h: Graph, lists=None):
     if g.n and (h.n == 0 or 0 in doms):
         return None
     square, total = h.n * h.n, {}
-    for comp in g.connected_components():
+    for comp in reference_components(g):
         dom = {v: doms[v] for v in comp}
         pins = {v for v in comp if g.degree(v) >= _PIN_DEGREE}
         residual = sorted(pins) if pins else list(comp)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import disjoint_union, reference_check_rows, reference_write_graph
+from conftest import disjoint_union, reference_check_rows, reference_components, reference_write_graph
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import (
     Graph,
@@ -14,6 +14,7 @@ from hcolkit.graphs import (
     make_complete,
     make_cycle,
     make_kneser,
+    make_path,
     make_petersen,
     make_random,
     read_graph,
@@ -173,6 +174,24 @@ def test_disjoint_union_helper():
     both = disjoint_union(make_complete(2), make_complete(3))
     assert (both.n, both.m) == (5, 4)
     assert not both.has_edge(1, 2)
+
+
+def test_connected_components_match_the_reference():
+    rng = random.Random(36)
+    path = list(range(230))
+    rng.shuffle(path)
+    graphs = [Graph(0), Graph(9), make_path(230), Graph(230, zip(path, path[1:]))]
+    # isolated vertices beside a few edges, then sparse G(n, p) with many components
+    graphs.append(Graph(40, [(u, u + 1) for u in rng.sample(range(39), 6)]))
+    for n in (12, 50, 150, 300):
+        p = 1.2 / n
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs:
+        comps = g.connected_components()
+        assert comps == reference_components(g)
+        if g.n >= 40 and g.m < g.n - 1:
+            assert len(comps) > g.n // 5
+    assert [len(g.connected_components()) for g in graphs[:4]] == [0, 9, 1, 1]
 
 
 def test_vertex_cover_check():

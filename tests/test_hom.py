@@ -13,6 +13,7 @@ from conftest import (
     components_first_assignment,
     disjoint_union,
     hub_and_path_graph,
+    reference_components,
     reference_core,
 )
 from hcolkit.config import Ceilings
@@ -743,14 +744,14 @@ def bridged_components_graph(rng):
 
 
 def test_components_are_read_off_the_pins():
-    # the oracle's components are the graph's, in order of their least
-    # vertex, however their pin groups are joined; and its assignments are
+    # the oracle's components are those of a plain BFS, in order of their
+    # least vertex, however their pins are linked; and its assignments are
     # those of the components-first path
     rng = random.Random(353)
     cases = Counter()
     for trial in range(36):
         g, bridges = bridged_components_graph(rng)
-        comps = g.connected_components()
+        comps = reference_components(g)
         pins = {v for v in range(g.n) if g.degree(v) >= 5}
         for comp in comps:
             on = pins.intersection(comp)
@@ -763,7 +764,7 @@ def test_components_are_read_off_the_pins():
             kept = [v for v in comp if v not in bridge]
             # the bridge is a soft region, and the only link of its pins
             assert not bridge & pins
-            rest = g.induced_subgraph(kept).connected_components()
+            rest = reference_components(g.induced_subgraph(kept))
             assert sum(bool(pins.intersection(kept[i] for i in c)) for c in rest) > 1
             if len(bridge) > hcolkit.hom._CLUSTER_CAP:
                 cases["over cap"] += 1

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -24,6 +24,7 @@ from hcolkit.kernels import (
     write_instance,
     write_kernel_result,
 )
+from hcolkit.reductions import CnfFormula, find_edge_gadget, find_tight_witness_set, reduce_naesat_to_hcol
 from hcolkit.polys import BasisSelection, SparsePoly, poly_basis_select
 from hcolkit.reps import kneser_rep, normalize_first_entry, vandermonde_rep
 
@@ -126,6 +127,43 @@ def test_subset_budget_ceiling():
     inst = VertexCoverInstance(Graph(31, edges), range(30))
     with pytest.raises(CeilingError):
         combinatorial_kernel(inst, 10, ceilings=Ceilings(subset_budget=100))
+
+
+def test_subset_budget_charges_each_outside_neighbourhood():
+    # outside vertices of degrees 1..5 on a 30-vertex cover enumerate
+    # C(deg, <= 3) subsets each, 1 + 3 + 7 + 14 + 25 = 50 in all, far
+    # below C(30, <= 3); a budget of exactly 50 admits the input, 49 refuses it
+    edges = [(u, 30 + j) for j in range(5) for u in range(6 * j, 7 * j + 1)]
+    inst = VertexCoverInstance(Graph(35, edges), range(30))
+    assert [inst.graph.degree(30 + j) for j in range(5)] == [1, 2, 3, 4, 5]
+    charge = sum(comb(deg, i) for deg in range(1, 6) for i in range(1, 4))
+    assert charge == 50 < sum(comb(30, i) for i in range(1, 4))
+    res = combinatorial_kernel(inst, 3, ceilings=Ceilings(subset_budget=charge))
+    assert res.graph.n == 30 + charge  # the neighbourhoods are disjoint
+    with pytest.raises(CeilingError, match="more than 49 cover subsets"):
+        combinatorial_kernel(inst, 3, ceilings=Ceilings(subset_budget=charge - 1))
+
+
+def test_naesat_output_kernelizes_under_default_ceilings():
+    # the Petersen reduction of a width-3 formula on 6 variables (each
+    # signed triple a clause with probability 1/2): its 83 clause
+    # vertices are the only outside vertices, each of degree 3, so the
+    # kernels enumerate 7 subsets per clause, not C(694, <= 3)
+    rng = random.Random(6)
+    clauses = tuple(
+        tuple(sign * v for sign, v in zip(signs, triple))
+        for triple in combinations(range(1, 7), 3)
+        for signs in product((1, -1), repeat=3)
+        if rng.random() < 0.5
+    )
+    h = make_petersen()
+    inst = reduce_naesat_to_hcol(CnfFormula(6, clauses), h, find_tight_witness_set(h), find_edge_gadget(h))
+    assert (len(clauses), inst.k, inst.graph.n) == (83, 694, 777)
+    assert 7 * 83 < Ceilings().subset_budget < sum(comb(694, i) for i in range(1, 4))
+    res = combinatorial_kernel(inst, 3)
+    assert res.graph.n == 694 + 210
+    res = algebraic_kernel(inst, h, petersen_rep(), 3)
+    assert (res.stats["basis_kept"], res.stats["basis_dropped"]) == (76, 7)
 
 
 def petersen_rep():
