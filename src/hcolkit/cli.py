@@ -138,11 +138,13 @@ def _read(path: str) -> str:
 
 
 def _parse_field(spec_text: str, ceilings: Ceilings) -> FieldSpec:
-    if "^" in spec_text:
-        p_text, m_text = spec_text.split("^", 1)
-        p, m = int(p_text), int(m_text)
-    else:
-        p, m = int(spec_text), 1
+    p_text, caret, m_text = spec_text.partition("^")
+    try:
+        p, m = int(p_text), int(m_text) if caret else 1
+    except ValueError:
+        m = 0  # malformed, refused below
+    if m < 1:
+        raise ValueError(f"--field must be p or p^m with integers p and m >= 1, got {spec_text!r}")
     return field_make(p, m, ceilings=ceilings)
 
 

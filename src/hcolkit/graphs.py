@@ -3,8 +3,10 @@
 Vertices are the integers ``0 .. n-1``.  Each adjacency row is a Python
 int used as a bitset, which makes neighbourhood intersection (the hot
 loop of every search in this package) a single ``&``.  Graphs are
-loopless and undirected by construction; attempts to add a loop or an
-out-of-range endpoint are rejected.
+loopless and undirected by construction.  A graph is checked once, where
+it comes in: ``Graph(n, edges, labels)`` and the readers refuse a loop,
+an out-of-range endpoint or a bad label; what the library builds from
+checked graphs, through ``Graph._from_rows``, is not checked again.
 
 The module also provides the standard families used throughout
 (complete graphs, cycles, Kneser graphs, seeded G(n, 1/2) samples) and
@@ -37,39 +39,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _check_rows(rows: Sequence[int], n: int) -> None:
-    """Raise ValueError at the first fault of `rows` as the adjacency
-    rows of a simple graph on n vertices, row by row and, within a row,
-    by ascending entry.
-
-    A negative row fails the first test too (``row >> n`` keeps its
-    sign), so no walk below sees one.  The upper entries (u > v in row
-    v) are walked, each checked for its mirror and counted in
-    ``mirrored[u]``; the lower entries of row v, checked before them,
-    are then all mirrored exactly when they number ``mirrored[v]``, and
-    are walked only to name the first that is not.
-    """
-    mirrored = [0] * n
-    for v, row in enumerate(rows):
-        if row >> n:
-            raise ValueError(f"adjacency row {v} references vertices >= n")
-        if row >> v & 1:
-            raise ValueError(f"loop at vertex {v} rejected (graphs are simple)")
-        upper = row >> (v + 1)
-        if row.bit_count() - upper.bit_count() != mirrored[v]:
-            u = next(u for u in _bits(row) if not rows[u] >> v & 1)
-            raise ValueError(f"adjacency not symmetric at ({v},{u})")
-        u = v
-        while upper:
-            # shift the next upper entry u out of the bits still to walk
-            step = (upper & -upper).bit_length()
-            u += step
-            upper >>= step
-            if not rows[u] >> v & 1:
-                raise ValueError(f"adjacency not symmetric at ({v},{u})")
-            mirrored[u] += 1
 
 
 def _pieces(rows: Sequence[int], mask: int) -> Iterator[tuple[list[int], int, int]]:
@@ -137,12 +106,13 @@ class Graph:
         self.labels: dict[int, str] = dict(labels) if labels else {}
 
     @classmethod
-    def from_rows(cls, rows: Sequence[int]) -> "Graph":
+    def _from_rows(cls, rows: Sequence[int]) -> "Graph":
+        """The graph with adjacency rows `rows`, unchecked: they must be
+        those of a simple graph on ``len(rows)`` vertices."""
         g = cls.__new__(cls)
         g.n = len(rows)
         g.rows = tuple(rows)
         g.labels = {}
-        _check_rows(g.rows, g.n)
         return g
 
     # -- basic queries ------------------------------------------------

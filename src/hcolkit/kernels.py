@@ -72,7 +72,9 @@ class KernelResult:
     """Output graph, the cover inside it, and the provenance of every
     added vertex (the cover subset it realizes, in output ids).  An
     algebraic kernel adds its basis over the size-d `basis_traces`, whose
-    determinant polynomials `polys` are built on first read."""
+    determinant polynomials `polys` are built on first read.  A kernel
+    built here fits its cover and provenance by construction; one read
+    from a file is checked by `read_kernel_result`."""
 
     graph: Graph
     cover: tuple[int, ...]
@@ -86,24 +88,6 @@ class KernelResult:
         if self.basis is None:
             return None
         return [det_poly(trace, len(trace), self.basis.spec) for trace in self.basis_traces]
-
-    def _mismatch(self) -> Optional[str]:
-        """Where the graph disagrees with the cover or the provenance, or None."""
-        if not self.graph.is_vertex_cover(self.cover):
-            return "cover lost on the kernel output"
-        for v, trace in self.provenance.items():
-            if self.graph.neighbors(v) != trace:
-                return (
-                    f"added vertex {v} has neighborhood {self.graph.neighbors(v)}, "
-                    f"provenance says {trace}"
-                )
-        return None
-
-    def validate(self) -> None:
-        """Raise InvariantViolation on a :meth:`_mismatch` of a built kernel."""
-        fault = self._mismatch()
-        if fault is not None:
-            raise InvariantViolation(fault)
 
 
 def _subset_budget(k: int, q: int) -> int:
@@ -160,19 +144,18 @@ def _build_kernel(
     inst: VertexCoverInstance, cover_edges: list, traces: list, stats: dict, **basis,
 ) -> KernelResult:
     """The cover graph on 0..k-1 plus one vertex per trace, adjacent
-    exactly to it, with the mode's `stats` completed by the counts and
-    size bounds; validated, and checked against its vertex bound."""
+    exactly to it (so cover and provenance hold by construction), with the
+    mode's `stats` completed by the counts and size bounds; checked
+    against its vertex bound."""
     k = inst.k
     provenance = dict(enumerate(traces, start=k))
     edges = cover_edges + [(v, u) for v, trace in provenance.items() for u in trace]
     out = Graph(k + len(traces), edges)
     bounds = size_bounds(stats["mode"], k, stats[_exponent_key(stats)], out.n)
     stats = {**stats, "k": k, "vertices": out.n, "edges": out.m, **bounds}
-    result = KernelResult(out, tuple(range(k)), provenance, stats, **basis)
-    result.validate()
     if out.n > bounds["vertex_bound"]:
         raise InvariantViolation("vertex bound violated by construction")
-    return result
+    return KernelResult(out, tuple(range(k)), provenance, stats, **basis)
 
 
 def _exponent_key(stats: Mapping) -> str:
@@ -327,6 +310,8 @@ def write_kernel_result(result: KernelResult) -> str:
 
 
 def read_kernel_result(text: str) -> KernelResult:
+    """The kernel in a kernel file, refused unless its graph fits its
+    cover, its provenance and its STATS vertex bound."""
     g, extras = parse_graph_lines(text.splitlines(), tags=("X", "S", "STATS"), what="kernel file")
     cover = None
     provenance: dict[int, tuple[int, ...]] = {}
@@ -357,8 +342,17 @@ def read_kernel_result(text: str) -> KernelResult:
     for key in ("k", _exponent_key(stats), "vertex_bound", "bit_size_estimate"):
         if type(stats.get(key)) is not int:
             raise ValueError(f"kernel file STATS needs an int {key!r}")
-    result = KernelResult(graph=g, cover=cover or (), provenance=provenance, stats=stats)
-    fault = result._mismatch()
-    if fault is not None:
-        raise ValueError(f"kernel file disagrees with its graph: {fault}")
-    return result
+    cover = cover or ()
+    disagrees = "kernel file disagrees with its graph: "
+    if not g.is_vertex_cover(cover):
+        raise ValueError(disagrees + "cover lost on the kernel output")
+    for v, trace in provenance.items():
+        if g.neighbors(v) != trace:
+            raise ValueError(
+                f"{disagrees}added vertex {v} has neighborhood {g.neighbors(v)}, "
+                f"provenance says {trace}"
+            )
+    bound = stats["vertex_bound"]
+    if g.n > bound:
+        raise ValueError(f"kernel file has {g.n} vertices, above its STATS vertex_bound {bound}")
+    return KernelResult(graph=g, cover=cover, provenance=provenance, stats=stats)

@@ -22,7 +22,9 @@ Both build their output as adjacency rows.  Each call turns its gadget
 into a template once: the interior rows in positions relative to the
 first appended vertex, with their attachment bits to the marks.  Every
 copy then appends the template rows shifted to its place and ORs the
-marks' shifted masks into the two rows it attaches to.
+marks' shifted masks into the two rows it attaches to.  Each bit is set
+in both rows it joins and no copy's marks coincide, so the rows stay a
+simple graph's and ``Graph._from_rows`` takes them unchecked.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ def reduce_list_to_plain(
             raise ValueError(f"list of vertex {v} mentions unknown target vertices")
         for h in sorted(full - allowed):
             template.stamp(rows, v, g.n + h)
-    return Graph.from_rows(rows)
+    return Graph._from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,7 @@ def reduce_naesat_to_hcol(
             rows[c] |= 1 << anchor
             rows[anchor] |= 1 << c
 
-    inst = VertexCoverInstance(Graph.from_rows(rows), tuple(range(cover_size)))
+    inst = VertexCoverInstance(Graph._from_rows(rows), tuple(range(cover_size)))
     expected_cover = naesat_cover_size(formula, target, q, gadget)
     if inst.k != expected_cover:
         raise InvariantViolation(

@@ -31,7 +31,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
     rows: list[int] = []
     for g in graphs:
         rows += [row << len(rows) for row in g.rows]
-    return Graph.from_rows(rows)
+    return Graph._from_rows(rows)
 
 
 def reference_components(g: Graph) -> list[tuple[int, ...]]:
@@ -55,8 +55,9 @@ def reference_components(g: Graph) -> list[tuple[int, ...]]:
 
 
 def reference_check_rows(rows) -> None:
-    """A scan of every entry, kept as a reference for ``Graph.from_rows``:
-    raises ValueError at the first fault, row by row."""
+    """A scan of every entry of the rows of a graph the library built
+    without a check (``Graph._from_rows``): raises ValueError at the
+    first fault as the rows of a simple graph, row by row."""
     full = (1 << len(rows)) - 1
     for v, row in enumerate(rows):
         if row & ~full:

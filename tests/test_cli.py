@@ -475,6 +475,25 @@ def test_represent_field_too_small(files, capsys):
     assert code == 2 and "threshold" in err
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("7^", "--field must be p or p^m with integers p and m >= 1, got '7^'"),
+        ("x", "--field must be p or p^m with integers p and m >= 1, got 'x'"),
+        ("7^1^2", "--field must be p or p^m with integers p and m >= 1, got '7^1^2'"),
+        ("1e3", "--field must be p or p^m with integers p and m >= 1, got '1e3'"),
+        # m = 0 is malformed, not above the degree ceiling
+        ("2^0", "--field must be p or p^m with integers p and m >= 1, got '2^0'"),
+        ("4", "4 is not prime"),
+        ("2^9", "infeasible at desk scale: extension degree must be in [1, 8]"),
+    ],
+    ids=["no-m", "not-a-number", "two-carets", "float", "m-zero", "not-prime", "above-degree-ceiling"],
+)
+def test_represent_refuses_a_malformed_field(capsys, field, message):
+    code, out, err = run(capsys, "represent", "--family", "ortho", "--d", "3", "--field", field)
+    assert (code, out, err) == (2, "", f"hcol: {message}\n")
+
+
 def test_reduce_nae_sat(files, capsys, tmp_path):
     out_path = str(tmp_path / "red.g")
     code, _, _ = run(

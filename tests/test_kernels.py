@@ -1,4 +1,3 @@
-import json
 import random
 from itertools import combinations, product
 from math import comb
@@ -64,14 +63,15 @@ def test_vertex_bound_tight_on_complete_split():
 
 
 def test_added_neighborhoods_match_provenance():
+    # a built kernel is not checked against its provenance at run time
     rng = random.Random(1)
+    k3, rep = make_complete(3), k3_rep()
     for _ in range(20):
         inst = random_cover_instance(rng)
-        res = combinatorial_kernel(inst, 2)
-        res.validate()
-        for v, trace in res.provenance.items():
-            assert res.graph.neighbors(v) == trace
-        assert res.graph.is_vertex_cover(res.cover)
+        for res in (combinatorial_kernel(inst, 2), algebraic_kernel(inst, k3, rep, 3)):
+            for v, trace in res.provenance.items():
+                assert res.graph.neighbors(v) == trace
+            assert res.graph.is_vertex_cover(res.cover)
 
 
 def test_combinatorial_equivalence_against_oracle():
@@ -369,14 +369,12 @@ def test_kernel_size_report_of_a_kernel_read_back():
     for res in (combinatorial_kernel(inst, 2), algebraic_kernel(inst, make_complete(3), k3_rep(), 3)):
         back = read_kernel_result(write_kernel_result(res))
         assert kernel_size_report(back) == kernel_size_report(res)
-    # the report's own check catches a file whose kernel outgrew its bound
-    text = write_kernel_result(combinatorial_kernel(full_trace_instance(4), 2))
-    graph_part, stats_part = text.split("STATS ")
-    stats = json.loads(stats_part)
-    stats["vertex_bound"] = 4
-    back = read_kernel_result(graph_part + "STATS " + json.dumps(stats) + "\n")
+    # the report's own check catches a kernel that outgrew its bound (a
+    # file saying so is refused where it is read)
+    res = combinatorial_kernel(full_trace_instance(4), 2)
+    res.stats["vertex_bound"] = 4
     with pytest.raises(InvariantViolation):
-        kernel_size_report(back)
+        kernel_size_report(res)
 
 
 def test_instance_file_round_trip():
@@ -417,10 +415,15 @@ def test_kernel_result_file_round_trip():
         ('STATS {"mode":"algebraic","k":4,"d":3}\n', "needs an int 'vertex_bound'"),
         ('STATS {"mode":"algebraic","k":4,"d":3,"vertex_bound":"15"}\n', "needs an int 'vertex_bound'"),
         ('STATS {"mode":"algebraic","k":4,"d":3,"vertex_bound":15}\n', "needs an int 'bit_size_estimate'"),
+        # and so is one whose kernel outgrew the bound it states
+        (
+            'STATS {"mode":"combinatorial","k":4,"q":2,"vertex_bound":13,"bit_size_estimate":16}\n',
+            "kernel file has 14 vertices, above its STATS vertex_bound 13",
+        ),
     ],
     ids=("no-stats", "stats-not-object", "bare-s", "s-outside-graph", "no-cover",
          "s-trace-differs", "empty-stats", "no-k", "no-q", "no-vertex-bound",
-         "string-vertex-bound", "no-bit-size"),
+         "string-vertex-bound", "no-bit-size", "above-vertex-bound"),
 )
 def test_kernel_result_file_refusals(tail, message):
     # the lines after the graph, cover and provenance of a kernel file,

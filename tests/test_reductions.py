@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_hom_exists, reference_edge_gadget, reference_glue, reference_hom_exists
+from conftest import (
+    brute_hom_exists, reference_check_rows, reference_edge_gadget, reference_glue, reference_hom_exists,
+)
 from hcolkit.config import Ceilings
 from hcolkit.graphs import (
     Graph,
@@ -344,6 +346,44 @@ def test_naesat_oracle_matches_brute_force(target):
         assert f is None or f.check()
         answers.append(f is not None)
     assert True in answers and False in answers
+
+
+@pytest.mark.parametrize(
+    "target", [make_complete(4), make_cycle(5), make_petersen()], ids=["K4", "C5", "petersen"]
+)
+def test_list_reduction_outputs_are_simple_graphs(target):
+    # the reduction's rows enter its graph unchecked, so each output must
+    # pass the full scan; K4's gadget is one a-b edge, the others are
+    # paths with interiors
+    gadget = find_edge_gadget(target)
+    assert (gadget.gadget.n == 2) == (target.n == 4) == gadget.gadget.has_edge(gadget.a, gadget.b)
+    rng = random.Random(71)
+    kinds = set()
+    for _ in range(20):
+        g = make_random(rng.randrange(1, 8), rng.randrange(10**6))
+        lists = {}
+        for v in range(g.n):
+            kind = rng.choice(("absent", "partial", "full"))
+            kinds.add(kind)
+            if kind == "partial":
+                lists[v] = rng.sample(range(target.n), rng.randrange(target.n))
+            elif kind == "full":
+                lists[v] = range(target.n)
+        out = reduce_list_to_plain(g, lists, target, gadget)
+        reference_check_rows(out.rows)
+    assert kinds == {"absent", "partial", "full"}
+
+
+@pytest.mark.parametrize("target", [make_complete(4), make_petersen()], ids=["K4", "petersen"])
+def test_naesat_outputs_are_simple_graphs(target):
+    gadget = find_edge_gadget(target)
+    tight = find_tight_witness_set(target)
+    q = len(tight)
+    # a clause holding one variable with both signs, then seeded formulas
+    both_signs = CnfFormula(2, ((1, -1) + (2,) * (q - 2),))
+    rng = random.Random(73)
+    for phi in [both_signs] + [random_formula(rng, q, 4) for _ in range(12)]:
+        reference_check_rows(reduce_naesat_to_hcol(phi, target, tight, gadget).graph.rows)
 
 
 def test_c5_list_reduction_oracle_matches_reference():
