@@ -26,44 +26,47 @@ search per ordered pair of target vertices whose first vertex is in
 
 Sound preprocessing keeps ``find_homomorphism`` tractable on the
 structured instances produced by the kernelization and reduction
-modules, without affecting exactness.  Clusters come first, then
-components, then one constraint group per vertex and table:
+modules, without affecting exactness.  ``_compile_clusters`` compiles
+the clusters of the whole graph in one pass, then each component is
+searched with one constraint group per vertex and table:
 
 * vertices of degree at least ``_PIN_DEGREE`` are pins and the rest are
-  soft.  One walk over the soft vertices of the whole graph
-  (``graphs._pieces``, which ``Graph.connected_components`` takes too)
-  finds each soft region, a maximal connected set of them, with its
-  sorted members and its boundary, the pins it touches (``_components``);
-* components are read off the pins by the same walk over the pins,
-  where a pin's row also links it to every pin that shares a region on
-  two or more pins with it, compiled or not.  A region with no pin is a
-  component of its own.  Components are solved independently, in order
-  of their least vertex;
+  soft.  One walk over the soft vertices (``graphs._pieces``, which
+  ``Graph.connected_components`` takes too) finds each soft region, a
+  maximal connected set of them, with its sorted members and its
+  boundary, the pins it touches;
 * a region on one or two pins with at most ``_CLUSTER_CAP`` members is a
   cluster, compiled into unary/binary constraint tables between its
-  boundary vertices and re-expanded after the main search.  Within one
-  component, a cluster is first keyed by its shape: the member mask and
-  each member's row over the members, both shifted down to the least
-  member, with the member's attachments to the boundary in two low bits,
-  plus the boundary size and, when lists narrow the component, the
-  member domains.  Only the first cluster of each shape builds the
-  signature that keys ``_cluster_cache`` across calls: the member
-  domains, each member's row over the members numbered by rank and then
-  the boundary, and the boundary size.  (Keying the cache by shape would
-  split its entries: a cluster of a list reduction holds original
-  vertices far from its gadget interior, so equal signatures come in
-  many shapes.)  Compilation, ``_cluster_images``, searches the cluster
-  once at every image of the boundary and keeps the first solution at
-  each feasible one; the tables are read off those images, and
-  re-expansion looks up the images the main search chose.  A cluster
-  with no feasible image refutes its component at once, a one-pin table
-  narrows its pin's domain, and the two-pin tables enter the main search
-  as one constraint group per boundary vertex and table, with one
-  partner per cluster, beside the edge group, where arc consistency
-  prunes by them.  Gadget interiors and kernel pendant vertices
-  disappear from the search this way, and clusters with equal
-  signatures share one compilation, while the copies of one gadget
-  share one signature lookup.
+  boundary vertices and re-expanded after the main search.  A cluster is
+  first keyed by its shape: the member mask and each member's row over
+  the members, both shifted down to the least member, with the member's
+  attachments to the boundary in two low bits, plus the boundary size
+  and, when lists are given, the member domains.  Only the first
+  cluster of each shape in a call builds the signature that keys
+  ``_cluster_cache`` across calls: the member domains, each member's row
+  over the members numbered by rank and then the boundary, and the
+  boundary size.  (Keying the cache by shape would split its entries: a
+  cluster of a list reduction holds original vertices far from its
+  gadget interior, so equal signatures come in many shapes.)
+  Compilation, ``_cluster_images``, searches the cluster once at every
+  image of the boundary and keeps the first solution at each feasible
+  one; the tables are read off those images, and re-expansion looks up
+  the images the main search chose.  A cluster with no feasible image
+  refutes g before any search, a one-pin table narrows its pin's
+  domain, and the two-pin tables enter the main search as one
+  constraint group per boundary vertex and table, with one partner per
+  cluster, beside the edge group, where arc consistency prunes by them.
+  Gadget interiors and kernel pendant vertices disappear from the search
+  this way, and clusters with equal signatures share one compilation,
+  while the copies of one gadget share one signature lookup;
+* the pins and the members of the other regions are residual.  The
+  components share no vertex and no edge, so each is searched on its
+  own, and the same walk over the residual vertices reads them off,
+  where a pin's row also links it to every pin that shares a region on
+  two or more pins with it, compiled or not; a region with no pin is a
+  component of its own.  The witness is the union of the components'
+  first solutions, and there is none when some component has none, so
+  the order of the searches changes no answer.
 
 The residual search orders vertices by descending total constraint
 tightness, each table counted once per partner entry, which is plain
@@ -77,11 +80,12 @@ member domains) and so its residual domains are all invariant under
 Aut(H): composing a solution with an automorphism s gives a solution.
 So if the first residual vertex has a solution at value b, it has one
 at the least vertex of b's orbit, and the least value with a solution
-is the least of its orbit.  On such a component the solver narrows the
-root's domain to those orbit minima (``_orbit_minima``) and runs one
-search.  No dropped value is the least with a solution, so the first
-solution, and with it the returned witness, is the one an unrestricted
-search finds.  A component with lists keeps its root domain.  This is
+is the least of its orbit.  A component is such when the ``narrowed``
+mask of ``_compile_clusters`` misses its residual vertices; its search
+starts from the orbit minima (``_orbit_minima``) as the root's domain.
+No dropped value is the least with a solution, so the first solution,
+and with it the returned witness, is the one an unrestricted search
+finds.  A component with lists keeps its root domain.  This is
 value-symmetry breaking by dominance (Gent & Smith, ECAI 2000).
 """
 
@@ -89,7 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import Ceilings, DEFAULT_CEILINGS
@@ -152,41 +156,46 @@ def _domains_from_lists(
     return doms
 
 
+def _degree_order(rows: Sequence[int]) -> list[int]:
+    """The vertices by descending degree, ties by id."""
+    return sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
+
+
 def _edge_constraints(
     rows: Sequence[int], h_rows: tuple[int, ...]
 ) -> tuple[list[int], list[list[tuple]]]:
     """Degree order (descending, ties by id) and plain edge constraints,
     in the form ``_search`` takes, of the graph on 0..len(rows)-1 with
     adjacency bitmasks ``rows``; every vertex shares one supports dict."""
-    order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
     supports: dict[int, int] = {}
-    return order, [[(h_rows, list(_bits(row)), supports)] if row else [] for row in rows]
+    return _degree_order(rows), [[(h_rows, list(_bits(row)), supports)] if row else [] for row in rows]
 
 
 def _search(
     order: list[int],
-    dom: list[int] | dict[int, int],
-    cons: Sequence[list] | Mapping[int, list],
+    dom: list[int],
+    cons: Sequence[Sequence[tuple]],
 ) -> Iterator[dict[int, int]]:
     """Search maintaining arc consistency; yields the live assignment at
     every solution.
 
     Vertices are assigned in ``order`` and values tried in ascending
     order, so solutions come in ascending lexicographic order of
-    ``tuple(assign[v] for v in order)``.  ``cons[v]`` lists groups
+    ``tuple(assign[v] for v in order)``.  ``dom`` and ``cons`` are lists
+    indexed by vertex.  ``cons[v]`` lists groups
     ``(table, partners, supports)``: ``table[a]`` is the mask of values
     of each vertex in ``partners`` compatible with ``v -> a``, and
     ``supports`` maps a domain mask ``d`` to the OR of ``table[b]`` over
     ``b`` in ``d``, or to -1 when that OR is the full mask of
     ``len(table)`` values: such a group narrows nothing and is skipped.
     It is filled as the search runs, and may be shared by every group
-    with the same table and kept across calls.  A
-    constraint must be listed at its end that comes first in ``order``
-    (callers list both ends, the partner carrying the transpose), and a
-    pair may carry several.
+    with the same table and kept across calls.  A constraint must be
+    listed at its end that comes first in ``order`` (callers list both
+    ends, the partner carrying the transpose), and a pair may carry
+    several.
 
-    Assigning ``v -> a`` narrows ``dom[v]`` (a vertex -> value-mask
-    mapping) to ``a`` and propagates: while some vertex ``w`` is queued,
+    Assigning ``v -> a`` narrows ``dom[v]``, the mask of values left to
+    v, to ``a`` and propagates: while some vertex ``w`` is queued,
     each unassigned partner of ``w`` is narrowed to its support in
     ``dom[w]`` and queued if it shrank.  From ``v`` itself this is
     forward checking, ``table[a]``; from the partners it maintains arc
@@ -379,168 +388,67 @@ def _orbit_minima(h_rows: tuple[int, ...]) -> int:
     return sum({orbit & -orbit for orbit in _orbits(h_rows)})
 
 
-def _components(g: Graph, h: Graph, doms: list[int], listed: bool) -> list[_ComponentSolver]:
-    """The connected components of g as solvers, in order of their least
-    vertex: the soft regions first, then the components read off the
-    pins, each in one walk of ``_pieces`` (see the module docstring).  In
-    the pins' walk a pin's row is OR-ed with the boundary of every region
-    on two or more pins that touches it.  Without lists (``listed``
-    false) every component is symmetric, unscanned."""
+def _compile_clusters(g: Graph, h: Graph, dom: list[int], listed: bool) -> Optional[tuple]:
+    """Compile each cluster of g in order of its least member, narrowing
+    ``dom`` in place by the one-pin tables (see the module docstring).
+
+    Returns ``(residual, link, narrowed, clusters, tables)``, or None when
+    a cluster refutes g.  ``_pieces(link, residual)`` gives each
+    component's residual vertices; ``narrowed`` masks the vertices whose
+    domains the lists narrow and the boundary of each cluster with such a
+    member; ``clusters`` lists ``(members, boundary, images)``; and
+    ``tables[u]`` maps the id of each table at u to its ``_search`` group.
+    """
     rows = g.rows
-    pins = 0
-    for v, row in enumerate(rows):
-        if row.bit_count() >= _PIN_DEGREE:
-            pins |= 1 << v
-    regions: list[tuple] = []  # (members, mask, boundary), by least member
-    link = list(rows)  # a pin's row and the boundaries of its multi-pin regions
+    pins = sum(1 << v for v, row in enumerate(rows) if row.bit_count() >= _PIN_DEGREE)
+    narrowed = sum(1 << v for v, d in enumerate(dom) if d != (1 << h.n) - 1) if listed else 0
+    residual, link = pins, list(rows)
+    clusters: list[tuple] = []
+    tables: dict[int, dict[int, tuple]] = {}
+    memo: dict[tuple, tuple] = {}  # cluster shape -> _cluster_images
     for members, region, reach in _pieces(rows, ((1 << g.n) - 1) ^ pins):
         touch = reach & pins
         boundary = list(_bits(touch))
         if len(boundary) > 1:
             for p in boundary:
                 link[p] |= touch
-        regions.append((members, region, boundary))
-    parts = [(pinned, []) for pinned, _, _ in _pieces(link, pins)]  # (pins, regions)
-    attached_to = {p: attached for pinned, attached in parts for p in pinned}
-    for entry in regions:
-        if entry[2]:
-            attached_to[entry[2][0]].append(entry)
+        if not 0 < len(boundary) <= 2 or len(members) > _CLUSTER_CAP:
+            residual |= region
+            continue
+        if region & narrowed:
+            narrowed |= touch
+        # the shape, in positions relative to the least member: each
+        # member's row over the region, with its attachments to the
+        # first and the last boundary vertex in the two low bits
+        base = members[0]
+        local = region >> base
+        first, last = 1 << boundary[0], 1 << boundary[-1]
+        key = (local, len(boundary), *[
+            (row >> base & local) << 2 | (row & first != 0) << 1 | (row & last != 0)
+            for row in map(rows.__getitem__, members)
+        ])
+        if listed:
+            key += tuple(dom[v] for v in members)
+        hit = memo.get(key)
+        if hit is None:
+            # the signature, in ranks: members first, the boundary after
+            index = {v: i for i, v in enumerate(members + boundary)}
+            local_rows = tuple(sum(1 << index[u] for u in _bits(rows[v])) for v in members)
+            sig = (tuple(dom[v] for v in members), local_rows, len(boundary))
+            hit = memo[key] = _cluster_images(h.rows, sig)
+        images, compiled = hit
+        if len(boundary) == 1:
+            dom[boundary[0]] &= compiled
         else:
-            parts.append(([], [entry]))
-    full = (1 << h.n) - 1
-    solvers = []
-    for pinned, attached in parts:
-        least = min(pinned[:1] + [members[0] for members, _, _ in attached[:1]])
-        symmetric = not listed or all(doms[v] == full for v in chain(pinned, *(m for m, _, _ in attached)))
-        solvers.append((least, _ComponentSolver(g, h, pinned, attached, doms, symmetric)))
-    return [solver for _, solver in sorted(solvers, key=lambda pair: pair[0])]
-
-
-class _ComponentSolver:
-    """Solves one connected component of the instance graph, given as its
-    sorted pins and its soft regions (``_components``)."""
-
-    def __init__(
-        self, g: Graph, h: Graph, pins: list[int], regions: list[tuple], doms: list[int], symmetric: bool
-    ):
-        self.g = g
-        self.h = h
-        self.regions = regions
-        self.doms = doms
-        # no list narrows the component, so Aut(H) acts on its solutions
-        self.symmetric = symmetric
-        self.residual = pins  # pins and the members of uncompiled regions
-        self.dom = {v: doms[v] for v in pins}  # the residual vertices' domains
-        self.clusters: list[tuple] = []  # (members, boundary, images)
-        # per boundary vertex, one ``_search`` group per cluster table,
-        # with one partner per cluster on that table
-        self.tables: dict[int, list[tuple]] = {}
-        self._partners: dict[tuple[int, int], list[int]] = {}
-
-    # -- preprocessing --------------------------------------------------
-
-    def compile_clusters(self) -> bool:
-        """Compile each region on one or two pins with at most
-        ``_CLUSTER_CAP`` members, in order of its least member, and leave
-        the others residual; False when a cluster refutes the component."""
-        rows, doms, dom = self.g.rows, self.doms, self.dom
-        memo: dict[tuple, tuple] = {}  # cluster shape -> _cluster_images
-        for members, region, boundary in self.regions:
-            if not 0 < len(boundary) <= 2 or len(members) > _CLUSTER_CAP:
-                self.residual.extend(members)
-                dom.update((v, doms[v]) for v in members)
-                continue
-            # the shape, in positions relative to the least member: each
-            # member's row over the region, with its attachments to the
-            # first and the last boundary vertex in the two low bits
-            base = members[0]
-            local = region >> base
-            first, last = 1 << boundary[0], 1 << boundary[-1]
-            key = (local, len(boundary), *[
-                (row >> base & local) << 2 | (row & first != 0) << 1 | (row & last != 0)
-                for row in map(rows.__getitem__, members)
-            ])
-            if not self.symmetric:
-                key += tuple(doms[v] for v in members)
-            hit = memo.get(key)
-            if hit is None:
-                # the signature, in ranks: members first, the boundary after
-                index = {v: i for i, v in enumerate(members + boundary)}
-                local_rows = tuple(sum(1 << index[u] for u in _bits(rows[v])) for v in members)
-                sig = (tuple(doms[v] for v in members), local_rows, len(boundary))
-                hit = memo[key] = _cluster_images(self.h.rows, sig)
-            images, tables = hit
-            if not images:
-                return False
-            if len(boundary) == 1:
-                x = boundary[0]
-                dom[x] &= tables
-                if not dom[x]:
-                    return False
-            else:
-                # one group per direction and table, one partner per
-                # cluster; the search keeps arc consistency
-                for u, w, (t, supports) in zip(boundary, boundary[::-1], tables):
-                    partners = self._partners.get((u, id(t)))
-                    if partners is None:
-                        partners = self._partners[u, id(t)] = []
-                        self.tables.setdefault(u, []).append((t, partners, supports))
-                    partners.append(w)
-            self.clusters.append((members, boundary, images))
-        return True
-
-    # -- residual search ------------------------------------------------
-
-    def solve(self) -> Optional[dict[int, int]]:
-        if not self.compile_clusters():
+            # one group per direction and table, with one partner per
+            # cluster; the search keeps arc consistency
+            for u, w, (t, supports) in zip(boundary, boundary[::-1], compiled):
+                tables.setdefault(u, {}).setdefault(id(t), (t, [], supports))[1].append(w)
+        # no boundary image is feasible, or none is left to the pin
+        if not images or not dom[boundary[0]]:
             return None
-        g, h = self.g, self.h
-        # Graph-edge constraints among residual vertices, then the groups
-        # of the cluster tables, with each partner once.  Order by total
-        # constraint tightness (forbidden pairs summed over incident
-        # constraint tables, one table per partner entry), descending,
-        # ties by id.  On plain graphs every edge weighs the same, so this
-        # is descending degree; on compiled instances it ranks hard mutual
-        # edges above the loose disequality tables of gadget boundaries.
-        square = h.n * h.n
-        table_weight: dict[int, int] = {}
-
-        def tightness(table: Sequence[int]) -> int:
-            w = table_weight.get(id(table))
-            if w is None:
-                w = table_weight[id(table)] = square - sum(m.bit_count() for m in table)
-            return w
-
-        residual_mask = sum(1 << v for v in self.residual)
-        edge_weight = tightness(h.rows)
-        edge_supports: dict[int, int] = {}
-        cons: dict[int, list] = {}
-        weight: dict[int, int] = {}
-        for v in self.residual:
-            neighbors = list(_bits(g.rows[v] & residual_mask))
-            groups = [(h.rows, neighbors, edge_supports)] if neighbors else []
-            total = edge_weight * len(neighbors)
-            for table, partners, supports in self.tables.get(v, ()):
-                total += tightness(table) * len(partners)
-                groups.append((table, list(dict.fromkeys(partners)), supports))
-            cons[v] = groups
-            weight[v] = total
-        order = sorted(self.residual, key=lambda v: (-weight[v], v))
-        if self.symmetric:
-            # every table and domain is Aut(H)-invariant, so the least
-            # root value with a solution is the least of its orbit
-            self.dom[order[0]] &= _orbit_minima(h.rows)
-        assign = next(_search(order, self.dom, cons), None)
-        if assign is None:
-            return None
-        # re-expand each compiled cluster by the first solution its
-        # compilation found at the boundary images chosen here
-        for members, boundary, images in self.clusters:
-            sub = images.get(tuple(map(assign.__getitem__, boundary)))
-            if sub is None:
-                raise InvariantViolation("compiled cluster lost its witness")
-            assign.update(zip(members, sub))
-        return assign
+        clusters.append((members, boundary, images))
+    return residual, link, narrowed, clusters, tables
 
 
 def _check_oracle_size(g: Graph, h: Graph, ceilings: Ceilings) -> None:
@@ -570,12 +478,53 @@ def find_homomorphism(
         return Homomorphism(g, h, ())
     if h.n == 0 or 0 in doms:
         return None
+    compiled = _compile_clusters(g, h, doms, bool(lists))
+    if compiled is None:
+        return None
+    residual, link, narrowed, clusters, tables = compiled
+    # Graph-edge constraints among residual vertices, then the groups of
+    # the cluster tables, with each partner once.  Order by total
+    # constraint tightness (forbidden pairs summed over incident tables,
+    # one table per partner entry), descending, ties by id: descending
+    # degree on plain graphs, while on compiled instances hard mutual
+    # edges rank above the loose disequality tables of gadget boundaries.
+    square = h.n * h.n
+    weights: dict[int, int] = {}  # id(table) -> its forbidden pairs
+
+    def tightness(table: Sequence[int]) -> int:
+        if id(table) not in weights:
+            weights[id(table)] = square - sum(m.bit_count() for m in table)
+        return weights[id(table)]
+
+    edge_supports: dict[int, int] = {}
+    cons: list[Sequence[tuple]] = [()] * g.n
+    weight = [0] * g.n
+    for v in _bits(residual):
+        neighbors = list(_bits(g.rows[v] & residual))
+        groups = [(h.rows, neighbors, edge_supports)] if neighbors else []
+        weight[v] = tightness(h.rows) * len(neighbors)
+        for table, partners, supports in tables.get(v, {}).values():
+            weight[v] += tightness(table) * len(partners)
+            groups.append((table, list(dict.fromkeys(partners)), supports))
+        cons[v] = groups
     total: dict[int, int] = {}
-    for solver in _components(g, h, doms, bool(lists)):
-        sol = solver.solve()
-        if sol is None:
+    for members, mask, _ in _pieces(link, residual):
+        order = sorted(members, key=lambda v: (-weight[v], v))
+        if not mask & narrowed:
+            # every table and domain of the component is Aut(H)-invariant,
+            # so the least root value with a solution is the least of its orbit
+            doms[order[0]] &= _orbit_minima(h.rows)
+        assign = next(_search(order, doms, cons), None)
+        if assign is None:
             return None
-        total.update(sol)
+        total.update(assign)
+    # re-expand each compiled cluster by the first solution its
+    # compilation found at the boundary images chosen here
+    for members, boundary, images in clusters:
+        sub = images.get(tuple(map(total.__getitem__, boundary)))
+        if sub is None:
+            raise InvariantViolation("compiled cluster lost its witness")
+        total.update(zip(members, sub))
     return Homomorphism(g, h, tuple(map(total.__getitem__, range(g.n))))
 
 
@@ -594,11 +543,33 @@ def is_core(g: Graph, *, ceilings: Ceilings = DEFAULT_CEILINGS) -> bool:
     return _retract(g, ceilings) is None
 
 
+def _greedy_colours(rows: Sequence[int]) -> int:
+    """The number of colours of a first-fit colouring in degree order
+    (``_degree_order``): at least the chromatic number."""
+    classes: list[int] = []
+    for v in _degree_order(rows):
+        for i, members in enumerate(classes):
+            if not rows[v] & members:
+                classes[i] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
 def _retract(g: Graph, ceilings: Ceilings) -> Optional[Graph]:
-    """g - v for the least orbit minimum v with g -> g - v, else None."""
+    """g - v for the least orbit minimum v with g -> g - v, else None.
+
+    A map g -> g - v sends a clique of g onto a clique of g - v, so no
+    search is made when g - v takes fewer colours (``_greedy_colours``)
+    than a clique of g, taken in degree order, has vertices."""
+    clique = 0
+    for v in _degree_order(g.rows):
+        if g.rows[v] & clique == clique:
+            clique |= 1 << v
     for v in _bits(_orbit_minima(g.rows)):
         rest = g.induced_subgraph(u for u in range(g.n) if u != v)
-        if find_homomorphism(g, rest, ceilings=ceilings) is not None:
+        if _greedy_colours(rest.rows) >= clique.bit_count() and find_homomorphism(g, rest, ceilings=ceilings):
             return rest
     return None
 

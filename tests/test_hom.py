@@ -20,6 +20,7 @@ from hcolkit.config import Ceilings
 from hcolkit.errors import CeilingError
 from hcolkit.graphs import (
     Graph,
+    _pieces,
     make_complete,
     make_cycle,
     make_kneser,
@@ -29,7 +30,7 @@ from hcolkit.graphs import (
 import hcolkit.hom
 from hcolkit.hom import (
     Homomorphism,
-    _components,
+    _compile_clusters,
     _domains_from_lists,
     _edge_constraints,
     _orbits,
@@ -165,9 +166,10 @@ def kernel_shaped_graph(rng, k=7, outside=30):
     return combinatorial_kernel(VertexCoverInstance(Graph(k + outside, edges), range(k)), 2).graph
 
 
-def compiled_solvers(g, h, lists=None):
-    solvers = _components(g, h, _domains_from_lists(g, h, lists), bool(lists))
-    return solvers, [solver.solve() for solver in solvers]
+def compiled(g, h, lists=None):
+    """``_compile_clusters`` of g onto h under ``lists``:
+    ``(residual, link, narrowed, clusters, tables)``, or None."""
+    return _compile_clusters(g, h, _domains_from_lists(g, h, lists), bool(lists))
 
 
 def test_two_boundary_clusters_register_exact_transposes():
@@ -185,20 +187,20 @@ def test_two_boundary_clusters_register_exact_transposes():
             edges += [(x, n), (n, n + 1), (n + 1, y)]
             lists[n] = rng.sample(range(h.n), 4)
             n += 2
-        for solver in compiled_solvers(Graph(n, edges), h, lists)[0]:
-            on_pair = Counter(tuple(b) for _, b, _ in solver.clusters if len(b) == 2)
-            for (x, y), count in on_pair.items():
-                # each cluster on (x, y) puts y once more among the partners
-                # of its table at x, and x among those of its reverse at y
-                forward = [t for t, partners, _ in solver.tables[x] for u in partners if u == y]
-                reverse = [t for t, partners, _ in solver.tables[y] for u in partners if u == x]
-                assert len(forward) == len(reverse) == count
-                transposes = [
-                    tuple(sum((t[a] >> b & 1) << a for a in range(h.n)) for b in range(h.n)) for t in forward
-                ]
-                assert sorted(transposes) == sorted(reverse)
-                asymmetric += sum(t != back for t, back in zip(forward, transposes))
-                clusters += count
+        _, _, _, compiled_clusters, tables = compiled(Graph(n, edges), h, lists)
+        on_pair = Counter(tuple(b) for _, b, _ in compiled_clusters if len(b) == 2)
+        for (x, y), count in on_pair.items():
+            # each cluster on (x, y) puts y once more among the partners
+            # of its table at x, and x among those of its reverse at y
+            forward = [t for t, partners, _ in tables[x].values() for u in partners if u == y]
+            reverse = [t for t, partners, _ in tables[y].values() for u in partners if u == x]
+            assert len(forward) == len(reverse) == count
+            transposes = [
+                tuple(sum((t[a] >> b & 1) << a for a in range(h.n)) for b in range(h.n)) for t in forward
+            ]
+            assert sorted(transposes) == sorted(reverse)
+            asymmetric += sum(t != back for t, back in zip(forward, transposes))
+            clusters += count
     assert clusters > 50 and asymmetric > 0
 
 
@@ -206,21 +208,20 @@ def test_cluster_cache_hit_registers_the_tables_of_a_miss():
     h = make_complete(4)
     g = kernel_shaped_graph(random.Random(9))
     hcolkit.hom._cluster_cache.clear()
-    missed, miss_witness = compiled_solvers(g, h)
+    missed = compiled(g, h)[4]
     entries = len(hcolkit.hom._cluster_cache)
     assert entries > 0
-    hit, hit_witness = compiled_solvers(g, h)
+    hit = compiled(g, h)[4]
     assert len(hcolkit.hom._cluster_cache) == entries
-    assert hit_witness == miss_witness and None not in miss_witness
 
-    def registered(solver):
-        return {v: [(t, partners) for t, partners, _ in groups] for v, groups in solver.tables.items()}
+    def registered(tables):
+        return {v: [(t, partners) for t, partners, _ in groups.values()] for v, groups in tables.items()}
 
-    assert [registered(s) for s in hit] == [registered(s) for s in missed]
+    assert registered(hit) == registered(missed)
     # a hit registers the cached tuples themselves
-    for a, b in zip(missed, hit):
-        for v, groups in a.tables.items():
-            assert all(t1 is t2 for (t1, _, _), (t2, _, _) in zip(groups, b.tables[v]))
+    for v, groups in missed.items():
+        assert all(t1 is t2 for (t1, _, _), (t2, _, _) in zip(groups.values(), hit[v].values()))
+    # the witness of a cold cache is that of a warm one
     hcolkit.hom._cluster_cache.clear()
     witness = find_homomorphism(g, h)
     assert witness is not None and witness.check()
@@ -229,7 +230,7 @@ def test_cluster_cache_hit_registers_the_tables_of_a_miss():
 
 def test_cluster_images_run_once_per_cluster_shape(monkeypatch):
     # the 448 gadget copies of a K(6,2) NAE-SAT output come in a few
-    # shapes, read relative to each copy's least member; compile_clusters
+    # shapes, read relative to each copy's least member; _compile_clusters
     # compiles each shape once, whether the cluster cache starts cold,
     # warm, or is emptied at every insertion, and the witness stays put
     h = make_kneser(6, 2)
@@ -250,20 +251,44 @@ def test_cluster_images_run_once_per_cluster_shape(monkeypatch):
         if cold:
             hcolkit.hom._cluster_cache.clear()
         calls.clear()
-        (solver,), (assign,) = compiled_solvers(g, h)
+        clusters = compiled(g, h)[3]
         shapes = set()
-        for members, boundary, _ in solver.clusters:
+        for members, boundary, _ in clusters:
             base = members[0]
             shapes.add(tuple(
                 tuple(u - base if u in members else ("pin", boundary.index(u)) for u in g.neighbors(v))
                 for v in members
             ))
-        assert len(solver.clusters) == 448 and all(len(m) == 5 for m, _, _ in solver.clusters)
+        assert len(clusters) == 448 and all(len(m) == 5 for m, _, _ in clusters)
         assert len(calls) == len(shapes) < 448
-        witnesses.append(assign)
-        assert find_homomorphism(g, h).assignment == tuple(assign[v] for v in range(g.n))
+        witnesses.append(find_homomorphism(g, h))
     assert witnesses[0] is not None and witnesses[0] == witnesses[1] == witnesses[2]
     assert len(hcolkit.hom._cluster_cache) == 1
+    hcolkit.hom._cluster_cache.clear()
+
+
+def test_components_share_one_shape_memo(monkeypatch):
+    # two disjoint copies of one list reduction: the clusters of the
+    # second copy take the shapes of the first, so a cold cache makes as
+    # many cluster searches as one copy does, and the witness is one
+    # copy's witness twice
+    c5 = make_cycle(5)
+    one = reduce_list_to_plain(make_cycle(4), {0: (0, 1)}, c5, find_edge_gadget(c5))
+    calls = []
+    cluster_images = hcolkit.hom._cluster_images
+
+    def counted(h_rows, sig):
+        calls.append(sig)
+        return cluster_images(h_rows, sig)
+
+    monkeypatch.setattr(hcolkit.hom, "_cluster_images", counted)
+    witnesses = []
+    for g in (one, disjoint_union(one, one)):
+        hcolkit.hom._cluster_cache.clear()
+        calls.clear()
+        witnesses.append(find_homomorphism(g, c5))
+        assert len(calls) == 2
+    assert witnesses[0] is not None and witnesses[1].assignment == witnesses[0].assignment * 2
     hcolkit.hom._cluster_cache.clear()
 
 
@@ -462,8 +487,9 @@ def search_calls(monkeypatch):
 
 
 def test_is_core_searches_once_per_orbit(search_calls):
-    # K_10 has one orbit, and K_10 -> K_9 is the one search
-    assert is_core(make_complete(10))
+    # Petersen has one orbit, and P -> P - v is the one search: its greedy
+    # clique has 2 vertices and P - v needs 3 colours, so no bound decides it
+    assert is_core(make_petersen())
     assert len(search_calls) == 1
     # above core_vertices it is refused before any search
     with pytest.raises(CeilingError):
@@ -484,9 +510,17 @@ def test_compute_core_matches_subset_reference():
 
 
 def test_compute_core_of_a_core_searches_once(search_calls):
-    # K_10 has one orbit, and K_10 -> K_9 is the one search
-    assert compute_core(make_complete(10)) == make_complete(10)
+    # Petersen has one orbit, and P -> P - v is the one search
+    assert compute_core(make_petersen()) == make_petersen()
     assert len(search_calls) == 1
+
+
+def test_cliques_refute_retraction_without_a_search(search_calls):
+    # K_12 - v is 11-coloured, fewer colours than K_12's clique, so no
+    # retraction of K_12 is searched
+    assert is_core(make_complete(12))
+    assert compute_core(make_complete(12)) == make_complete(12)
+    assert search_calls == []
 
 
 def test_cores():
@@ -580,9 +614,21 @@ def test_two_pin_cluster_without_a_feasible_image_refutes_its_component(monkeypa
     assert not brute_hom_exists(g.induced_subgraph(range(4)), c5, lists)
     hcolkit.hom._cluster_cache.clear()
     calls = count_searches(monkeypatch)
-    (solver,) = _components(g, c5, _domains_from_lists(g, c5, lists), True)
-    assert solver.compile_clusters() is False
+    assert compiled(g, c5, lists) is None
     assert find_homomorphism(g, c5, lists=lists) is None
+    assert calls == []
+
+
+def test_a_refuting_cluster_refutes_before_any_component_is_searched(monkeypatch):
+    # a searchable pinless path 0-1-2, then the refuting two-pin cluster
+    # above shifted by 3: every cluster is compiled before any component
+    # is searched, so the path's search never starts
+    pendants = [(hub, v) for hub in (3, 4) for v in range(7 + 5 * (hub - 3), 12 + 5 * (hub - 3))]
+    g = Graph(17, [(0, 1), (1, 2), (3, 5), (3, 6), (5, 6), (4, 6)] + pendants)
+    lists = {5: (0,), 6: (1,)}
+    hcolkit.hom._cluster_cache.clear()
+    calls = count_searches(monkeypatch)
+    assert find_homomorphism(g, make_cycle(5), lists=lists) is None
     assert calls == []
 
 
@@ -690,9 +736,9 @@ def test_warm_cluster_cache_makes_no_cluster_search(monkeypatch):
     out = reduce_list_to_plain(g, lists, c5, find_edge_gadget(c5))
     witness = find_homomorphism(out, c5)
     assert witness is not None
-    solvers = compiled_solvers(out, c5)[0]
-    assert any(solver.clusters for solver in solvers)
-    residuals = {frozenset(solver.residual) for solver in solvers}
+    residual, link, _, clusters, _ = compiled(out, c5)
+    assert clusters
+    residuals = {frozenset(members) for members, _, _ in _pieces(link, residual)}
     calls = count_searches(monkeypatch)
     assert find_homomorphism(out, c5) == witness
     assert calls and all(frozenset(order) in residuals for order in calls)
@@ -744,9 +790,10 @@ def bridged_components_graph(rng):
 
 
 def test_components_are_read_off_the_pins():
-    # the oracle's components are those of a plain BFS, in order of their
-    # least vertex, however their pins are linked; and its assignments are
-    # those of the components-first path
+    # the oracle's components, each a piece of the residual vertices with
+    # the clusters on its pins, are those of a plain BFS, however their
+    # pins are linked; and its assignments are those of the
+    # components-first path
     rng = random.Random(353)
     cases = Counter()
     for trial in range(36):
@@ -775,9 +822,13 @@ def test_components_are_read_off_the_pins():
         h = (make_complete(3), make_cycle(5), make_petersen())[trial % 3]
         (listed,) = rng.sample([c for c in comps if len(c) > 1], 1)
         lists = {v: rng.sample(range(h.n), h.n - 1) for v in rng.sample(listed, 2)}
-        solvers = _components(g, h, _domains_from_lists(g, h, lists), True)
-        assert [tuple(sorted(s.residual + [v for m, _, _ in s.regions for v in m])) for s in solvers] == comps
-        assert [s.symmetric for s in solvers] == [c != listed for c in comps]
+        residual, link, narrowed, clusters, _ = compiled(g, h, lists)
+        symmetric = {}
+        for members, mask, _ in _pieces(link, residual):
+            comp = tuple(sorted(members + [v for m, b, _ in clusters if mask >> b[0] & 1 for v in m]))
+            symmetric[comp] = not mask & narrowed
+        assert sorted(symmetric) == comps
+        assert symmetric == {c: c != listed for c in comps}
         found = find_homomorphism(g, h, lists=lists)
         expected = components_first_assignment(g, h, lists)
         assert (found and found.assignment) == expected
@@ -799,6 +850,6 @@ def test_clusters_sharing_a_table_weigh_once_each():
     edges = [(1, 2)] + [e for a, b, inner in paths for e in zip([a] + inner, inner + [b])]
     edges += [(hub, leaf) for hub in range(3) for leaf in range(20 + 5 * hub, 25 + 5 * hub)]
     g, c5 = Graph(35, edges), make_cycle(5)
-    (solver,), _ = compiled_solvers(g, c5)
-    assert any(len(p) > len(set(p)) for groups in solver.tables.values() for _, p, _ in groups)
+    tables = compiled(g, c5)[4]
+    assert any(len(p) > len(set(p)) for groups in tables.values() for _, p, _ in groups.values())
     assert find_homomorphism(g, c5).assignment == components_first_assignment(g, c5)
